@@ -21,7 +21,7 @@ from .environments import (
     set_size,
 )
 from .harness import ExperimentConfig, checkpoint_grid, derive_seed, load_config, run_batch, run_single
-from .metrics import LossParams, RoundRecord, coverage_rate, inst_regret, loss_phi, regret_bound, undercoverage_count
-from .policies import FeedbackEvent, Policy, PolicySpec, build_policy
+from .metrics import LossParams, RunColumns, coverage_rate, cum_regret, inst_regret, loss_phi, regret_bound, undercoverage_count
+from .policies import FeedbackEvent, Policy, PolicySpec
 
 __version__ = "0.1.0"

@@ -59,8 +59,6 @@ class ScoreDistribution:
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
-    continuous = True
-
 
 class UniformDist(ScoreDistribution):
     def __init__(self, a: float, b: float):
@@ -147,8 +145,6 @@ class BetaDist(ScoreDistribution):
 
 class PointMixtureDist(ScoreDistribution):
     """Finite mixture of point masses (a discrete score distribution)."""
-
-    continuous = False
 
     def __init__(self, atoms, weights):
         atoms = [float(a) for a in atoms]
@@ -278,9 +274,6 @@ class SyntheticEnv:
     def next_round(self, rng) -> RoundSample:
         return RoundSample(score=self.dist.sample(rng))
 
-    def next_score(self, rng) -> float:
-        return self.next_round(rng).score
-
     def oracle_cdf(self):
         return self.dist.cdf
 
@@ -360,9 +353,6 @@ class ScoreLogEnv:
             self._pos += 1
         return RoundSample(score=row.gt_score, candidates=row.candidates)
 
-    def next_score(self, rng) -> float:
-        return self.next_round(rng).score
-
     def oracle_cdf(self):
         scores, n = self._sorted_scores, len(self._sorted_scores)
 
@@ -430,9 +420,6 @@ class AuctionEnv:
             bids = tuple(self.value_dist.sample(rng) for _ in range(self.bidders))
         rnd = AuctionRound(bids=bids)
         return RoundSample(score=rnd.b1, auction=rnd)
-
-    def next_score(self, rng) -> float:
-        return self.next_round(rng).score
 
     def _value_cdf(self, x: float) -> float:
         if self._pool is not None:

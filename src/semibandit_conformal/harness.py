@@ -32,7 +32,10 @@ Policy sections are named ``[policy:<id>]``.  ACI takes ``gamma`` (or
 Con-ETC take ``m`` / ``m_grid``; DLR takes ``tau_init`` (defaulting to
 the environment's declared lower score bound when that bound is finite).
 
-Outputs (all floats at 12 significant digits, -inf spelled ``-inf``):
+`run_single` returns one run as `metrics.RunColumns`: numpy columns tau,
+covered and set_size filled per round, plus inst_regret, cum_regret and
+undercover derived from them.  Outputs (floats at 12 significant digits,
+-inf spelled ``-inf``, +inf ``inf``; each written to a temp file first):
 
     summary.csv  policy,t,metric,mean,ci_lo,ci_hi
     sweep.csv    policy,param,value,mean_final_regret,selected
@@ -43,6 +46,7 @@ Outputs (all floats at 12 significant digits, -inf spelled ``-inf``):
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
 import json
 import math
@@ -50,6 +54,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -59,7 +64,7 @@ from .environments import (
     apply_feedback,
     set_size,
 )
-from .metrics import LossParams, RoundRecord, inst_regret, loss_phi
+from .metrics import LossParams, RunColumns, coverage_rate, undercoverage_count
 from .policies import (
     ACI_GAMMA_GRID,
     ETC_M_GRID,
@@ -314,46 +319,32 @@ def checkpoint_grid(horizon: int) -> list[int]:
     return sorted(points)
 
 
-def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int,
-               policy_id: str) -> list[RoundRecord]:
+def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int) -> RunColumns:
     """One (environment, policy, seed) trajectory of exactly T rounds."""
     env = cfg.environment.build()
     rng = np.random.default_rng(seed)
-    gstar = env.oracle_cdf()
-    tau_star = env.oracle_tau_star(cfg.alpha)
-    phi_star = loss_phi(tau_star, gstar, cfg.loss)
     policy = spec.build()
-
-    records: list[RoundRecord] = []
-    cum = 0.0
-    for t in range(1, cfg.horizon + 1):
+    taus = np.empty(cfg.horizon)
+    covered = np.empty(cfg.horizon, dtype=bool)
+    sizes = np.empty(cfg.horizon, dtype=np.int64)
+    for i in range(cfg.horizon):
         tau = policy.propose()
         sample = env.next_round(rng)
         fb = apply_feedback(tau, sample.score)
         policy.update(fb)
-        inst = abs(phi_star - loss_phi(tau, gstar, cfg.loss))
-        # round at 12 significant digits (the CSV precision) each step, so a
-        # reader re-summing the emitted trace reproduces cum_regret exactly
-        inst = float(f"{inst:.12g}")
-        cum = float(f"{cum + inst:.12g}")
-        records.append(RoundRecord(
-            t=t,
-            policy=policy_id,
-            tau=tau,
-            covered=fb.observed,
-            inst_regret=inst,
-            cum_regret=cum,
-            undercover=tau > tau_star,
-            set_size=set_size(sample, tau),
-        ))
-    return records
+        taus[i] = tau
+        covered[i] = fb.observed
+        size = set_size(sample, tau)
+        sizes[i] = -1 if size is None else size
+    return RunColumns.derive(taus, covered, sizes if (sizes >= 0).any() else None,
+                             env.oracle_tau_star(cfg.alpha), env.oracle_cdf(), cfg.loss)
 
 
 @dataclass
 class BatchResult:
     summary_rows: list[tuple]   # (policy, t, metric, mean, ci_lo, ci_hi)
     sweep_rows: list[tuple]     # (policy, param, value, mean_final_regret, selected)
-    traces: list[tuple[int, str, list[RoundRecord]]]  # (run_id, policy, records)
+    traces: list[tuple[int, str, RunColumns]]  # (run_id, policy, run) per selected run
     selected: dict[str, str]    # policy_id -> winning grid_key
 
 
@@ -363,22 +354,15 @@ def _ci_halfwidth(values: np.ndarray) -> float:
     return 1.96 * float(np.std(values, ddof=1)) / math.sqrt(len(values))
 
 
-def _aggregate(policy_id: str, runs: list[list[RoundRecord]],
+def _aggregate(policy_id: str, runs: list[RunColumns],
                checkpoints: list[int]) -> list[tuple]:
+    metrics = ("cum_regret", "coverage_rate", "undercoverage_count")
+    per_run = [(run.cum_regret, coverage_rate(run.covered),
+                undercoverage_count(run.undercover)) for run in runs]
     rows = []
-    per_run = []
-    for records in runs:
-        covered = np.cumsum([r.covered for r in records])
-        under = np.cumsum([r.undercover for r in records])
-        cum = np.array([r.cum_regret for r in records])
-        per_run.append((cum, covered, under))
     for t in checkpoints:
-        idx = t - 1
-        for metric, col in (("cum_regret", 0), ("coverage_rate", 1),
-                            ("undercoverage_count", 2)):
-            vals = np.array([run[col][idx] for run in per_run], dtype=float)
-            if metric == "coverage_rate":
-                vals = vals / t
+        for col, metric in enumerate(metrics):
+            vals = np.array([columns[col][t - 1] for columns in per_run], dtype=float)
             mean = float(np.mean(vals))
             half = _ci_halfwidth(vals)
             rows.append((policy_id, t, metric, mean, mean - half, mean + half))
@@ -396,38 +380,41 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
     checkpoints = checkpoint_grid(cfg.horizon)
     summary_rows: list[tuple] = []
     sweep_rows: list[tuple] = []
-    traces: list[tuple[int, str, list[RoundRecord]]] = []
+    traces: list[tuple[int, str, RunColumns]] = []
     selected: dict[str, str] = {}
 
     for entry in cfg.policies:
         points = entry.grid_points()
-        results = []
+        finals = []
+        best_final = math.inf
         for grid_key, overrides in points:
             spec = cfg.policy_spec(entry, overrides)
             runs = []
             for run_idx in range(cfg.runs):
                 seed = derive_seed(cfg.seed, entry.policy_id, grid_key, run_idx)
                 try:
-                    runs.append(run_single(cfg, spec, seed, entry.policy_id))
+                    runs.append(run_single(cfg, spec, seed))
                 except Exception as exc:
                     raise RunError(
                         f"run failed: policy={entry.policy_id} grid={grid_key!r} "
                         f"run={run_idx} seed={seed}: {exc}"
                     ) from exc
-            final = float(np.mean([r[-1].cum_regret for r in runs]))
-            results.append((grid_key, final, runs))
-        best_key, _, best_runs = min(results, key=lambda r: r[1])
+            final = float(np.mean([run.cum_regret[-1] for run in runs]))
+            # strict: ties keep the earlier grid point
+            if final < best_final:
+                best_key, best_final, best_runs = grid_key, final, runs
+            finals.append(final)
         selected[entry.policy_id] = best_key
         if len(points) > 1:
             param = points[0][0].split("=", 1)[0]
-            for grid_key, final, _ in results:
+            for (grid_key, _), final in zip(points, finals):
                 sweep_rows.append((
                     entry.policy_id, param, grid_key.split("=", 1)[1], final,
                     int(grid_key == best_key),
                 ))
         summary_rows.extend(_aggregate(entry.policy_id, best_runs, checkpoints))
-        for run_idx, records in enumerate(best_runs):
-            traces.append((run_idx, entry.policy_id, records))
+        traces.extend((run_idx, entry.policy_id, run)
+                      for run_idx, run in enumerate(best_runs))
     return BatchResult(summary_rows, sweep_rows, traces, selected)
 
 
@@ -437,7 +424,7 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
 
 
 def _fmt(x: float) -> str:
-    """12 significant digits; the -inf sentinel serializes as '-inf'."""
+    """12 significant digits; the sentinels serialize as '-inf' and 'inf'."""
     return f"{x:.12g}"
 
 
@@ -457,12 +444,15 @@ def _render_sweep(rows) -> str:
 
 def _render_trace(traces) -> str:
     lines = ["run_id,policy,t,tau,covered,inst_regret,cum_regret,undercover,set_size"]
-    for run_id, policy, records in traces:
-        for r in records:
-            size = "" if r.set_size is None else str(r.set_size)
+    for run_id, policy, run in traces:
+        sizes = repeat("") if run.set_size is None else [
+            "" if n < 0 else str(n) for n in run.set_size.tolist()]
+        rounds = zip(run.tau.tolist(), run.covered.tolist(), run.inst_regret.tolist(),
+                     run.cum_regret.tolist(), run.undercover.tolist(), sizes)
+        for t, (tau, covered, inst, cum, under, size) in enumerate(rounds, start=1):
             lines.append(
-                f"{run_id},{policy},{r.t},{_fmt(r.tau)},{int(r.covered)},"
-                f"{_fmt(r.inst_regret)},{_fmt(r.cum_regret)},{int(r.undercover)},{size}"
+                f"{run_id},{policy},{t},{_fmt(tau)},{int(covered)},"
+                f"{_fmt(inst)},{_fmt(cum)},{int(under)},{size}"
             )
     return "\n".join(lines) + "\n"
 
@@ -470,8 +460,9 @@ def _render_trace(traces) -> str:
 def emit_csv(result: BatchResult, cfg: ExperimentConfig) -> dict[str, str]:
     """Write summary/sweep/trace CSVs plus the timestamp sidecar.
 
-    All file bodies are rendered before anything is opened, so an
-    unwritable destination fails without a partial summary on disk.
+    Every body is rendered and written to a temporary file in the output
+    directory before any is moved into place with `os.replace`, so a
+    failure leaves the earlier result files whole, never a truncated one.
     """
     if not result.summary_rows:
         raise ValueError("nothing to emit: empty batch result")
@@ -480,27 +471,28 @@ def emit_csv(result: BatchResult, cfg: ExperimentConfig) -> dict[str, str]:
         bodies["sweep.csv"] = _render_sweep(result.sweep_rows)
     if cfg.trace:
         bodies["trace.csv"] = _render_trace(result.traces)
+    meta = {
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "selected": result.selected,
+        "alpha": cfg.alpha,
+        "horizon": cfg.horizon,
+        "runs": cfg.runs,
+        "seed": cfg.seed,
+    }
+    bodies["meta.json"] = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    temps: dict[str, str] = {}
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        written = {}
         for name, body in bodies.items():
-            path = os.path.join(cfg.out_dir, name)
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            temps[name] = os.path.join(cfg.out_dir, f".{name}.{os.getpid()}.tmp")
+            with open(temps[name], "w", encoding="utf-8", newline="") as fh:
                 fh.write(body)
-            written[name] = path
-        meta = {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "selected": result.selected,
-            "alpha": cfg.alpha,
-            "horizon": cfg.horizon,
-            "runs": cfg.runs,
-            "seed": cfg.seed,
-        }
-        meta_path = os.path.join(cfg.out_dir, "meta.json")
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written["meta.json"] = meta_path
+        written = {name: os.path.join(cfg.out_dir, name) for name in bodies}
+        for name, temp in temps.items():
+            os.replace(temp, written[name])
     except OSError as exc:
+        for temp in temps.values():
+            with contextlib.suppress(OSError):
+                os.remove(temp)
         raise OutputError(f"cannot write results to {cfg.out_dir!r}: {exc}") from exc
     return written

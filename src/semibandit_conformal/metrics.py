@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .cdf_band import NEG_INF, POS_INF
 
@@ -56,37 +59,59 @@ def loss_phi(tau: float, gstar, params: LossParams) -> float:
     return -params.lambda2 * abs(gap)
 
 
-def inst_regret(tau_t: float, tau_star: float, gstar, params: LossParams) -> float:
-    """Per-round regret |phi(tau*) - phi(tau_t)|.
+def inst_regret(tau, tau_star: float, gstar, params: LossParams) -> np.ndarray:
+    """Per-round regret |phi(tau*) - phi(tau_t)| over a column of thresholds.
 
     Nonnegative by construction; equals phi(tau*) - phi(tau_t) whenever
-    the oracle achieves the target miscoverage exactly.
+    the oracle achieves the target miscoverage exactly.  `loss_phi` runs
+    once per distinct threshold, and each value is rounded at 12
+    significant digits, the CSV precision (see `cum_regret`).
     """
-    return abs(loss_phi(tau_star, gstar, params) - loss_phi(tau_t, gstar, params))
+    distinct, where = np.unique(np.asarray(tau, dtype=float), return_inverse=True)
+    phi_star = loss_phi(tau_star, gstar, params)
+    regret = [float(f"{abs(phi_star - loss_phi(x, gstar, params)):.12g}")
+              for x in distinct.tolist()]
+    return np.array(regret, dtype=float)[where]
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """Per-round trace entry."""
-
-    t: int
-    policy: str
-    tau: float
-    covered: bool
-    inst_regret: float
-    cum_regret: float
-    undercover: bool
-    set_size: int | None = None
+def cum_regret(inst) -> np.ndarray:
+    """Running sum of a per-round regret column, folded in round order."""
+    # round at 12 significant digits (the CSV precision) each step, so a
+    # reader re-summing the emitted trace reproduces cum_regret exactly
+    fold = accumulate(np.asarray(inst).tolist(), lambda c, x: float(f"{c + x:.12g}"))
+    return np.fromiter(fold, dtype=float, count=len(inst))
 
 
-def coverage_rate(records) -> float:
-    if not records:
+def coverage_rate(covered) -> np.ndarray:
+    """Running coverage: entry t-1 is the covered fraction of rounds 1..t."""
+    if not len(covered):
         raise ValueError("coverage_rate of an empty trace is undefined")
-    return sum(1 for r in records if r.covered) / len(records)
+    return np.cumsum(covered) / np.arange(1, len(covered) + 1)
 
 
-def undercoverage_count(records) -> int:
-    return sum(1 for r in records if r.undercover)
+def undercoverage_count(undercover) -> np.ndarray:
+    """Running count of undercovering rounds (tau_t > tau*) up to each t."""
+    return np.cumsum(undercover)
+
+
+@dataclass(frozen=True, eq=False)
+class RunColumns:
+    """One run as per-round numpy columns; entry t-1 holds round t."""
+
+    tau: np.ndarray              # float64 thresholds played, -inf / +inf allowed
+    covered: np.ndarray          # bool: the score cleared tau, the label is in the set
+    set_size: np.ndarray | None  # int64 candidates >= tau, -1 on a round without
+                                 # candidates; None when no round had any
+    inst_regret: np.ndarray      # float64, see `inst_regret`
+    cum_regret: np.ndarray       # float64, see `cum_regret`
+    undercover: np.ndarray       # bool: tau > tau*
+
+    @classmethod
+    def derive(cls, tau, covered, set_size, tau_star: float, gstar,
+               params: LossParams) -> "RunColumns":
+        """Fill in the regret and undercoverage columns of a played run."""
+        inst = inst_regret(tau, tau_star, gstar, params)
+        return cls(tau, covered, set_size, inst, cum_regret(inst), tau > tau_star)
 
 
 def regret_bound(horizon: int, k: float, phi_max: float) -> float:

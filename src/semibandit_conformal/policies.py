@@ -258,7 +258,3 @@ _BUILDERS = {
     "etc": EtcPolicy,
     "con_etc": ConEtcPolicy,
 }
-
-
-def build_policy(spec: PolicySpec) -> Policy:
-    return spec.build()

@@ -138,10 +138,10 @@ def test_criterion_2_coverage_calibration(sps_runs):
 
     # the non-banded baselines miscalibrate on the same environment
     greedy_cov = np.mean([
-        sum(r.covered for r in run_single(
+        sum(run_single(
             batch_cfg(UNIFORM, [PolicyEntry("greedy", "greedy")], 1),
             PolicySpec(kind="greedy", alpha=ALPHA, horizon=HORIZON),
-            seed, "greedy")) / HORIZON
+            seed).covered.tolist()) / HORIZON
         for seed in range(10)
     ])
     aci = run_batch(batch_cfg(UNIFORM, [PolicyEntry("aci", "aci")], runs=10))
@@ -172,7 +172,7 @@ def test_criterion_4_safety_separation(sps_runs):
     cfg = batch_cfg(UNIFORM, [PolicyEntry("greedy", "greedy")], 1)
     spec = PolicySpec(kind="greedy", alpha=ALPHA, horizon=HORIZON)
     greedy_under = min(
-        sum(r.undercover for r in run_single(cfg, spec, seed, "greedy"))
+        sum(run_single(cfg, spec, seed).undercover.tolist())
         for seed in range(5)
     )
     sps_under = max(r.undercover for r in sps_runs["uniform"])

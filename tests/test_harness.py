@@ -1,9 +1,13 @@
+import dataclasses
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from semibandit_conformal import harness
 from semibandit_conformal.cdf_band import NEG_INF
 from semibandit_conformal.cli import main
 from semibandit_conformal.environments import EnvironmentSpec
@@ -19,6 +23,7 @@ from semibandit_conformal.harness import (
     run_batch,
     run_single,
 )
+from semibandit_conformal.metrics import loss_phi
 
 UNIFORM_ENV = EnvironmentSpec(
     kind="synthetic", distribution="uniform", dist_params={"a": 0.0, "b": 1.0}
@@ -57,6 +62,11 @@ def small_cfg(policies=None, horizon=200, runs=2, trace=False, out="results"):
     )
     cfg.validate()
     return cfg
+
+
+def warns_single_run():
+    """run_batch at runs = 1 warns that the confidence intervals are empty."""
+    return pytest.warns(UserWarning, match="runs = 1")
 
 
 def write_config(tmp_path, body):
@@ -105,34 +115,37 @@ class TestRunSingle:
     def test_deterministic_replay(self):
         cfg = small_cfg()
         spec = cfg.policy_spec(cfg.policies[0], {})
-        a = run_single(cfg, spec, seed=42, policy_id="sps")
-        b = run_single(cfg, spec, seed=42, policy_id="sps")
-        assert a == b
+        a = run_single(cfg, spec, seed=42)
+        b = run_single(cfg, spec, seed=42)
+        for name in ("tau", "covered", "inst_regret", "cum_regret", "undercover"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_distinct_seeds_differ(self):
         cfg = small_cfg(policies=[PolicyEntry(policy_id="g", kind="greedy")])
         spec = cfg.policy_spec(cfg.policies[0], {})
-        a = run_single(cfg, spec, seed=1, policy_id="g")
-        b = run_single(cfg, spec, seed=2, policy_id="g")
-        assert [r.tau for r in a] != [r.tau for r in b]
+        a = run_single(cfg, spec, seed=1)
+        b = run_single(cfg, spec, seed=2)
+        assert not np.array_equal(a.tau, b.tau)
 
     def test_round_indices_and_accumulation(self):
         cfg = small_cfg(horizon=100, runs=1)
         spec = cfg.policy_spec(cfg.policies[0], {})
-        records = run_single(cfg, spec, seed=5, policy_id="sps")
-        assert [r.t for r in records] == list(range(1, 101))
+        run = run_single(cfg, spec, seed=5)
+        assert len(run.tau) == len(run.cum_regret) == 100
+        assert run.tau.dtype == np.float64 and run.covered.dtype == bool
+        assert run.set_size is None  # synthetic scores carry no candidates
         cum = 0.0
-        for r in records:
-            assert r.inst_regret >= 0.0
-            cum += r.inst_regret
-            assert r.cum_regret == pytest.approx(cum, rel=1e-12)
+        for inst, total in zip(run.inst_regret, run.cum_regret):
+            assert inst >= 0.0
+            cum += inst
+            assert total == pytest.approx(cum, rel=1e-12)
 
     def test_undercover_flag_matches_oracle(self):
         cfg = small_cfg(horizon=100, runs=1)
         tau_star = cfg.environment.build().oracle_tau_star(cfg.alpha)
         spec = cfg.policy_spec(PolicyEntry(policy_id="g", kind="greedy"), {})
-        records = run_single(cfg, spec, seed=5, policy_id="g")
-        assert all(r.undercover == (r.tau > tau_star) for r in records)
+        run = run_single(cfg, spec, seed=5)
+        assert np.array_equal(run.undercover, run.tau > tau_star)
 
 
 class TestLoadConfig:
@@ -232,27 +245,37 @@ class TestRunBatch:
         assert len(result.summary_rows) == 2 * n_checkpoints * 3
 
     def test_single_run_warns(self):
-        with pytest.warns(UserWarning):
+        with warns_single_run():
             run_batch(small_cfg(runs=1, horizon=50))
 
     def test_aggregation_against_direct_recompute(self):
         cfg = small_cfg(horizon=150, runs=3)
         result = run_batch(cfg)
-        per_run = [records for _, _, records in result.traces]
+        per_run = [run for _, _, run in result.traces]
         assert len(per_run) == 3
         for policy, t, metric, mean, lo, hi in result.summary_rows:
             if metric == "cum_regret":
-                vals = [r[t - 1].cum_regret for r in per_run]
+                vals = [r.cum_regret[t - 1] for r in per_run]
             elif metric == "coverage_rate":
-                vals = [sum(x.covered for x in r[:t]) / t for r in per_run]
+                vals = [sum(r.covered[:t].tolist()) / t for r in per_run]
             else:
-                vals = [sum(x.undercover for x in r[:t]) for r in per_run]
+                vals = [sum(r.undercover[:t].tolist()) for r in per_run]
             vals = np.array(vals, dtype=float)
             want_mean = float(np.mean(vals))
             half = 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
             assert mean == pytest.approx(want_mean, abs=1e-9)
             assert hi - mean == pytest.approx(half, abs=1e-9)
             assert mean - lo == pytest.approx(half, abs=1e-9)
+
+    def test_tie_goes_to_first_grid_point(self, monkeypatch):
+        cfg = small_cfg(policies=[
+            PolicyEntry(policy_id="etc", kind="etc", m_grid=(50, 10, 100)),
+        ], horizon=200, runs=2)
+        tied = run_single(cfg, cfg.policy_spec(cfg.policies[0], {"explore_rounds": 10}), 0)
+        monkeypatch.setattr(harness, "run_single", lambda *args: tied)
+        result = run_batch(cfg)
+        assert result.selected == {"etc": "m=50"}
+        assert [row[4] for row in result.sweep_rows] == [1, 0, 0]
 
     def test_ci_symmetric_and_ordered(self):
         result = run_batch(small_cfg(horizon=100, runs=3))
@@ -275,14 +298,89 @@ class TestEmitCsv:
 
     def test_minus_infinity_token(self, tmp_path):
         cfg = small_cfg(horizon=50, runs=1, trace=True, out=str(tmp_path / "res"))
-        written = emit_csv(run_batch(cfg), cfg)
+        with warns_single_run():
+            result = run_batch(cfg)
+        written = emit_csv(result, cfg)
         first_row = open(written["trace.csv"]).read().splitlines()[1]
         assert first_row.split(",")[3] == "-inf"
         assert float("-inf") == float("-inf".strip())
 
+    def test_plus_infinity_token(self, tmp_path):
+        # ACI's budget passes 1 after a few covered rounds at alpha = 0.1;
+        # its level is clamped to 1 and the sup-quantile there is +inf
+        body = (
+            f"[experiment]\nalpha = 0.1\nhorizon = 2000\nruns = 2\nseed = 0\n"
+            f"out = {tmp_path / 'res'}\ntrace = true\n"
+            "[environment]\nkind = synthetic\ndistribution = uniform\na = 0.0\nb = 1.0\n"
+            "[policy:aci]\nkind = aci\ngamma = 0.128\n"
+        )
+        cfg = load_config(write_config(tmp_path, body))
+        written = emit_csv(run_batch(cfg), cfg)
+        rows = [line.split(",") for line in
+                open(written["trace.csv"]).read().splitlines()[1:]]
+        env = cfg.environment.build()
+        phi_star = loss_phi(env.oracle_tau_star(cfg.alpha), env.oracle_cdf(), cfg.loss)
+        phi_inf = -cfg.loss.lambda2 * cfg.alpha
+        plus = [row for row in rows if row[3] == "inf"]
+        assert plus and any(row[3] == "-inf" for row in rows)
+        for row in plus:
+            assert (row[4], row[7]) == ("0", "1")  # nothing covered, undercovering
+            assert float(row[5]) == pytest.approx(abs(phi_star - phi_inf), rel=1e-12)
+
+    @pytest.mark.parametrize("failing", ["summary.csv", "trace.csv"])
+    def test_failed_write_keeps_earlier_results(self, tmp_path, monkeypatch, failing):
+        out = tmp_path / "res"
+        cfg = small_cfg(horizon=100, runs=2, trace=True, out=str(out))
+        emit_csv(run_batch(cfg), cfg)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        class FullDisk:
+            """Writes half of what it is given, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def open_filling_disk(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return FullDisk(fh) if failing in os.path.basename(path) else fh
+
+        monkeypatch.setattr(harness, "open", open_filling_disk, raising=False)
+        rerun = dataclasses.replace(cfg, seed=8)
+        with pytest.raises(OutputError):
+            emit_csv(run_batch(rerun), rerun)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_set_size_empty_on_rounds_without_candidates(self, tmp_path):
+        (tmp_path / "scores.csv").write_text(
+            "round_id,gt_score,cand_0,cand_1\n0,0.5,0.5,0.9\n1,0.7\n")
+        body = (
+            f"[experiment]\nhorizon = 50\nruns = 2\ntrace = true\nout = {tmp_path / 'res'}\n"
+            "[environment]\nkind = score_log\npath = scores.csv\n"
+            "[policy:sps]\nkind = sps\n"
+        )
+        cfg = load_config(write_config(tmp_path, body))
+        written = emit_csv(run_batch(cfg), cfg)
+        rows = [line.split(",") for line in
+                open(written["trace.csv"]).read().splitlines()[1:]]
+        # at tau = -inf both candidates of row 0 are in the set
+        assert {row[8] for row in rows if row[3] == "-inf"} == {"2", ""}
+
     def test_trace_round_trips_exactly(self, tmp_path):
         cfg = small_cfg(horizon=120, runs=1, trace=True, out=str(tmp_path / "res"))
-        written = emit_csv(run_batch(cfg), cfg)
+        with warns_single_run():
+            result = run_batch(cfg)
+        written = emit_csv(result, cfg)
         rows = [line.split(",") for line in
                 open(written["trace.csv"]).read().splitlines()[1:]]
         # re-sum at the documented 12-significant-digit precision
@@ -302,7 +400,9 @@ class TestEmitCsv:
         cfg = small_cfg(policies=[
             PolicyEntry(policy_id="etc", kind="etc", m_grid=(10, 50)),
         ], horizon=100, runs=1, out=str(tmp_path / "res"))
-        written = emit_csv(run_batch(cfg), cfg)
+        with warns_single_run():
+            result = run_batch(cfg)
+        written = emit_csv(result, cfg)
         assert "sweep.csv" in written
         lines = open(written["sweep.csv"]).read().splitlines()
         assert lines[0] == "policy,param,value,mean_final_regret,selected"
@@ -313,7 +413,8 @@ class TestEmitCsv:
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         cfg = small_cfg(horizon=50, runs=1, out=str(blocker / "res"))
-        result = run_batch(cfg)
+        with warns_single_run():
+            result = run_batch(cfg)
         with pytest.raises(OutputError):
             emit_csv(result, cfg)
         assert not (blocker / "res" / "summary.csv").exists()
@@ -355,8 +456,9 @@ class TestCli:
         body = BASE_CONFIG.format(out=out, trace="false") + \
             "\n[policy:etc]\nkind = etc\nm_grid = 10, 50\n"
         path = write_config(tmp_path, body)
-        assert main(["sweep", "--config", path, "--horizon", "100",
-                     "--runs", "1"]) == 0
+        with warns_single_run():
+            assert main(["sweep", "--config", path, "--horizon", "100",
+                         "--runs", "1"]) == 0
         sweep = open(out / "sweep.csv").read().splitlines()
         assert len(sweep) == 3
         summary = open(out / "summary.csv").read()
@@ -372,7 +474,8 @@ class TestCli:
             "[policy:sps]\nkind = sps\n"
         )
         path = write_config(tmp_path, body)
-        assert main(["run", "--config", path]) == 2
+        with warns_single_run():
+            assert main(["run", "--config", path]) == 2
         assert "run error" in capsys.readouterr().err
 
     def test_output_error_exit_3(self, tmp_path, capsys):
@@ -380,8 +483,9 @@ class TestCli:
         blocker.write_text("")
         path = write_config(
             tmp_path, BASE_CONFIG.format(out=blocker / "res", trace="false"))
-        assert main(["run", "--config", path, "--horizon", "50",
-                     "--runs", "1"]) == 3
+        with warns_single_run():
+            assert main(["run", "--config", path, "--horizon", "50",
+                         "--runs", "1"]) == 3
         assert "i/o error" in capsys.readouterr().err
 
 

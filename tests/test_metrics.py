@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from semibandit_conformal.cdf_band import NEG_INF, POS_INF
 from semibandit_conformal.metrics import (
     LossParams,
-    RoundRecord,
     coverage_rate,
+    cum_regret,
     inst_regret,
     loss_phi,
     regret_bound,
@@ -78,42 +79,56 @@ class TestLossPhi:
 class TestInstRegret:
     TAU_STAR = 0.1
 
+    def regret(self, tau):
+        return inst_regret(np.array([tau]), self.TAU_STAR, uniform_cdf, PARAMS)[0]
+
     def test_zero_at_oracle(self):
-        assert inst_regret(0.1, self.TAU_STAR, uniform_cdf, PARAMS) == \
-            pytest.approx(0.0, abs=1e-9)
+        assert self.regret(0.1) == pytest.approx(0.0, abs=1e-9)
 
     def test_overcovering_example(self):
-        assert inst_regret(0.0, self.TAU_STAR, uniform_cdf, PARAMS) == \
-            pytest.approx(0.01, abs=1e-9)
+        assert self.regret(0.0) == pytest.approx(0.01, abs=1e-9)
 
     def test_undercovering_example(self):
-        assert inst_regret(0.2, self.TAU_STAR, uniform_cdf, PARAMS) == \
-            pytest.approx(1.0, abs=1e-9)
+        assert self.regret(0.2) == pytest.approx(1.0, abs=1e-9)
 
     @given(st.floats(-1.0, 2.0))
     def test_nonnegative(self, tau):
-        assert inst_regret(tau, self.TAU_STAR, uniform_cdf, PARAMS) >= 0.0
+        assert self.regret(tau) >= 0.0
+
+    @given(st.lists(st.sampled_from([NEG_INF, -0.5, 0.0, 0.05, 0.1, 0.3, POS_INF]),
+                    min_size=1, max_size=30))
+    def test_column_matches_per_round_formula(self, taus):
+        # loss_phi runs once per distinct threshold; the bits must not move
+        phi_star = loss_phi(self.TAU_STAR, uniform_cdf, PARAMS)
+        want = [float(f"{abs(phi_star - loss_phi(t, uniform_cdf, PARAMS)):.12g}")
+                for t in taus]
+        got = inst_regret(np.array(taus), self.TAU_STAR, uniform_cdf, PARAMS)
+        assert got.tolist() == want
 
 
-def make_record(t, covered, undercover=False):
-    return RoundRecord(t=t, policy="sps", tau=0.0, covered=covered,
-                       inst_regret=0.0, cum_regret=0.0, undercover=undercover)
+class TestCumRegret:
+    def test_sequential_fold_at_12_digits(self):
+        inst = [0.1, 0.2, 1e-13, 0.3] * 50
+        cum, want = 0.0, []
+        for x in inst:
+            cum = float(f"{cum + x:.12g}")
+            want.append(cum)
+        assert cum_regret(np.array(inst)).tolist() == want
 
 
 class TestTraceAggregates:
     def test_coverage_rate(self):
-        recs = [make_record(1, True), make_record(2, False), make_record(3, True)]
-        assert coverage_rate(recs) == pytest.approx(2 / 3)
+        covered = np.array([True, False, True])
+        assert coverage_rate(covered).tolist() == pytest.approx([1.0, 0.5, 2 / 3])
 
     def test_coverage_rate_empty_rejected(self):
         with pytest.raises(ValueError):
-            coverage_rate([])
+            coverage_rate(np.array([], dtype=bool))
 
     def test_undercoverage_count(self):
-        recs = [make_record(1, True), make_record(2, False, undercover=True),
-                make_record(3, False, undercover=True)]
-        assert undercoverage_count(recs) == 2
-        assert undercoverage_count([]) == 0
+        undercover = np.array([False, True, True])
+        assert undercoverage_count(undercover).tolist() == [0, 1, 2]
+        assert undercoverage_count(np.array([], dtype=bool)).tolist() == []
 
 
 class TestRegretBound:

@@ -20,7 +20,6 @@ from semibandit_conformal.policies import (
     PolicyContractError,
     PolicySpec,
     SpsPolicy,
-    build_policy,
 )
 
 ALPHA = 0.9
@@ -92,28 +91,28 @@ class TestPolicySpec:
         }
         for kind, cls in kinds.items():
             kw = {"tau_init": 0.0} if kind == "dlr" else {}
-            assert isinstance(build_policy(spec(kind, **kw)), cls)
-        assert isinstance(build_policy(spec("aci", gamma=0.01)), AciPolicy)
-        assert isinstance(build_policy(spec("etc", explore_rounds=50)), EtcPolicy)
+            assert isinstance(spec(kind, **kw).build(), cls)
+        assert isinstance(spec("aci", gamma=0.01).build(), AciPolicy)
+        assert isinstance(spec("etc", explore_rounds=50).build(), EtcPolicy)
         assert isinstance(
-            build_policy(spec("con_etc", explore_rounds=50)), ConEtcPolicy
+            spec("con_etc", explore_rounds=50).build(), ConEtcPolicy
         )
 
 
 class TestPropose:
     def test_sps_starts_at_minus_infinity(self):
-        assert build_policy(spec("sps")).propose() == NEG_INF
+        assert spec("sps").build().propose() == NEG_INF
 
     def test_etc_explores_at_minus_infinity(self):
-        p = build_policy(spec("etc", explore_rounds=500))
+        p = spec("etc", explore_rounds=500).build()
         drive(p, [0.5] * 100)
         assert p.propose() == NEG_INF
 
     def test_dlr_initial_readback(self):
-        assert build_policy(spec("dlr", tau_init=0.0)).propose() == 0.0
+        assert spec("dlr", tau_init=0.0).build().propose() == 0.0
 
     def test_propose_does_not_mutate(self):
-        p = build_policy(spec("sps"))
+        p = spec("sps").build()
         p.propose()
         p.propose()
         assert p.t == 0
@@ -125,7 +124,7 @@ class TestSps:
         assert apply_feedback(0.3, 0.2) == FeedbackEvent(False, 0.3)
 
     def test_max_step_never_decreases(self):
-        p = build_policy(spec("sps"))
+        p = spec("sps").build()
         p.tau = 0.3
         p.ecdf.insert(0.25)  # cutoff query will return <= 0.25 here
         cutoff = p.ecdf.conformal_cutoff(ALPHA)
@@ -134,13 +133,13 @@ class TestSps:
         assert p.tau == 0.3
 
     def test_miss_with_wrong_recorded_value_rejected(self):
-        p = build_policy(spec("sps"))
+        p = spec("sps").build()
         p.tau = 0.3
         with pytest.raises(PolicyContractError):
             p.update(FeedbackEvent(observed=False, recorded=0.2))
 
     def test_observed_below_threshold_rejected(self):
-        p = build_policy(spec("sps"))
+        p = spec("sps").build()
         p.tau = 0.5
         with pytest.raises(PolicyContractError):
             p.update(FeedbackEvent(observed=True, recorded=0.2, score=0.2))
@@ -148,12 +147,12 @@ class TestSps:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=200))
     def test_threshold_nondecreasing_on_any_trace(self, scores):
-        taus = drive(build_policy(spec("sps")), scores)
+        taus = drive(spec("sps").build(), scores)
         assert all(a <= b for a, b in zip(taus, taus[1:]))
 
     def test_miss_rounds_record_the_proposed_threshold(self):
         rng = np.random.default_rng(5)
-        p = build_policy(PolicySpec(kind="sps", alpha=ALPHA, horizon=2000))
+        p = PolicySpec(kind="sps", alpha=ALPHA, horizon=2000).build()
         for s in rng.uniform(0, 1, 2000):
             tau = p.propose()
             fb = apply_feedback(tau, s)
@@ -164,7 +163,7 @@ class TestSps:
 
 class TestGreedy:
     def test_ten_sample_quantile(self):
-        p = build_policy(spec("greedy"))
+        p = spec("greedy").build()
         for s in [j / 10 for j in range(1, 11)]:
             p.ecdf.insert(s)
         p.t = 10
@@ -172,14 +171,14 @@ class TestGreedy:
         assert p.tau == 0.2
 
     def test_single_sample(self):
-        p = build_policy(spec("greedy"))
+        p = spec("greedy").build()
         p.update(apply_feedback(p.propose(), 0.5))
         assert p.tau == 0.5
 
     def test_no_monotonicity_constraint(self):
         # unlike the banded policy, a valid update can lower the threshold:
         # the new quantile is adopted as-is, never max-ed with the old tau
-        p = build_policy(spec("greedy"))
+        p = spec("greedy").build()
         for s in [j / 10 for j in range(1, 11)]:
             p.update(FeedbackEvent(observed=True, recorded=s, score=s))
         p.tau = 5.0
@@ -189,35 +188,35 @@ class TestGreedy:
 
 class TestAci:
     def test_budget_update_on_miss(self):
-        p = build_policy(spec("aci", gamma=0.01))
+        p = spec("aci", gamma=0.01).build()
         p.beta = 0.1
         p.tau = 0.5
         p.update(FeedbackEvent(observed=False, recorded=0.5))
         assert p.beta == pytest.approx(0.091)
 
     def test_budget_update_on_cover(self):
-        p = build_policy(spec("aci", gamma=0.01))
+        p = spec("aci", gamma=0.01).build()
         p.beta = 0.1
         p.update(FeedbackEvent(observed=True, recorded=0.7, score=0.7))
         assert p.beta == pytest.approx(0.101)
 
     def test_initial_budget_is_target_miscoverage(self):
-        assert build_policy(spec("aci", gamma=0.01)).beta == pytest.approx(0.1)
+        assert spec("aci", gamma=0.01).build().beta == pytest.approx(0.1)
 
     def test_quantile_uses_observed_scores_only(self):
-        p = build_policy(spec("aci", gamma=0.01))
+        p = spec("aci", gamma=0.01).build()
         drive(p, [0.5, 0.4, 0.6])  # 0.4 misses at tau=0.5 and is never stored
         assert p.observed_scores == [0.5, 0.6]
 
     def test_tau_minus_infinity_while_no_observations(self):
-        p = build_policy(spec("aci", gamma=0.01))
+        p = spec("aci", gamma=0.01).build()
         assert p.propose() == NEG_INF
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=300),
            st.sampled_from(ACI_GAMMA_GRID))
     def test_budget_ledger_identity(self, scores, gamma):
-        p = build_policy(spec("aci", gamma=gamma))
+        p = spec("aci", gamma=gamma).build()
         misses = 0
         for s in scores:
             fb = apply_feedback(p.propose(), s)
@@ -230,12 +229,12 @@ class TestAci:
 
 class TestDlr:
     def test_cover_step(self):
-        p = build_policy(spec("dlr", tau_init=0.5))
+        p = spec("dlr", tau_init=0.5).build()
         p.update(FeedbackEvent(observed=True, recorded=0.9, score=0.9))
         assert p.tau == pytest.approx(0.6)
 
     def test_miss_step(self):
-        p = build_policy(spec("dlr", tau_init=0.5))
+        p = spec("dlr", tau_init=0.5).build()
         p.update(FeedbackEvent(observed=False, recorded=0.5))
         assert p.tau == pytest.approx(-0.4)
 
@@ -245,7 +244,7 @@ class TestDlr:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=200))
     def test_step_bound_exact(self, scores):
-        p = build_policy(spec("dlr", tau_init=0.0))
+        p = spec("dlr", tau_init=0.0).build()
         prev = p.propose()
         for t, s in enumerate(scores, start=1):
             fb = apply_feedback(prev, s)
@@ -258,7 +257,7 @@ class TestDlr:
 
 class TestEtc:
     def test_exploration_then_commit(self):
-        p = build_policy(spec("etc", explore_rounds=100))
+        p = spec("etc", explore_rounds=100).build()
         scores = [j / 100 for j in range(1, 101)]
         taus = drive(p, scores)
         assert all(tau == NEG_INF for tau in taus)
@@ -266,7 +265,7 @@ class TestEtc:
         assert p.propose() == pytest.approx(0.11)
 
     def test_commit_held_fixed(self):
-        p = build_policy(spec("etc", explore_rounds=50))
+        p = spec("etc", explore_rounds=50).build()
         drive(p, [j / 50 for j in range(1, 51)])
         committed = p.propose()
         drive(p, [0.9] * 50)
@@ -274,8 +273,8 @@ class TestEtc:
 
     def test_conservative_commit_is_not_larger(self):
         scores = [j / 2000 for j in range(1, 2001)]
-        etc = build_policy(spec("etc", explore_rounds=2000))
-        con = build_policy(spec("con_etc", explore_rounds=2000))
+        etc = spec("etc", explore_rounds=2000).build()
+        con = spec("con_etc", explore_rounds=2000).build()
         drive(etc, scores)
         drive(con, scores)
         assert con.propose() <= etc.propose()
@@ -283,7 +282,7 @@ class TestEtc:
     def test_conservative_commit_uses_band_at_m(self):
         m = 2000
         scores = [j / m for j in range(1, m + 1)]
-        con = build_policy(spec("con_etc", explore_rounds=m))
+        con = spec("con_etc", explore_rounds=m).build()
         drive(con, scores)
         eps = band_epsilon(2.0 / T**2, m)
         level = 1 - ALPHA - eps
@@ -292,6 +291,6 @@ class TestEtc:
 
     def test_short_exploration_commits_to_minus_infinity(self):
         # at m=100 the band is wider than the miscoverage budget
-        p = build_policy(spec("con_etc", explore_rounds=100))
+        p = spec("con_etc", explore_rounds=100).build()
         drive(p, [j / 100 for j in range(1, 101)])
         assert p.propose() == NEG_INF
