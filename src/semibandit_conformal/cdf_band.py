@@ -7,7 +7,11 @@ step-function CDF it answers the banded cutoff query
 
     sup{ tau : G_t(tau) + eps_t <= 1 - alpha },
 
-which is the quantity the threshold policies need each round.
+which is the quantity the threshold policies need each round.  The answer
+is an order statistic whose index `order_index` fixes; `TruncatedEcdf`
+keeps the sample split across two heaps at that index, so a round that
+moves the index by at most one costs O(log t) rather than the O(t) of a
+sorted insert.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import csv
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -57,17 +62,32 @@ class BandParams:
         return band_epsilon(self.delta, t)
 
 
-def sup_quantile(sorted_values, level: float) -> float:
-    """sup{ tau : ecdf(tau) <= level } over an already-sorted sample.
+def order_index(n: int, level: float) -> int:
+    """Index m of the sup order statistic for a sample of size n >= 1.
 
-    Returns -inf when no tau is admissible (level < 0) and +inf when all
-    are (level >= 1).  Otherwise the sup is the (m+1)-th order statistic
-    with m the largest integer such that m/n <= level; the admissible set
-    is the open interval below that value.
+    m is the largest integer in [0, n-1] with m/n <= level, so the (m+1)-th
+    smallest value is sup{ tau : ecdf(tau) <= level }.  Valid for
+    -LEVEL_TOL <= level < 1; the callers handle the sentinel levels.
 
     The adjustment loops keep the index consistent with exact k/n
     comparisons, so results agree bit-for-bit with a scan that evaluates
     the ECDF directly.
+    """
+    m = min(max(int(math.floor(n * level)), 0), n - 1)
+    while m + 1 < n and (m + 1) / n <= level + LEVEL_TOL:
+        m += 1
+    while m > 0 and m / n > level + LEVEL_TOL:
+        m -= 1
+    return m
+
+
+def sup_quantile(sorted_values, level: float) -> float:
+    """sup{ tau : ecdf(tau) <= level } over an already-sorted sample.
+
+    Returns -inf when no tau is admissible (level < 0) and +inf when all
+    are (level >= 1).  Otherwise the sup is the order statistic at
+    `order_index(n, level)`; the admissible set is the open interval below
+    that value.
     """
     n = len(sorted_values)
     if n == 0:
@@ -76,16 +96,28 @@ def sup_quantile(sorted_values, level: float) -> float:
         return NEG_INF
     if level >= 1.0:
         return POS_INF
-    m = min(max(int(math.floor(n * level)), 0), n - 1)
-    while m + 1 < n and (m + 1) / n <= level + LEVEL_TOL:
-        m += 1
-    while m > 0 and m / n > level + LEVEL_TOL:
-        m -= 1
-    return sorted_values[m]
+    return sorted_values[order_index(n, level)]
 
 
 class TruncatedEcdf:
-    """Sorted multiset of recorded scores plus the DKW band.
+    """Multiset of recorded scores, split in two heaps, plus the DKW band.
+
+    `_low` is a max-heap (stored negated) of the k smallest values and
+    `_high` a min-heap of the rest; every value in `_low` is <= every value
+    in `_high`.  `insert` pushes onto the side the value belongs to, and
+    `conformal_cutoff` moves heap tops across until k = m + 1 for the
+    query's `order_index` m, then reads the answer off the top of `_low`.
+    The banded and greedy policies move m by at most one per round, so
+    both operations cost O(log t).
+
+    The rank queries (`samples`, `eval_g`, `eval_upper`, `dump_csv`) need
+    the sorted sample: the first of them sorts the heaps into a list, and
+    every later insert keeps that list sorted.  A run that never asks a
+    rank query never builds it.
+
+    Values are canonicalized with `value + 0.0`, which turns -0.0 into
+    0.0: among tied zeros a heap returns whichever it holds on top, so
+    without this the cutoff's sign could differ from the sorted order's.
 
     Values are truncated at recording time (a missed round records the
     round's threshold); queries never re-truncate.  For the nondecreasing
@@ -99,22 +131,32 @@ class TruncatedEcdf:
             raise ValueError(f"horizon must be an integer >= 2, got {horizon!r}")
         self.horizon = horizon
         self.band = BandParams.for_horizon(horizon)
-        self._samples: list[float] = []
+        self._low: list[float] = []
+        self._high: list[float] = []
+        self._sorted: list[float] | None = None
 
     @property
     def count(self) -> int:
-        return len(self._samples)
+        return len(self._low) + len(self._high)
 
     @property
     def samples(self) -> list[float]:
         """The recorded values in nondecreasing order (do not mutate)."""
-        return self._samples
+        if self._sorted is None:
+            self._sorted = sorted([-v for v in self._low] + self._high)
+        return self._sorted
 
     def insert(self, value: float) -> None:
-        value = float(value)
+        value = float(value) + 0.0
         if not math.isfinite(value):
             raise ValueError(f"recorded score must be finite, got {value}")
-        insort(self._samples, value)
+        low = self._low
+        if low and value < -low[0]:
+            heappush(low, -value)
+        else:
+            heappush(self._high, value)
+        if self._sorted is not None:
+            insort(self._sorted, value)
 
     def epsilon(self) -> float:
         """Band half-width at the current count."""
@@ -124,7 +166,7 @@ class TruncatedEcdf:
     def eval_g(self, tau: float) -> float:
         """Fraction of recorded values <= tau (right-continuous step)."""
         self._require_samples()
-        return bisect_right(self._samples, tau) / self.count
+        return bisect_right(self.samples, tau) / self.count
 
     def eval_upper(self, tau: float) -> float:
         """eval_g(tau) + eps_t; may exceed 1."""
@@ -136,6 +178,7 @@ class TruncatedEcdf:
         `epsilon` overrides the DKW width (0.0 gives the plain empirical
         sup-quantile).  Returns -inf when the band is wider than the
         remaining budget; the sentinels never enter the sample multiset.
+        The value is `sup_quantile(self.samples, 1 - alpha - eps)`.
         """
         self._require_samples()
         if not 0.0 < alpha < 1.0:
@@ -146,10 +189,15 @@ class TruncatedEcdf:
         level = 1.0 - alpha - eps
         if level < -LEVEL_TOL:
             return NEG_INF
-        cutoff = sup_quantile(self._samples, level)
-        # level < 1 here, so the +inf branch of sup_quantile is unreachable
-        assert cutoff is not POS_INF
-        return cutoff
+        if level >= 1.0:
+            raise ValueError(f"alpha = {alpha!r} is too small: 1 - alpha rounds to 1")
+        low, high = self._low, self._high
+        k = order_index(len(low) + len(high), level) + 1
+        while len(low) < k:
+            heappush(low, -heappop(high))
+        while len(low) > k:
+            heappush(high, -heappop(low))
+        return -low[0]
 
     def dump_csv(self, path) -> None:
         """Debug dump: (t, delta, epsilon_t) then the sorted samples."""
@@ -160,9 +208,9 @@ class TruncatedEcdf:
             writer.writerow(["delta", repr(self.band.delta)])
             eps = repr(self.epsilon()) if self.count else ""
             writer.writerow(["epsilon_t", eps])
-            for i, v in enumerate(self._samples):
+            for i, v in enumerate(self.samples):
                 writer.writerow([f"sample_{i}", repr(v)])
 
     def _require_samples(self) -> None:
-        if not self._samples:
+        if not (self._low or self._high):
             raise ValueError("CDF query on an empty sample")

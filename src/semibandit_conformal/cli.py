@@ -85,7 +85,7 @@ def _cmd_sweep(cfg) -> int:
 
 
 def _cmd_oracle(cfg) -> int:
-    env = cfg.environment.build()
+    env = cfg.built_environment()
     gstar = env.oracle_cdf()
     tau_star = env.oracle_tau_star(cfg.alpha)
     lo, hi = env.score_range

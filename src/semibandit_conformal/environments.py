@@ -458,34 +458,23 @@ class EnvironmentSpec:
     bidders: int = 2
 
     def validate(self) -> None:
-        if self.kind == "synthetic":
-            make_distribution(self.distribution, self.dist_params)
-        elif self.kind == "score_log":
-            if not self.path:
-                raise EnvironmentConfigError("score_log requires a path")
-            load_score_log(self.path)
-        elif self.kind == "auction":
-            if self.path:
-                load_bid_pool(self.path)
-            elif self.distribution:
-                make_distribution(self.distribution, self.dist_params)
-            else:
-                raise EnvironmentConfigError(
-                    "auction requires a bid-pool path or a distribution"
-                )
-            if self.bidders < 2:
-                raise EnvironmentConfigError("auction needs >= 2 bidders")
-        else:
-            raise EnvironmentConfigError(f"unknown environment kind {self.kind!r}")
+        """Raise EnvironmentConfigError unless `build()` would succeed."""
+        self.build()
 
     def build(self):
         if self.kind == "synthetic":
             return SyntheticEnv(make_distribution(self.distribution, self.dist_params))
         if self.kind == "score_log":
+            if not self.path:
+                raise EnvironmentConfigError("score_log requires a path")
             return ScoreLogEnv(load_score_log(self.path), self.with_replacement)
         if self.kind == "auction":
             if self.path:
                 return AuctionEnv(pool=load_bid_pool(self.path), bidders=self.bidders)
+            if not self.distribution:
+                raise EnvironmentConfigError(
+                    "auction requires a bid-pool path or a distribution"
+                )
             dist = make_distribution(self.distribution, self.dist_params)
             return AuctionEnv(value_dist=dist, bidders=self.bidders)
         raise EnvironmentConfigError(f"unknown environment kind {self.kind!r}")

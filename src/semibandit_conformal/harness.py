@@ -120,15 +120,23 @@ class PolicyEntry:
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; `loss` defaults to the loss at this config's alpha."""
+
     environment: EnvironmentSpec
     policies: list[PolicyEntry]
     alpha: float = 0.9
     horizon: int = 10000
     runs: int = 10
     seed: int = 0
-    loss: LossParams = field(default_factory=LossParams)
+    loss: LossParams | None = None
     out_dir: str = "results"
     trace: bool = False
+    # (spec, environment built from it) for config-time lookups; runs build their own
+    _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.loss is None and 0.0 < self.alpha < 1.0:
+            self.loss = LossParams(alpha=self.alpha)
 
     def validate(self) -> None:
         if self.runs < 1:
@@ -137,24 +145,52 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
+        if self.loss.alpha != self.alpha:
+            raise ConfigError(
+                f"loss alpha {self.loss.alpha} differs from the experiment alpha {self.alpha}"
+            )
         if not self.policies:
             raise ConfigError("at least one [policy:*] section is required")
         try:
-            self.environment.validate()
+            env = self.built_environment()
         except EnvironmentConfigError as exc:
             raise ConfigError(str(exc)) from exc
+        env_spec = self.environment
+        if env_spec.kind == "score_log" and not env_spec.with_replacement \
+                and len(env.rows) < self.horizon:
+            raise ConfigError(
+                f"score log {env_spec.path} has {len(env.rows)} rows: too few to "
+                f"sample {self.horizon} rounds without replacement"
+            )
         # surface per-policy parameter errors (grids included) at config time
         for entry in self.policies:
+            for name in ("gamma_grid", "m_grid"):
+                grid = getattr(entry, name) or ()
+                repeated = next((v for i, v in enumerate(grid) if v in grid[:i]), None)
+                if repeated is not None:
+                    raise ConfigError(
+                        f"[policy:{entry.policy_id}] {name} repeats {repeated:g}"
+                    )
             for _, overrides in entry.grid_points():
                 try:
                     self.policy_spec(entry, overrides)
                 except PolicyConfigError as exc:
                     raise ConfigError(f"[policy:{entry.policy_id}] {exc}") from exc
 
+    def built_environment(self):
+        """The environment built once from the current spec.
+
+        For config-time lookups such as the score range; every run builds a
+        fresh environment, because a replayed log keeps its read position.
+        """
+        if self._built is None or self._built[0] is not self.environment:
+            self._built = (self.environment, self.environment.build())
+        return self._built[1]
+
     def policy_spec(self, entry: PolicyEntry, overrides: dict) -> PolicySpec:
         tau_init = entry.tau_init
         if entry.kind == "dlr" and tau_init is None:
-            lo = self.environment.build().score_range[0]
+            lo = self.built_environment().score_range[0]
             if not math.isfinite(lo):
                 raise PolicyConfigError(
                     "dlr needs tau_init: environment score range is unbounded below"

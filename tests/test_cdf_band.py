@@ -11,6 +11,7 @@ from semibandit_conformal.cdf_band import (
     BandParams,
     TruncatedEcdf,
     band_epsilon,
+    order_index,
     sup_quantile,
 )
 
@@ -187,6 +188,8 @@ class TestConformalCutoff:
                 e.conformal_cutoff(alpha)
         with pytest.raises(ValueError):
             e.conformal_cutoff(0.9, epsilon=-0.01)
+        with pytest.raises(ValueError, match="rounds to 1"):
+            e.conformal_cutoff(1e-17, epsilon=0.0)  # level 1 - 1e-17 == 1.0
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -215,6 +218,89 @@ class TestConformalCutoff:
         assert all(b >= a for a, b in zip(cuts, cuts[1:]))
 
 
+def sorted_reference(values, alpha, eps):
+    """The cutoff recomputed from scratch: sup-quantile of the sorted sample."""
+    return sup_quantile(sorted(v + 0.0 for v in values), 1 - alpha - eps)
+
+
+TIED = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.25, 1.0])
+ALPHAS = st.floats(0.01, 0.99)
+EPSILONS = st.floats(0.0, 0.6)
+
+
+class TestHeapCutoffMatchesSortedReference:
+    """The two-heap cutoff against sup_quantile on the sorted sample, per insert."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(TIED, st.floats(-2, 2)), min_size=1, max_size=80),
+           ALPHAS, EPSILONS)
+    def test_heavy_ties_and_signed_zeros(self, values, alpha, eps):
+        e = TruncatedEcdf(10000)
+        for i, v in enumerate(values, start=1):
+            e.insert(v)
+            cut = e.conformal_cutoff(alpha, epsilon=eps)
+            assert repr(cut) == repr(sorted_reference(values[:i], alpha, eps))
+
+    def test_negative_zero_is_recorded_as_zero(self):
+        e = ecdf_with_cutoff([-0.0, 0.0, -0.0])
+        assert repr(e.conformal_cutoff(0.5, epsilon=0.0)) == "0.0"
+        assert [repr(v) for v in e.samples] == ["0.0"] * 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(TIED, st.floats(0, 1)), min_size=2, max_size=120),
+           st.floats(0.05, 0.6), st.integers(2, 200), st.booleans())
+    def test_sps_truncated_sequences(self, scores, alpha, horizon, dkw):
+        # the banded policy loop: a miss records the current threshold
+        e = TruncatedEcdf(horizon)
+        tau = NEG_INF
+        recorded = []
+        for s in scores:
+            recorded.append(s if s >= tau else tau)
+            e.insert(recorded[-1])
+            eps = e.epsilon() if dkw else 0.0
+            cut = e.conformal_cutoff(alpha) if dkw else e.conformal_cutoff(alpha, epsilon=0.0)
+            assert repr(cut) == repr(sorted_reference(recorded, alpha, eps))
+            tau = max(tau, cut)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(TIED, st.floats(-5, 5)), min_size=1, max_size=60),
+           st.lists(st.tuples(ALPHAS, EPSILONS), min_size=2, max_size=6))
+    def test_levels_moving_up_and_down(self, values, queries):
+        # each round asks every query forwards then backwards, so the split
+        # point moves both ways between rounds and within one
+        e = TruncatedEcdf(10000)
+        for i, v in enumerate(values, start=1):
+            e.insert(v)
+            for alpha, eps in queries + queries[::-1]:
+                cut = e.conformal_cutoff(alpha, epsilon=eps)
+                assert repr(cut) == repr(sorted_reference(values[:i], alpha, eps))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("insert"), st.one_of(TIED, st.floats(-3, 3))),
+        st.tuples(st.just("eval_g"), st.floats(-4, 4)),
+        st.tuples(st.just("samples"), st.none()),
+        st.tuples(st.just("cutoff"), ALPHAS),
+    ), max_size=80))
+    def test_rank_queries_interleaved_with_inserts(self, ops):
+        e = TruncatedEcdf(10000)
+        values = []
+        for op, arg in ops:
+            if op == "insert":
+                e.insert(arg)
+                values.append(arg + 0.0)
+            elif not values:
+                continue
+            elif op == "eval_g":
+                assert e.eval_g(arg) == sum(1 for v in values if v <= arg) / len(values)
+            elif op == "samples":
+                assert [repr(v) for v in e.samples] == [repr(v) for v in sorted(values)]
+            else:
+                cut = e.conformal_cutoff(arg, epsilon=0.0)
+                assert repr(cut) == repr(sorted_reference(values, arg, 0.0))
+        assert e.count == len(values)
+
+
 class TestSupQuantile:
     def test_sentinels(self):
         assert sup_quantile([1.0, 2.0], -0.1) == NEG_INF
@@ -224,6 +310,13 @@ class TestSupQuantile:
 
     def test_level_zero_is_min(self):
         assert sup_quantile([3.0, 1.0, 2.0][::-1] and [1.0, 2.0, 3.0], 0.0) == 1.0
+
+    def test_order_index_bounds(self):
+        assert order_index(1, 0.0) == 0
+        assert order_index(10, 0.0999999) == 0
+        assert order_index(10, 0.1) == 1  # boundary tie admitted
+        assert order_index(10, 1 - 0.9) == 1  # 1 - 0.9 < 0.1 in binary
+        assert order_index(10, 0.999) == 9
 
 
 class TestRetruncationEquivalence:

@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,7 +11,11 @@ import pytest
 from semibandit_conformal import harness
 from semibandit_conformal.cdf_band import NEG_INF
 from semibandit_conformal.cli import main
-from semibandit_conformal.environments import EnvironmentSpec
+from semibandit_conformal.environments import (
+    EnvironmentSpec,
+    RunExhaustedError,
+    ScoreLogEnv,
+)
 from semibandit_conformal.harness import (
     ConfigError,
     ExperimentConfig,
@@ -23,7 +28,7 @@ from semibandit_conformal.harness import (
     run_batch,
     run_single,
 )
-from semibandit_conformal.metrics import loss_phi
+from semibandit_conformal.metrics import LossParams, loss_phi
 
 UNIFORM_ENV = EnvironmentSpec(
     kind="synthetic", distribution="uniform", dist_params={"a": 0.0, "b": 1.0}
@@ -215,6 +220,46 @@ class TestLoadConfig:
         assert by_id["aci"].gamma_grid == (0.01, 0.02)
         assert by_id["etc"].m_grid == (10, 20)
         assert len(by_id["aci"].grid_points()) == 2
+
+    @pytest.mark.parametrize("section, repeated", [
+        ("[policy:aci]\nkind = aci\ngamma_grid = 0.01, 0.02, 0.01\n", "gamma_grid repeats 0.01"),
+        ("[policy:etc]\nkind = etc\nm_grid = 10, 10, 50\n", "m_grid repeats 10"),
+    ])
+    def test_repeated_grid_value_rejected(self, tmp_path, section, repeated):
+        body = BASE_CONFIG.format(out="res", trace="false") + "\n" + section
+        with pytest.raises(ConfigError, match=rf"\[policy:\w+\] {repeated}"):
+            load_config(write_config(tmp_path, body))
+
+    def test_config_time_lookups_build_the_environment_once(self, tmp_path, monkeypatch):
+        builds = []
+        build = EnvironmentSpec.build
+        monkeypatch.setattr(EnvironmentSpec, "build",
+                            lambda spec: builds.append(spec) or build(spec))
+        (tmp_path / "scores.csv").write_text("round_id,gt_score\n0,0.5\n1,0.2\n")
+        body = (
+            "[experiment]\nhorizon = 10\nruns = 1\n"
+            "[environment]\nkind = score_log\npath = scores.csv\n"
+            "[policy:dlr]\nkind = dlr\n[policy:aci]\nkind = aci\n"
+        )
+        cfg = load_config(write_config(tmp_path, body))
+        specs = [cfg.policy_spec(entry, overrides) for entry in cfg.policies
+                 for _, overrides in entry.grid_points()]
+        assert specs[0].tau_init == 0.2
+        assert len(builds) == 1
+
+    def test_default_loss_follows_alpha(self):
+        cfg = ExperimentConfig(environment=UNIFORM_ENV,
+                               policies=[PolicyEntry(policy_id="sps", kind="sps")],
+                               alpha=0.1, horizon=200)
+        cfg.validate()
+        assert cfg.loss == LossParams(alpha=0.1)
+
+    def test_loss_alpha_mismatch_rejected(self):
+        cfg = ExperimentConfig(environment=UNIFORM_ENV,
+                               policies=[PolicyEntry(policy_id="sps", kind="sps")],
+                               alpha=0.1, horizon=200, loss=LossParams(alpha=0.9))
+        with pytest.raises(ConfigError, match="loss alpha 0.9"):
+            cfg.validate()
 
 
 class TestRunBatch:
@@ -464,11 +509,15 @@ class TestCli:
         summary = open(out / "summary.csv").read()
         assert "sps," not in summary  # fixed policy skipped by sweep
 
-    def test_run_failure_exit_2(self, tmp_path, capsys):
-        # without-replacement log shorter than the horizon exhausts mid-run
+    def test_run_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a log that runs dry mid-run despite passing validation
+        def exhausted(env, rng):
+            raise RunExhaustedError("score log exhausted after 0 rounds")
+
+        monkeypatch.setattr(ScoreLogEnv, "next_round", exhausted)
         (tmp_path / "scores.csv").write_text("round_id,gt_score\n0,0.5\n1,0.7\n")
         body = (
-            "[experiment]\nhorizon = 10\nruns = 1\nout = res\n"
+            "[experiment]\nhorizon = 2\nruns = 1\nout = res\n"
             "[environment]\nkind = score_log\npath = scores.csv\n"
             "sampling = without_replacement\n"
             "[policy:sps]\nkind = sps\n"
@@ -477,6 +526,22 @@ class TestCli:
         with warns_single_run():
             assert main(["run", "--config", path]) == 2
         assert "run error" in capsys.readouterr().err
+
+    def test_short_log_rejected_before_any_run(self, tmp_path, capsys):
+        # 500 rows cannot be sampled 1000 times without replacement
+        log = resources.files("semibandit_conformal.data") / "example_scores.csv"
+        body = (
+            f"[experiment]\nhorizon = 1000\nruns = 1\nout = {tmp_path / 'res'}\n"
+            f"[environment]\nkind = score_log\npath = {log}\n"
+            "sampling = without_replacement\n"
+            "[policy:sps]\nkind = sps\n"
+        )
+        path = write_config(tmp_path, body)
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "500 rows" in err
+        assert not (tmp_path / "res").exists()
+        assert load_config(path, {"horizon": 500}).horizon == 500
 
     def test_output_error_exit_3(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
