@@ -10,6 +10,7 @@ from .cdf_band import NEG_INF, POS_INF, BandParams, TruncatedEcdf, band_epsilon,
 from .environments import (
     AuctionEnv,
     AuctionRound,
+    EmpiricalDist,
     EnvironmentSpec,
     RoundSample,
     ScoreLogEnv,

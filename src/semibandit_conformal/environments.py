@@ -1,16 +1,16 @@
 """Score-generating environments and the semi-bandit observation rule.
 
-Three families:
+Three families, each behind one `ScoreDistribution`:
 
 * synthetic   -- closed-form distributions (uniform, gaussian, beta, and
                  a finite point mixture); the oracle CDF and tau* are
                  analytic.
 * score_log   -- replay of a CSV of precomputed ground-truth scores
                  (with optional per-row candidate scores for set-size
-                 reporting); the oracle is the full-log empirical CDF.
+                 reporting); the oracle is the log's `EmpiricalDist`.
 * auction     -- repeated second-price auctions where the hidden score is
-                 the round's highest bid; bids are drawn from a bid pool
-                 or a parametric value distribution.
+                 the round's highest bid; bids come from a parametric
+                 value distribution or a bid pool's `EmpiricalDist`.
 
 Score-log CSV schema: header ``round_id,gt_score[,cand_0,cand_1,...]``,
 UTF-8, decimal scores.  Bid-pool CSV: one bid value per line.
@@ -38,7 +38,7 @@ class RunExhaustedError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Score distributions (shared by synthetic and parametric-auction envs)
+# Score distributions (shared by all three environment families)
 # ---------------------------------------------------------------------------
 
 
@@ -178,6 +178,28 @@ class PointMixtureDist(ScoreDistribution):
         return (self.atoms[0], self.atoms[-1])
 
 
+class EmpiricalDist(ScoreDistribution):
+    """Uniform draws from a finite sample; the CDF is its empirical CDF."""
+
+    def __init__(self, values):
+        self.values = np.sort(np.asarray(values, dtype=np.float64))
+        if not len(self.values):
+            raise EnvironmentConfigError("an empirical distribution needs a value")
+
+    def sample(self, rng):
+        return float(self.values[rng.integers(len(self.values))])
+
+    def cdf(self, x):
+        return float(np.searchsorted(self.values, x, side="right")) / len(self.values)
+
+    def sup_quantile(self, level):
+        return sup_quantile(list(self.values), level)
+
+    @property
+    def support(self):
+        return (float(self.values[0]), float(self.values[-1]))
+
+
 _DISTRIBUTIONS = {
     "uniform": (UniformDist, ("a", "b")),
     "gaussian": (GaussianDist, ("mu", "sigma")),
@@ -226,7 +248,6 @@ class RoundSample:
 
     score: float
     candidates: tuple[float, ...] | None = None
-    auction: AuctionRound | None = None
 
 
 def apply_feedback(tau: float, score: float) -> FeedbackEvent:
@@ -264,6 +285,8 @@ def set_size(sample: RoundSample, tau: float) -> int | None:
 
 
 class SyntheticEnv:
+    """Rounds drawn i.i.d. from one distribution, which is also the oracle."""
+
     def __init__(self, dist: ScoreDistribution):
         self.dist = dist
 
@@ -318,26 +341,21 @@ def load_score_log(path) -> list[ScoreLogRow]:
     return rows
 
 
-class ScoreLogEnv:
+class ScoreLogEnv(SyntheticEnv):
     """Replay a score log, with or without replacement.
 
     With replacement (the default) rounds are i.i.d. uniform draws from
     the log.  Without replacement a seed-fixed permutation is consumed;
-    exhausting it raises RunExhaustedError.
+    exhausting it raises RunExhaustedError.  The score range and the
+    oracle are those of the `EmpiricalDist` of the ground-truth scores.
     """
 
     def __init__(self, rows: list[ScoreLogRow], with_replacement: bool = True):
-        if not rows:
-            raise EnvironmentConfigError("score log is empty")
+        super().__init__(EmpiricalDist([r.gt_score for r in rows]))
         self.rows = rows
         self.with_replacement = with_replacement
-        self._sorted_scores = np.sort([r.gt_score for r in rows])
         self._perm: list[int] | None = None
         self._pos = 0
-
-    @property
-    def score_range(self):
-        return (float(self._sorted_scores[0]), float(self._sorted_scores[-1]))
 
     def next_round(self, rng) -> RoundSample:
         if self.with_replacement:
@@ -352,17 +370,6 @@ class ScoreLogEnv:
             row = self.rows[self._perm[self._pos]]
             self._pos += 1
         return RoundSample(score=row.gt_score, candidates=row.candidates)
-
-    def oracle_cdf(self):
-        scores, n = self._sorted_scores, len(self._sorted_scores)
-
-        def cdf(x):
-            return float(np.searchsorted(scores, x, side="right")) / n
-
-        return cdf
-
-    def oracle_tau_star(self, alpha: float) -> float:
-        return sup_quantile(list(self._sorted_scores), 1.0 - alpha)
 
 
 def load_bid_pool(path) -> list[float]:
@@ -388,57 +395,35 @@ def load_bid_pool(path) -> list[float]:
 class AuctionEnv:
     """Second-price auction rounds; the hidden score is the top bid.
 
-    Bids are i.i.d. within and across rounds, either resampled from a bid
-    pool or drawn from a parametric value distribution.  The top bid over
-    n bidders has CDF F(x)^n, so tau* is the pool/value sup-quantile at
-    level (1-alpha)^(1/n).
+    Bids are i.i.d. within and across rounds, drawn from `value_dist`: a
+    parametric value distribution, or the `EmpiricalDist` of a bid pool.
+    The top bid over n bidders has CDF F(x)^n, so tau* is the value
+    sup-quantile at level (1-alpha)^(1/n).
     """
 
-    def __init__(self, pool=None, value_dist: ScoreDistribution | None = None,
-                 bidders: int = 2):
-        if (pool is None) == (value_dist is None):
-            raise EnvironmentConfigError(
-                "auction needs exactly one of a bid pool or a value distribution"
-            )
+    def __init__(self, value_dist: ScoreDistribution, bidders: int):
         if bidders < 2:
             raise EnvironmentConfigError(f"auction needs >= 2 bidders, got {bidders}")
         self.bidders = bidders
         self.value_dist = value_dist
-        self._pool = np.sort(pool) if pool is not None else None
 
     @property
     def score_range(self):
-        if self._pool is not None:
-            return (float(self._pool[0]), float(self._pool[-1]))
         return self.value_dist.support
 
     def next_round(self, rng) -> RoundSample:
-        if self._pool is not None:
-            idx = rng.integers(len(self._pool), size=self.bidders)
-            bids = tuple(float(self._pool[i]) for i in idx)
-        else:
-            bids = tuple(self.value_dist.sample(rng) for _ in range(self.bidders))
-        rnd = AuctionRound(bids=bids)
-        return RoundSample(score=rnd.b1, auction=rnd)
-
-    def _value_cdf(self, x: float) -> float:
-        if self._pool is not None:
-            return float(np.searchsorted(self._pool, x, side="right")) / len(self._pool)
-        return self.value_dist.cdf(x)
+        return RoundSample(score=max(self.value_dist.sample(rng) for _ in range(self.bidders)))
 
     def oracle_cdf(self):
-        n = self.bidders
+        value_cdf, n = self.value_dist.cdf, self.bidders
 
         def cdf(x):
-            return self._value_cdf(x) ** n
+            return value_cdf(x) ** n
 
         return cdf
 
     def oracle_tau_star(self, alpha: float) -> float:
-        level = (1.0 - alpha) ** (1.0 / self.bidders)
-        if self._pool is not None:
-            return sup_quantile(list(self._pool), level)
-        return self.value_dist.sup_quantile(level)
+        return self.value_dist.sup_quantile((1.0 - alpha) ** (1.0 / self.bidders))
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +442,6 @@ class EnvironmentSpec:
     with_replacement: bool = True
     bidders: int = 2
 
-    def validate(self) -> None:
-        """Raise EnvironmentConfigError unless `build()` would succeed."""
-        self.build()
-
     def build(self):
         if self.kind == "synthetic":
             return SyntheticEnv(make_distribution(self.distribution, self.dist_params))
@@ -470,11 +451,12 @@ class EnvironmentSpec:
             return ScoreLogEnv(load_score_log(self.path), self.with_replacement)
         if self.kind == "auction":
             if self.path:
-                return AuctionEnv(pool=load_bid_pool(self.path), bidders=self.bidders)
-            if not self.distribution:
+                dist = EmpiricalDist(load_bid_pool(self.path))
+            elif self.distribution:
+                dist = make_distribution(self.distribution, self.dist_params)
+            else:
                 raise EnvironmentConfigError(
                     "auction requires a bid-pool path or a distribution"
                 )
-            dist = make_distribution(self.distribution, self.dist_params)
-            return AuctionEnv(value_dist=dist, bidders=self.bidders)
+            return AuctionEnv(dist, self.bidders)
         raise EnvironmentConfigError(f"unknown environment kind {self.kind!r}")

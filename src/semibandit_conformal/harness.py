@@ -27,10 +27,12 @@ Environment keys by kind:
     score_log : path, sampling (with_replacement | without_replacement)
     auction   : pool (bid-pool CSV path) or distribution + params, bidders
 
-Policy sections are named ``[policy:<id>]``.  ACI takes ``gamma`` (or
-``gamma_grid``, defaulting to the standard grid when absent); ETC and
-Con-ETC take ``m`` / ``m_grid``; DLR takes ``tau_init`` (defaulting to
-the environment's declared lower score bound when that bound is finite).
+Policy sections are named ``[policy:<id>]``.  ACI takes ``gamma`` or
+``gamma_grid`` (the standard grid when both are absent); ETC and Con-ETC
+take ``m`` or ``m_grid``; DLR takes ``tau_init`` (defaulting to the
+environment's declared lower score bound when that bound is finite).
+A section, or a key, that nothing reads is a config error; keys of a
+``[DEFAULT]`` section are exempt where they are spread into a section.
 
 `run_single` returns one run as `metrics.RunColumns`: numpy columns tau,
 covered and set_size filled per round, plus inst_regret, cum_regret and
@@ -164,8 +166,14 @@ class ExperimentConfig:
             )
         # surface per-policy parameter errors (grids included) at config time
         for entry in self.policies:
-            for name in ("gamma_grid", "m_grid"):
-                grid = getattr(entry, name) or ()
+            for fixed, name in (("gamma", "gamma_grid"), ("m", "m_grid")):
+                grid = getattr(entry, name)
+                if grid is not None and getattr(entry, fixed) is not None:
+                    raise ConfigError(
+                        f"[policy:{entry.policy_id}] sets both {fixed} and {name}; "
+                        f"{fixed} alone would run"
+                    )
+                grid = grid or ()
                 repeated = next((v for i, v in enumerate(grid) if v in grid[:i]), None)
                 if repeated is not None:
                     raise ConfigError(
@@ -206,16 +214,22 @@ class ExperimentConfig:
         )
 
 
+def _convert(section, key, raw, convert):
+    """`convert(raw)`, or a ConfigError naming the key when that fails."""
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        what = "an integer" if convert is int else "a number"
+        raise ConfigError(f"[{section.name}] {key} = {raw!r}: not {what}") from exc
+
+
 def _get_float(section, key, default=None):
     raw = section.get(key)
     if raw is None:
         if default is None:
             raise ConfigError(f"missing required key {key!r} in [{section.name}]")
         return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key} = {raw!r}: not a number") from exc
+    return _convert(section, key, raw, float)
 
 
 def _get_int(section, key, default=None):
@@ -224,10 +238,7 @@ def _get_int(section, key, default=None):
         if default is None:
             raise ConfigError(f"missing required key {key!r} in [{section.name}]")
         return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key} = {raw!r}: not an integer") from exc
+    return _convert(section, key, raw, int)
 
 
 def _get_bool(section, key, default):
@@ -242,11 +253,31 @@ def _get_bool(section, key, default):
     raise ConfigError(f"[{section.name}] {key} = {raw!r}: not a boolean")
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.split(",") if v.strip())
+def _get_list(section, key, convert):
+    """The comma-separated values of `key` through `convert`; None when absent."""
+    raw = section.get(key)
+    if raw is None:
+        return None
+    return tuple(_convert(section, key, v.strip(), convert)
+                 for v in raw.split(",") if v.strip())
+
+
+def _reject_unread_keys(section, reads, defaults) -> None:
+    """ConfigError for a key of `section` outside `reads` (DEFAULT keys aside)."""
+    unread = sorted(set(section) - set(reads) - set(defaults))
+    if unread:
+        raise ConfigError(
+            f"[{section.name}] unknown key {unread[0]!r}; this section reads "
+            f"{', '.join(reads)}"
+        )
 
 
 _DIST_PARAM_KEYS = ("a", "b", "mu", "sigma", "p", "q")
+_EXPERIMENT_KEYS = ("alpha", "horizon", "runs", "seed", "out", "trace", "lambda1", "lambda2")
+_ENVIRONMENT_KEYS = _DIST_PARAM_KEYS + (
+    "kind", "distribution", "atoms", "weights", "path", "pool", "sampling", "bidders")
+_POLICY_KEYS = {"aci": ("gamma", "gamma_grid"), "dlr": ("tau_init",),
+                "etc": ("m", "m_grid"), "con_etc": ("m", "m_grid")}
 
 
 def _parse_environment(section, base_dir: str) -> EnvironmentSpec:
@@ -258,10 +289,9 @@ def _parse_environment(section, base_dir: str) -> EnvironmentSpec:
     for key in _DIST_PARAM_KEYS:
         if key in section:
             params[key] = _get_float(section, key)
-    if "atoms" in section:
-        params["atoms"] = _float_list(section["atoms"])
-    if "weights" in section:
-        params["weights"] = _float_list(section["weights"])
+    for key in ("atoms", "weights"):
+        if key in section:
+            params[key] = _get_list(section, key, float)
     path = section.get("path") or section.get("pool")
     if path is not None and not os.path.isabs(path):
         path = os.path.join(base_dir, path)
@@ -278,20 +308,20 @@ def _parse_environment(section, base_dir: str) -> EnvironmentSpec:
     )
 
 
-def _parse_policy(section) -> PolicyEntry:
+def _parse_policy(section, defaults) -> PolicyEntry:
     policy_id = section.name.split(":", 1)[1]
     kind = section.get("kind", policy_id)
     if kind not in POLICY_KINDS:
         raise ConfigError(f"[{section.name}] unknown policy kind {kind!r}")
+    _reject_unread_keys(section, ("kind",) + _POLICY_KEYS.get(kind, ()), defaults)
     return PolicyEntry(
         policy_id=policy_id,
         kind=kind,
         gamma=_get_float(section, "gamma") if "gamma" in section else None,
-        gamma_grid=_float_list(section["gamma_grid"]) if "gamma_grid" in section else None,
+        gamma_grid=_get_list(section, "gamma_grid", float),
         tau_init=_get_float(section, "tau_init") if "tau_init" in section else None,
         m=_get_int(section, "m") if "m" in section else None,
-        m_grid=tuple(int(v) for v in _float_list(section["m_grid"]))
-        if "m_grid" in section else None,
+        m_grid=_get_list(section, "m_grid", int),
     )
 
 
@@ -303,15 +333,21 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     if "environment" not in parser:
         raise ConfigError("config needs an [environment] section")
+    for name in parser.sections():
+        if name not in ("experiment", "environment") and not name.startswith("policy:"):
+            raise ConfigError(f"unknown section [{name}]")
+    defaults = parser.defaults()
+    _reject_unread_keys(parser["environment"], _ENVIRONMENT_KEYS, defaults)
     base_dir = os.path.dirname(os.path.abspath(path))
     exp = parser["experiment"] if "experiment" in parser else parser["DEFAULT"]
+    _reject_unread_keys(exp, _EXPERIMENT_KEYS, defaults)
     overrides = overrides or {}
 
     alpha = float(overrides.get("alpha", _get_float(exp, "alpha", 0.9)))
     cfg = ExperimentConfig(
         environment=_parse_environment(parser["environment"], base_dir),
         policies=[
-            _parse_policy(parser[name])
+            _parse_policy(parser[name], defaults)
             for name in parser.sections()
             if name.startswith("policy:")
         ],

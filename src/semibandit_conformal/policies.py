@@ -215,36 +215,27 @@ class DlrPolicy(Policy):
 class EtcPolicy(Policy):
     """Explore for m rounds at tau = -inf, then commit once.
 
-    During exploration every score is observed, so the buffer holds raw
+    During exploration every score is observed, so the ECDF holds raw
     scores.  The commit is the plain empirical sup-quantile.
     """
 
     def __init__(self, spec: PolicySpec):
         super().__init__(spec)
         self.explore_rounds = spec.explore_rounds
-        self.buffer: list[float] = []
-
-    def _apply(self, fb: FeedbackEvent) -> None:
-        if self.t <= self.explore_rounds:
-            insort(self.buffer, fb.recorded)
-            if self.t == self.explore_rounds:
-                self.tau = self._commit()
-
-    def _commit(self) -> float:
-        return sup_quantile(self.buffer, 1.0 - self.alpha)
-
-
-class ConEtcPolicy(EtcPolicy):
-    """ETC committing to the banded (conservative) sup-quantile."""
-
-    def __init__(self, spec: PolicySpec):
-        super().__init__(spec)
         self.ecdf = TruncatedEcdf(spec.horizon)
 
     def _apply(self, fb: FeedbackEvent) -> None:
         if self.t <= self.explore_rounds:
             self.ecdf.insert(fb.recorded)
-        super()._apply(fb)
+            if self.t == self.explore_rounds:
+                self.tau = self._commit()
+
+    def _commit(self) -> float:
+        return self.ecdf.conformal_cutoff(self.alpha, epsilon=0.0)
+
+
+class ConEtcPolicy(EtcPolicy):
+    """ETC committing to the banded (conservative) sup-quantile."""
 
     def _commit(self) -> float:
         return self.ecdf.conformal_cutoff(self.alpha)

@@ -22,6 +22,7 @@ from semibandit_conformal.cli import main
 from semibandit_conformal.environments import (
     AuctionEnv,
     AuctionRound,
+    EmpiricalDist,
     EnvironmentSpec,
     apply_feedback,
     auction_reward,
@@ -267,7 +268,7 @@ def test_criterion_8_auction_reward_and_coverage():
                     mismatches += 1
 
     pool_path = resources.files("semibandit_conformal.data") / "bid_pool.csv"
-    env = AuctionEnv(pool=load_bid_pool(pool_path), bidders=2)
+    env = AuctionEnv(EmpiricalDist(load_bid_pool(pool_path)), bidders=2)
     rng = np.random.default_rng(3)
     policy = PolicySpec(kind="sps", alpha=ALPHA, horizon=HORIZON).build()
     covered = 0

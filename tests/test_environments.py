@@ -8,6 +8,7 @@ from semibandit_conformal.cdf_band import NEG_INF, POS_INF
 from semibandit_conformal.environments import (
     AuctionEnv,
     AuctionRound,
+    EmpiricalDist,
     EnvironmentConfigError,
     EnvironmentSpec,
     RunExhaustedError,
@@ -77,6 +78,20 @@ class TestDistributions:
         assert dist.sup_quantile(1.5) == POS_INF
         rng = np.random.default_rng(1)
         assert all(dist.sample(rng) in (0.2, 0.5, 0.9) for _ in range(50))
+
+    def test_empirical(self):
+        dist = EmpiricalDist([0.5, 0.9, 0.2, 0.5])
+        assert dist.support == (0.2, 0.9)
+        assert dist.cdf(0.1) == 0.0
+        assert dist.cdf(0.5) == 0.75
+        assert dist.sup_quantile(0.1) == 0.2
+        assert dist.sup_quantile(0.5) == 0.5
+        assert dist.sup_quantile(0.75) == 0.9
+        assert dist.sup_quantile(1.0) == POS_INF
+        rng = np.random.default_rng(1)
+        assert all(dist.sample(rng) in (0.2, 0.5, 0.9) for _ in range(50))
+        with pytest.raises(EnvironmentConfigError):
+            EmpiricalDist([])
 
     def test_invalid_parameters(self):
         with pytest.raises(EnvironmentConfigError):
@@ -217,15 +232,16 @@ class TestSetSize:
 
 class TestAuctionEnv:
     def test_score_is_top_bid(self):
-        env = AuctionEnv(pool=[1.0, 5.0, 9.0], bidders=2)
-        rng = np.random.default_rng(4)
+        pool = [1.0, 5.0, 9.0]
+        env = AuctionEnv(EmpiricalDist(pool), bidders=2)
+        rng, bids_rng = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(20):
-            sample = env.next_round(rng)
-            assert sample.score == sample.auction.b1
+            bids = tuple(pool[i] for i in bids_rng.integers(len(pool), size=2))
+            assert env.next_round(rng).score == AuctionRound(bids=bids).b1
 
     def test_oracle_is_power_of_pool_cdf(self):
         pool = list(np.arange(1.0, 101.0))
-        env = AuctionEnv(pool=pool, bidders=2)
+        env = AuctionEnv(EmpiricalDist(pool), bidders=2)
         gstar = env.oracle_cdf()
         assert gstar(50.0) == pytest.approx(0.25)
         tau_star = env.oracle_tau_star(ALPHA)
@@ -233,7 +249,7 @@ class TestAuctionEnv:
 
     def test_parametric_values(self):
         dist = make_distribution("uniform", {"a": 0.0, "b": 1.0})
-        env = AuctionEnv(value_dist=dist, bidders=3)
+        env = AuctionEnv(dist, bidders=3)
         gstar = env.oracle_cdf()
         assert gstar(0.5) == pytest.approx(0.125)
         tau_star = env.oracle_tau_star(ALPHA)
@@ -241,9 +257,7 @@ class TestAuctionEnv:
 
     def test_config_validation(self):
         with pytest.raises(EnvironmentConfigError):
-            AuctionEnv()
-        with pytest.raises(EnvironmentConfigError):
-            AuctionEnv(pool=[1.0, 2.0], bidders=1)
+            AuctionEnv(EmpiricalDist([1.0, 2.0]), bidders=1)
 
 
 class TestDeterminism:
@@ -262,20 +276,19 @@ class TestEnvironmentSpec:
     def test_synthetic_build(self):
         spec = EnvironmentSpec(kind="synthetic", distribution="uniform",
                                dist_params={"a": 0.0, "b": 2.0})
-        spec.validate()
         assert spec.build().score_range == (0.0, 2.0)
 
     def test_unknown_kind(self):
         with pytest.raises(EnvironmentConfigError):
-            EnvironmentSpec(kind="realworld").validate()
+            EnvironmentSpec(kind="realworld").build()
 
     def test_score_log_requires_path(self):
         with pytest.raises(EnvironmentConfigError):
-            EnvironmentSpec(kind="score_log").validate()
+            EnvironmentSpec(kind="score_log").build()
 
     def test_auction_requires_pool_or_distribution(self):
         with pytest.raises(EnvironmentConfigError):
-            EnvironmentSpec(kind="auction").validate()
+            EnvironmentSpec(kind="auction").build()
 
 
 class TestBundledData:

@@ -1,7 +1,8 @@
 """Pinned output bytes: SHA-256 of every result CSV at a reduced size.
 
 Each config runs at T = 2000 with 2 runs and the trace on.  The digests
-were recorded before the run core moved to numpy columns; a change that
+were recorded before the run core moved to numpy columns (the bid-pool
+auction's before its bids moved behind `EmpiricalDist`); a change that
 alters any emitted byte (a threshold, a regret fold, a coverage mean, a
 set size) fails here.  The score-log config is the only one whose trace
 has a non-empty ``set_size`` column.
@@ -36,6 +37,33 @@ kind = aci
 kind = dlr
 """
 
+# dlr starts from the pool's lowest bid, its default tau_init
+AUCTION_POOL_CONFIG = """\
+[experiment]
+alpha = 0.9
+seed = 5
+
+[environment]
+kind = auction
+pool = {path}
+bidders = 3
+
+[policy:sps]
+kind = sps
+
+[policy:greedy]
+kind = greedy
+
+[policy:dlr]
+kind = dlr
+"""
+
+# inline configs: (template, package data file it reads)
+INLINE = {
+    "score_log": (SCORE_LOG_CONFIG, "example_scores.csv"),
+    "auction_pool": (AUCTION_POOL_CONFIG, "bid_pool.csv"),
+}
+
 GOLDEN = {
     "uniform_demo": {
         "summary.csv": "83c5322978284183d54cf302a15f1b59e06b044042bba4f5d99b912692060973",
@@ -46,6 +74,10 @@ GOLDEN = {
         "summary.csv": "d7fac54941a85900d9acebdef0c93f0b3951717021a4a4b3999efdffc29f2e1f",
         "trace.csv": "6588beea5cf92cb4cf3a266d3425289193caeaa177acd0829075f69e014e710f",
     },
+    "auction_pool": {
+        "summary.csv": "99e45ca405f84e62646d5b7769e45901c74079911870b0443df24195cfb34d01",
+        "trace.csv": "ab6000f75166307cafa4094964a2b882bb83fcd1fa846a4551584e5b21b17084",
+    },
     "score_log": {
         "summary.csv": "45ca72773e4d36d0335e1891f9c8e084794ead1b64096d8b45cd383a4638ba81",
         "sweep.csv": "b08bae5c39201bc446c6793cefa1ad6ac18e93c74b9d6a9bbbf5960dee855357",
@@ -55,11 +87,11 @@ GOLDEN = {
 
 
 def config_path(name, tmp_path):
-    if name != "score_log":
+    if name not in INLINE:
         return str(CONFIGS / f"{name}.ini")
-    scores = resources.files("semibandit_conformal.data") / "example_scores.csv"
-    path = tmp_path / "score_log.ini"
-    path.write_text(SCORE_LOG_CONFIG.format(path=scores))
+    template, data = INLINE[name]
+    path = tmp_path / f"{name}.ini"
+    path.write_text(template.format(path=resources.files("semibandit_conformal.data") / data))
     return str(path)
 
 

@@ -230,6 +230,41 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"\[policy:\w+\] {repeated}"):
             load_config(write_config(tmp_path, body))
 
+    @pytest.mark.parametrize("section, error", [
+        ("[policy:etc]\nkind = etc\nm_grid = 10.7, 50\n",
+         r"\[policy:etc\] m_grid = '10.7': not an integer"),
+        ("[policy:aci]\nkind = aci\ngamma = 0.01\ngamma_grid = 0.02, 0.04\n",
+         r"\[policy:aci\] sets both gamma and gamma_grid"),
+        ("[policy:etc]\nkind = etc\nm = 10\nm_grid = 20, 50\n",
+         r"\[policy:etc\] sets both m and m_grid"),
+    ], ids=["fractional-m_grid", "gamma-and-gamma_grid", "m-and-m_grid"])
+    def test_grid_the_config_cannot_mean_rejected(self, tmp_path, section, error):
+        body = BASE_CONFIG.format(out="res", trace="false") + "\n" + section
+        with pytest.raises(ConfigError, match=error):
+            load_config(write_config(tmp_path, body))
+
+    @pytest.mark.parametrize("old, new, error", [
+        ("[policy:sps]\nkind = sps\n", "[policy:aci]\nkind = aci\ngama_grid = 0.02, 0.04\n",
+         r"\[policy:aci\] unknown key 'gama_grid'"),
+        ("kind = sps\n", "kind = sps\ngamma = 0.5\n", r"\[policy:sps\] unknown key 'gamma'"),
+        ("kind = sps\n", "kind = etc\ntau_init = 0.0\nm = 20\n",
+         r"\[policy:sps\] unknown key 'tau_init'"),
+        ("horizon = 200\n", "horizn = 200\n", r"\[experiment\] unknown key 'horizn'"),
+        ("b = 1.0\n", "b = 1.0\nbidder = 3\n", r"\[environment\] unknown key 'bidder'"),
+        ("[policy:sps]", "[polcy:greedy]\nkind = greedy\n[policy:sps]",
+         r"unknown section \[polcy:greedy\]"),
+    ], ids=["misspelt-grid", "sps-gamma", "etc-tau_init", "experiment", "environment",
+            "section"])
+    def test_key_or_section_nothing_reads_rejected(self, tmp_path, old, new, error):
+        body = BASE_CONFIG.format(out="res", trace="false").replace(old, new)
+        with pytest.raises(ConfigError, match=error):
+            load_config(write_config(tmp_path, body))
+
+    def test_default_keys_do_not_trip_the_key_check(self, tmp_path):
+        # lambda1 reaches [environment] and [policy:sps] too, which do not read it
+        body = "[DEFAULT]\nlambda1 = 0.2\n" + BASE_CONFIG.format(out="res", trace="false")
+        assert load_config(write_config(tmp_path, body)).loss.lambda1 == 0.2
+
     def test_config_time_lookups_build_the_environment_once(self, tmp_path, monkeypatch):
         builds = []
         build = EnvironmentSpec.build
