@@ -23,6 +23,6 @@ from .environments import (
 )
 from .harness import ExperimentConfig, checkpoint_grid, derive_seed, load_config, run_batch, run_single
 from .metrics import LossParams, RunColumns, coverage_rate, cum_regret, inst_regret, loss_phi, regret_bound, undercoverage_count
-from .policies import FeedbackEvent, Policy, PolicySpec
+from .policies import Policy, PolicySpec
 
 __version__ = "0.1.0"

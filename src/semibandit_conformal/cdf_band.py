@@ -16,7 +16,6 @@ sorted insert.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
@@ -110,10 +109,10 @@ class TruncatedEcdf:
     The banded and greedy policies move m by at most one per round, so
     both operations cost O(log t).
 
-    The rank queries (`samples`, `eval_g`, `eval_upper`, `dump_csv`) need
-    the sorted sample: the first of them sorts the heaps into a list, and
-    every later insert keeps that list sorted.  A run that never asks a
-    rank query never builds it.
+    The rank queries (`samples`, `eval_g`, `eval_upper`) need the sorted
+    sample: the first of them sorts the heaps into a list, and every later
+    insert keeps that list sorted.  A run that never asks a rank query
+    never builds it.
 
     Values are canonicalized with `value + 0.0`, which turns -0.0 into
     0.0: among tied zeros a heap returns whichever it holds on top, so
@@ -198,18 +197,6 @@ class TruncatedEcdf:
         while len(low) > k:
             heappush(high, -heappop(low))
         return -low[0]
-
-    def dump_csv(self, path) -> None:
-        """Debug dump: (t, delta, epsilon_t) then the sorted samples."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["key", "value"])
-            writer.writerow(["t", self.count])
-            writer.writerow(["delta", repr(self.band.delta)])
-            eps = repr(self.epsilon()) if self.count else ""
-            writer.writerow(["epsilon_t", eps])
-            for i, v in enumerate(self.samples):
-                writer.writerow([f"sample_{i}", repr(v)])
 
     def _require_samples(self) -> None:
         if not (self._low or self._high):

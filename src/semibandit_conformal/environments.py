@@ -26,7 +26,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .cdf_band import NEG_INF, POS_INF, sup_quantile
-from .policies import FeedbackEvent
 
 
 class EnvironmentConfigError(ValueError):
@@ -206,6 +205,7 @@ _DISTRIBUTIONS = {
     "beta": (BetaDist, ("p", "q")),
     "pointmix": (PointMixtureDist, ("atoms", "weights")),
 }
+DISTRIBUTION_PARAMS = {name: keys for name, (_, keys) in _DISTRIBUTIONS.items()}
 
 
 def make_distribution(name: str, params: dict) -> ScoreDistribution:
@@ -250,11 +250,9 @@ class RoundSample:
     candidates: tuple[float, ...] | None = None
 
 
-def apply_feedback(tau: float, score: float) -> FeedbackEvent:
-    """Semi-bandit observation rule: reveal the score iff score >= tau."""
-    if score >= tau:
-        return FeedbackEvent(observed=True, recorded=score, score=score)
-    return FeedbackEvent(observed=False, recorded=tau)
+def apply_feedback(tau: float, score: float) -> float | None:
+    """Semi-bandit observation rule: the score iff score >= tau, else None."""
+    return score if score >= tau else None
 
 
 def auction_reward(p: float, rnd: AuctionRound) -> float:
@@ -304,16 +302,9 @@ class SyntheticEnv:
         return self.dist.sup_quantile(1.0 - alpha)
 
 
-@dataclass(frozen=True)
-class ScoreLogRow:
-    round_id: str
-    gt_score: float
-    candidates: tuple[float, ...] | None = None
-
-
-def load_score_log(path) -> list[ScoreLogRow]:
-    """Parse the ``round_id,gt_score[,cand_*...]`` CSV schema."""
-    rows: list[ScoreLogRow] = []
+def load_score_log(path) -> list[RoundSample]:
+    """Parse the ``round_id,gt_score[,cand_*...]`` CSV schema; one round per row."""
+    rows: list[RoundSample] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -335,7 +326,7 @@ def load_score_log(path) -> list[ScoreLogRow]:
                 raise EnvironmentConfigError(
                     f"{path}:{lineno}: gt_score missing from candidate scores"
                 )
-            rows.append(ScoreLogRow(round_id=rec[0], gt_score=gt, candidates=cands))
+            rows.append(RoundSample(score=gt, candidates=cands))
     if not rows:
         raise EnvironmentConfigError(f"{path}: score log is empty")
     return rows
@@ -350,8 +341,8 @@ class ScoreLogEnv(SyntheticEnv):
     oracle are those of the `EmpiricalDist` of the ground-truth scores.
     """
 
-    def __init__(self, rows: list[ScoreLogRow], with_replacement: bool = True):
-        super().__init__(EmpiricalDist([r.gt_score for r in rows]))
+    def __init__(self, rows: list[RoundSample], with_replacement: bool = True):
+        super().__init__(EmpiricalDist([r.score for r in rows]))
         self.rows = rows
         self.with_replacement = with_replacement
         self._perm: list[int] | None = None
@@ -359,17 +350,14 @@ class ScoreLogEnv(SyntheticEnv):
 
     def next_round(self, rng) -> RoundSample:
         if self.with_replacement:
-            row = self.rows[int(rng.integers(len(self.rows)))]
-        else:
-            if self._perm is None:
-                self._perm = [int(i) for i in rng.permutation(len(self.rows))]
-            if self._pos >= len(self._perm):
-                raise RunExhaustedError(
-                    f"score log exhausted after {self._pos} rounds"
-                )
-            row = self.rows[self._perm[self._pos]]
-            self._pos += 1
-        return RoundSample(score=row.gt_score, candidates=row.candidates)
+            return self.rows[int(rng.integers(len(self.rows)))]
+        if self._perm is None:
+            self._perm = [int(i) for i in rng.permutation(len(self.rows))]
+        if self._pos >= len(self._perm):
+            raise RunExhaustedError(f"score log exhausted after {self._pos} rounds")
+        row = self.rows[self._perm[self._pos]]
+        self._pos += 1
+        return row
 
 
 def load_bid_pool(path) -> list[float]:

@@ -22,8 +22,9 @@ A benchmark is described by one INI-style config file:
     kind = sps
 
 Every [experiment] key can be overridden by a CLI flag of the same name.
-Environment keys by kind:
+Environment keys by kind (besides ``kind``):
 
+    synthetic : distribution + params (a b | mu sigma | p q | atoms weights)
     score_log : path, sampling (with_replacement | without_replacement)
     auction   : pool (bid-pool CSV path) or distribution + params, bidders
 
@@ -31,8 +32,9 @@ Policy sections are named ``[policy:<id>]``.  ACI takes ``gamma`` or
 ``gamma_grid`` (the standard grid when both are absent); ETC and Con-ETC
 take ``m`` or ``m_grid``; DLR takes ``tau_init`` (defaulting to the
 environment's declared lower score bound when that bound is finite).
-A section, or a key, that nothing reads is a config error; keys of a
-``[DEFAULT]`` section are exempt where they are spread into a section.
+A section, or a key, that nothing reads is a config error, and so is an
+empty grid; a ``[DEFAULT]`` key must be one some section reads, and is
+exempt where it is spread into a section that does not.
 
 `run_single` returns one run as `metrics.RunColumns`: numpy columns tau,
 covered and set_size filled per round, plus inst_regret, cum_regret and
@@ -61,6 +63,7 @@ from itertools import repeat
 import numpy as np
 
 from .environments import (
+    DISTRIBUTION_PARAMS,
     EnvironmentConfigError,
     EnvironmentSpec,
     apply_feedback,
@@ -173,6 +176,8 @@ class ExperimentConfig:
                         f"[policy:{entry.policy_id}] sets both {fixed} and {name}; "
                         f"{fixed} alone would run"
                     )
+                if grid is not None and not grid:
+                    raise ConfigError(f"[policy:{entry.policy_id}] {name} is empty")
                 grid = grid or ()
                 repeated = next((v for i, v in enumerate(grid) if v in grid[:i]), None)
                 if repeated is not None:
@@ -223,22 +228,10 @@ def _convert(section, key, raw, convert):
         raise ConfigError(f"[{section.name}] {key} = {raw!r}: not {what}") from exc
 
 
-def _get_float(section, key, default=None):
+def _get(section, key, convert, default=None):
+    """`key` through `convert`; `default` when the key is absent."""
     raw = section.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r} in [{section.name}]")
-        return default
-    return _convert(section, key, raw, float)
-
-
-def _get_int(section, key, default=None):
-    raw = section.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r} in [{section.name}]")
-        return default
-    return _convert(section, key, raw, int)
+    return default if raw is None else _convert(section, key, raw, convert)
 
 
 def _get_bool(section, key, default):
@@ -272,26 +265,33 @@ def _reject_unread_keys(section, reads, defaults) -> None:
         )
 
 
-_DIST_PARAM_KEYS = ("a", "b", "mu", "sigma", "p", "q")
 _EXPERIMENT_KEYS = ("alpha", "horizon", "runs", "seed", "out", "trace", "lambda1", "lambda2")
-_ENVIRONMENT_KEYS = _DIST_PARAM_KEYS + (
-    "kind", "distribution", "atoms", "weights", "path", "pool", "sampling", "bidders")
+# environment keys by kind; the named distribution's parameters come on top
+_ENVIRONMENT_KEYS = {"synthetic": ("kind", "distribution"),
+                     "score_log": ("kind", "path", "sampling"),
+                     "auction": ("kind", "pool", "bidders", "distribution")}
+_LIST_PARAMS = ("atoms", "weights")
 _POLICY_KEYS = {"aci": ("gamma", "gamma_grid"), "dlr": ("tau_init",),
                 "etc": ("m", "m_grid"), "con_etc": ("m", "m_grid")}
+_ANY_SECTION_KEYS = set(_EXPERIMENT_KEYS).union(
+    *_ENVIRONMENT_KEYS.values(), *DISTRIBUTION_PARAMS.values(), *_POLICY_KEYS.values())
 
 
-def _parse_environment(section, base_dir: str) -> EnvironmentSpec:
+def _parse_environment(section, base_dir: str, defaults) -> EnvironmentSpec:
     kind = section.get("kind")
     if kind is None:
         raise ConfigError("[environment] requires a 'kind' key")
+    if kind not in _ENVIRONMENT_KEYS:
+        raise ConfigError(f"[environment] unknown kind {kind!r}")
     dist = section.get("distribution")
-    params: dict = {}
-    for key in _DIST_PARAM_KEYS:
-        if key in section:
-            params[key] = _get_float(section, key)
-    for key in ("atoms", "weights"):
-        if key in section:
-            params[key] = _get_list(section, key, float)
+    if dist is not None and dist not in DISTRIBUTION_PARAMS:
+        raise ConfigError(f"[environment] unknown distribution {dist!r}")
+    param_keys = DISTRIBUTION_PARAMS.get(dist, ())
+    _reject_unread_keys(section, _ENVIRONMENT_KEYS[kind] + param_keys, defaults)
+    if "pool" in section and dist is not None:
+        raise ConfigError("[environment] sets both pool and distribution; pool alone would run")
+    params = {key: _get_list(section, key, float) if key in _LIST_PARAMS
+              else _get(section, key, float) for key in param_keys if key in section}
     path = section.get("path") or section.get("pool")
     if path is not None and not os.path.isabs(path):
         path = os.path.join(base_dir, path)
@@ -304,7 +304,7 @@ def _parse_environment(section, base_dir: str) -> EnvironmentSpec:
         dist_params=params,
         path=path,
         with_replacement=(sampling == "with_replacement"),
-        bidders=_get_int(section, "bidders", 2),
+        bidders=_get(section, "bidders", int, 2),
     )
 
 
@@ -317,10 +317,10 @@ def _parse_policy(section, defaults) -> PolicyEntry:
     return PolicyEntry(
         policy_id=policy_id,
         kind=kind,
-        gamma=_get_float(section, "gamma") if "gamma" in section else None,
+        gamma=_get(section, "gamma", float),
         gamma_grid=_get_list(section, "gamma_grid", float),
-        tau_init=_get_float(section, "tau_init") if "tau_init" in section else None,
-        m=_get_int(section, "m") if "m" in section else None,
+        tau_init=_get(section, "tau_init", float),
+        m=_get(section, "m", int),
         m_grid=_get_list(section, "m_grid", int),
     )
 
@@ -337,27 +337,29 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         if name not in ("experiment", "environment") and not name.startswith("policy:"):
             raise ConfigError(f"unknown section [{name}]")
     defaults = parser.defaults()
-    _reject_unread_keys(parser["environment"], _ENVIRONMENT_KEYS, defaults)
+    unread = sorted(set(defaults) - _ANY_SECTION_KEYS)
+    if unread:
+        raise ConfigError(f"[DEFAULT] unknown key {unread[0]!r}; no section reads it")
     base_dir = os.path.dirname(os.path.abspath(path))
     exp = parser["experiment"] if "experiment" in parser else parser["DEFAULT"]
     _reject_unread_keys(exp, _EXPERIMENT_KEYS, defaults)
     overrides = overrides or {}
 
-    alpha = float(overrides.get("alpha", _get_float(exp, "alpha", 0.9)))
+    alpha = float(overrides.get("alpha", _get(exp, "alpha", float, 0.9)))
     cfg = ExperimentConfig(
-        environment=_parse_environment(parser["environment"], base_dir),
+        environment=_parse_environment(parser["environment"], base_dir, defaults),
         policies=[
             _parse_policy(parser[name], defaults)
             for name in parser.sections()
             if name.startswith("policy:")
         ],
         alpha=alpha,
-        horizon=int(overrides.get("horizon", _get_int(exp, "horizon", 10000))),
-        runs=int(overrides.get("runs", _get_int(exp, "runs", 10))),
-        seed=int(overrides.get("seed", _get_int(exp, "seed", 0))),
+        horizon=int(overrides.get("horizon", _get(exp, "horizon", int, 10000))),
+        runs=int(overrides.get("runs", _get(exp, "runs", int, 10))),
+        seed=int(overrides.get("seed", _get(exp, "seed", int, 0))),
         loss=LossParams(
-            lambda1=_get_float(exp, "lambda1", 0.1),
-            lambda2=_get_float(exp, "lambda2", 10.0),
+            lambda1=_get(exp, "lambda1", float, 0.1),
+            lambda2=_get(exp, "lambda2", float, 10.0),
             alpha=alpha,
         ),
         out_dir=str(overrides.get("out", exp.get("out", "results"))),
@@ -402,10 +404,10 @@ def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int) -> RunColumns
     for i in range(cfg.horizon):
         tau = policy.propose()
         sample = env.next_round(rng)
-        fb = apply_feedback(tau, sample.score)
-        policy.update(fb)
+        observed = apply_feedback(tau, sample.score)
+        policy.update(observed)
         taus[i] = tau
-        covered[i] = fb.observed
+        covered[i] = observed is not None
         size = set_size(sample, tau)
         sizes[i] = -1 if size is None else size
     return RunColumns.derive(taus, covered, sizes if (sizes >= 0).any() else None,

@@ -1,9 +1,10 @@
 """Threshold policies behind a uniform propose/update contract.
 
 Each policy proposes a threshold tau for the round; labels scoring at or
-above tau are in the prediction set.  After the round it receives a
-FeedbackEvent: either the true score (observed, because it was >= tau) or
-a miss indicator whose recorded substitute is the threshold itself.
+above tau are in the prediction set.  After the round it receives the
+semi-bandit feedback: the true score when it was >= tau (observed), else
+None (a miss).  `Policy.update` records the threshold itself in place of
+a missed score; every estimate below sees that recorded value.
 
 Policies:
 
@@ -42,27 +43,6 @@ class PolicyContractError(RuntimeError):
 
 class PolicyConfigError(ValueError):
     """Invalid policy specification."""
-
-
-@dataclass(frozen=True)
-class FeedbackEvent:
-    """One round of semi-bandit feedback.
-
-    observed -- whether the true score was revealed (score >= threshold)
-    recorded -- the value entered into the policy's running estimate:
-                the true score when observed, else the round's threshold
-    score    -- the true score, present iff observed
-    """
-
-    observed: bool
-    recorded: float
-    score: float | None = None
-
-    def __post_init__(self):
-        if self.observed != (self.score is not None):
-            raise ValueError("score must be present iff observed")
-        if self.observed and self.recorded != self.score:
-            raise ValueError("recorded must equal score when observed")
 
 
 @dataclass(frozen=True)
@@ -110,7 +90,7 @@ class Policy:
 
     `propose` returns the current threshold without mutating state;
     `update` consumes the round's feedback.  The round index `t` counts
-    completed updates.
+    completed updates.  Subclasses implement `_apply(recorded, observed)`.
     """
 
     def __init__(self, spec: PolicySpec):
@@ -122,23 +102,19 @@ class Policy:
     def propose(self) -> float:
         return self.tau
 
-    def update(self, feedback: FeedbackEvent) -> None:
-        self._check_feedback(feedback)
+    def update(self, observed: float | None) -> None:
+        """Consume the round's feedback: the observed score, or None on a miss.
+
+        A miss records the proposed threshold in place of the hidden score.
+        """
+        if observed is not None and observed < self.tau:
+            raise PolicyContractError(
+                f"observed score {observed} below proposed threshold {self.tau}"
+            )
         self.t += 1
-        self._apply(feedback)
+        self._apply(self.tau if observed is None else observed, observed is not None)
 
-    def _check_feedback(self, fb: FeedbackEvent) -> None:
-        if not fb.observed and fb.recorded != self.tau:
-            raise PolicyContractError(
-                f"miss round must record the proposed threshold {self.tau}, "
-                f"got {fb.recorded}"
-            )
-        if fb.observed and fb.score < self.tau:
-            raise PolicyContractError(
-                f"observed score {fb.score} below proposed threshold {self.tau}"
-            )
-
-    def _apply(self, fb: FeedbackEvent) -> None:
+    def _apply(self, recorded: float, observed: bool) -> None:
         raise NotImplementedError
 
 
@@ -149,8 +125,8 @@ class SpsPolicy(Policy):
         super().__init__(spec)
         self.ecdf = TruncatedEcdf(spec.horizon)
 
-    def _apply(self, fb: FeedbackEvent) -> None:
-        self.ecdf.insert(fb.recorded)
+    def _apply(self, recorded: float, observed: bool) -> None:
+        self.ecdf.insert(recorded)
         cutoff = self.ecdf.conformal_cutoff(self.alpha)
         if cutoff > self.tau:
             self.tau = cutoff
@@ -167,8 +143,8 @@ class GreedyPolicy(Policy):
         super().__init__(spec)
         self.ecdf = TruncatedEcdf(spec.horizon)
 
-    def _apply(self, fb: FeedbackEvent) -> None:
-        self.ecdf.insert(fb.recorded)
+    def _apply(self, recorded: float, observed: bool) -> None:
+        self.ecdf.insert(recorded)
         self.tau = self.ecdf.conformal_cutoff(self.alpha, epsilon=0.0)
 
 
@@ -187,11 +163,11 @@ class AciPolicy(Policy):
         self.beta = 1.0 - spec.alpha
         self.observed_scores: list[float] = []
 
-    def _apply(self, fb: FeedbackEvent) -> None:
-        err = 0.0 if fb.observed else 1.0
+    def _apply(self, recorded: float, observed: bool) -> None:
+        err = 0.0 if observed else 1.0
         self.beta += self.spec.gamma * ((1.0 - self.alpha) - err)
-        if fb.observed:
-            insort(self.observed_scores, fb.score)
+        if observed:
+            insort(self.observed_scores, recorded)
         if not self.observed_scores:
             self.tau = NEG_INF
         else:
@@ -206,9 +182,9 @@ class DlrPolicy(Policy):
         super().__init__(spec)
         self.tau = spec.tau_init
 
-    def _apply(self, fb: FeedbackEvent) -> None:
+    def _apply(self, recorded: float, observed: bool) -> None:
         eta = self.t ** (-(0.5 + DLR_EXPONENT_OFFSET))
-        err = 0.0 if fb.observed else 1.0
+        err = 0.0 if observed else 1.0
         self.tau += eta * ((1.0 - self.alpha) - err)
 
 
@@ -224,9 +200,9 @@ class EtcPolicy(Policy):
         self.explore_rounds = spec.explore_rounds
         self.ecdf = TruncatedEcdf(spec.horizon)
 
-    def _apply(self, fb: FeedbackEvent) -> None:
+    def _apply(self, recorded: float, observed: bool) -> None:
         if self.t <= self.explore_rounds:
-            self.ecdf.insert(fb.recorded)
+            self.ecdf.insert(recorded)
             if self.t == self.explore_rounds:
                 self.tau = self._commit()
 

@@ -82,9 +82,9 @@ class SpsRun:
             sample = env.next_round(rng)
             fb = apply_feedback(tau, sample.score)
             policy.update(fb)
-            covered_total += fb.observed
+            covered_total += fb is not None
             if t >= tail_start:
-                tail_covered += fb.observed
+                tail_covered += fb is not None
             if tau > tau_star:
                 undercover += 1
             cum += abs(phi_star - loss_phi(tau, gstar, LOSS))
@@ -277,7 +277,7 @@ def test_criterion_8_auction_reward_and_coverage():
         sample = env.next_round(rng)
         fb = apply_feedback(tau, sample.score)
         policy.update(fb)
-        covered += fb.observed
+        covered += fb is not None
     coverage = covered / HORIZON
     ok = mismatches == 0 and coverage >= 0.9
     report(8, ok,

@@ -366,12 +366,3 @@ class TestDkwValidity:
         frac = float(np.mean(sup_dev > eps))
         assert frac <= delta + 0.01
 
-
-def test_debug_dump(tmp_path):
-    e = ecdf_with_cutoff([0.3, 0.1, 0.2], horizon=100)
-    path = tmp_path / "dump.csv"
-    e.dump_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "key,value"
-    assert lines[1] == "t,3"
-    assert any(line.startswith("sample_0,0.1") for line in lines)

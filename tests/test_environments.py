@@ -110,18 +110,16 @@ class TestDistributions:
 
 class TestApplyFeedback:
     def test_above_threshold_observed(self):
-        fb = apply_feedback(0.3, 0.5)
-        assert fb.observed and fb.score == 0.5 and fb.recorded == 0.5
+        assert apply_feedback(0.3, 0.5) == 0.5
 
     def test_below_threshold_missed(self):
-        fb = apply_feedback(0.3, 0.2)
-        assert not fb.observed and fb.score is None and fb.recorded == 0.3
+        assert apply_feedback(0.3, 0.2) is None
 
     def test_boundary_is_observed(self):
-        assert apply_feedback(0.3, 0.3).observed
+        assert apply_feedback(0.3, 0.3) == 0.3
 
     def test_minus_infinity_observes_everything(self):
-        assert apply_feedback(NEG_INF, -1e12).observed
+        assert apply_feedback(NEG_INF, -1e12) == -1e12
 
 
 class TestAuctionReward:
@@ -158,7 +156,7 @@ class TestScoreLog:
         path = write_score_log(tmp_path / "log.csv", [0.5, 0.7],
                                candidates=[(0.5, 0.2), (0.7, 0.1)])
         rows = load_score_log(path)
-        assert rows[0].gt_score == 0.5
+        assert rows[0].score == 0.5
         assert rows[0].candidates == (0.5, 0.2)
 
     def test_bad_header_rejected(self, tmp_path):

@@ -237,7 +237,10 @@ class TestLoadConfig:
          r"\[policy:aci\] sets both gamma and gamma_grid"),
         ("[policy:etc]\nkind = etc\nm = 10\nm_grid = 20, 50\n",
          r"\[policy:etc\] sets both m and m_grid"),
-    ], ids=["fractional-m_grid", "gamma-and-gamma_grid", "m-and-m_grid"])
+        ("[policy:aci]\nkind = aci\ngamma_grid =\n", r"\[policy:aci\] gamma_grid is empty"),
+        ("[policy:etc]\nkind = etc\nm_grid =\n", r"\[policy:etc\] m_grid is empty"),
+    ], ids=["fractional-m_grid", "gamma-and-gamma_grid", "m-and-m_grid", "empty-gamma_grid",
+            "empty-m_grid"])
     def test_grid_the_config_cannot_mean_rejected(self, tmp_path, section, error):
         body = BASE_CONFIG.format(out="res", trace="false") + "\n" + section
         with pytest.raises(ConfigError, match=error):
@@ -253,8 +256,21 @@ class TestLoadConfig:
         ("b = 1.0\n", "b = 1.0\nbidder = 3\n", r"\[environment\] unknown key 'bidder'"),
         ("[policy:sps]", "[polcy:greedy]\nkind = greedy\n[policy:sps]",
          r"unknown section \[polcy:greedy\]"),
+        ("[experiment]\nalpha = 0.9\nhorizon = 200\n", "[DEFAULT]\nalpha = 0.9\nhorizn = 200\n",
+         r"\[DEFAULT\] unknown key 'horizn'"),
+        ("b = 1.0\n", "b = 1.0\npool = /nonexistent.csv\n", r"\[environment\] unknown key 'pool'"),
+        ("b = 1.0\n", "b = 1.0\nbidders = 7\n", r"\[environment\] unknown key 'bidders'"),
+        ("b = 1.0\n", "b = 1.0\nsampling = without_replacement\n",
+         r"\[environment\] unknown key 'sampling'"),
+        ("b = 1.0\n", "b = 1.0\nmu = 3\n", r"\[environment\] unknown key 'mu'"),
+        ("kind = synthetic\ndistribution = uniform\na = 0.0\nb = 1.0\n",
+         "kind = auction\npath = bids.csv\npool = bids.csv\n",
+         r"\[environment\] unknown key 'path'"),
+        ("kind = synthetic\n", "kind = auction\npool = bids.csv\n",
+         r"\[environment\] sets both pool and distribution"),
     ], ids=["misspelt-grid", "sps-gamma", "etc-tau_init", "experiment", "environment",
-            "section"])
+            "section", "default", "synthetic-pool", "synthetic-bidders", "synthetic-sampling",
+            "uniform-mu", "auction-path", "auction-pool-and-distribution"])
     def test_key_or_section_nothing_reads_rejected(self, tmp_path, old, new, error):
         body = BASE_CONFIG.format(out="res", trace="false").replace(old, new)
         with pytest.raises(ConfigError, match=error):

@@ -14,7 +14,6 @@ from semibandit_conformal.policies import (
     ConEtcPolicy,
     DlrPolicy,
     EtcPolicy,
-    FeedbackEvent,
     GreedyPolicy,
     PolicyConfigError,
     PolicyContractError,
@@ -40,20 +39,19 @@ def drive(policy, scores):
     return taus
 
 
-class TestFeedbackEvent:
-    def test_observed_carries_score(self):
-        fb = FeedbackEvent(observed=True, recorded=0.5, score=0.5)
-        assert fb.recorded == fb.score
+class TestUpdate:
+    # (tau, score) rounds: misses, covers and a tie at the threshold
+    ROUNDS = [(0.3, 0.5), (0.3, 0.2), (0.6, 0.6), (0.6, 0.1), (-1.0, -2.0), (0.0, 0.9)]
 
-    def test_score_iff_observed(self):
-        with pytest.raises(ValueError):
-            FeedbackEvent(observed=True, recorded=0.5)
-        with pytest.raises(ValueError):
-            FeedbackEvent(observed=False, recorded=0.5, score=0.5)
-
-    def test_recorded_must_match_score(self):
-        with pytest.raises(ValueError):
-            FeedbackEvent(observed=True, recorded=0.4, score=0.5)
+    @pytest.mark.parametrize("kind,kw", [
+        ("sps", {}), ("greedy", {}), ("etc", {"explore_rounds": 100})])
+    def test_ecdf_records_score_or_threshold(self, kind, kw):
+        p = spec(kind, **kw).build()
+        for tau, s in self.ROUNDS:
+            p.tau = tau
+            p.update(s if s >= tau else None)
+        assert p.ecdf.samples == sorted(s if s >= tau else tau for tau, s in self.ROUNDS)
+        assert p.t == len(self.ROUNDS)
 
 
 class TestPolicySpec:
@@ -120,8 +118,8 @@ class TestPropose:
 
 class TestSps:
     def test_observed_and_miss_recording(self):
-        assert apply_feedback(0.3, 0.5) == FeedbackEvent(True, 0.5, 0.5)
-        assert apply_feedback(0.3, 0.2) == FeedbackEvent(False, 0.3)
+        assert apply_feedback(0.3, 0.5) == 0.5
+        assert apply_feedback(0.3, 0.2) is None
 
     def test_max_step_never_decreases(self):
         p = spec("sps").build()
@@ -132,17 +130,11 @@ class TestSps:
         p.update(apply_feedback(0.3, 0.9))
         assert p.tau == 0.3
 
-    def test_miss_with_wrong_recorded_value_rejected(self):
-        p = spec("sps").build()
-        p.tau = 0.3
-        with pytest.raises(PolicyContractError):
-            p.update(FeedbackEvent(observed=False, recorded=0.2))
-
     def test_observed_below_threshold_rejected(self):
         p = spec("sps").build()
         p.tau = 0.5
         with pytest.raises(PolicyContractError):
-            p.update(FeedbackEvent(observed=True, recorded=0.2, score=0.2))
+            p.update(0.2)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=200))
@@ -153,12 +145,13 @@ class TestSps:
     def test_miss_rounds_record_the_proposed_threshold(self):
         rng = np.random.default_rng(5)
         p = PolicySpec(kind="sps", alpha=ALPHA, horizon=2000).build()
+        recorded = []
         for s in rng.uniform(0, 1, 2000):
             tau = p.propose()
-            fb = apply_feedback(tau, s)
-            if not fb.observed:
-                assert fb.recorded == tau
-            p.update(fb)
+            observed = apply_feedback(tau, s)
+            recorded.append(tau if observed is None else s)
+            p.update(observed)
+        assert p.ecdf.samples == sorted(recorded)
 
 
 class TestGreedy:
@@ -180,9 +173,9 @@ class TestGreedy:
         # the new quantile is adopted as-is, never max-ed with the old tau
         p = spec("greedy").build()
         for s in [j / 10 for j in range(1, 11)]:
-            p.update(FeedbackEvent(observed=True, recorded=s, score=s))
+            p.update(s)
         p.tau = 5.0
-        p.update(FeedbackEvent(observed=False, recorded=5.0))
+        p.update(None)
         assert p.tau < 5.0
 
 
@@ -191,13 +184,13 @@ class TestAci:
         p = spec("aci", gamma=0.01).build()
         p.beta = 0.1
         p.tau = 0.5
-        p.update(FeedbackEvent(observed=False, recorded=0.5))
+        p.update(None)
         assert p.beta == pytest.approx(0.091)
 
     def test_budget_update_on_cover(self):
         p = spec("aci", gamma=0.01).build()
         p.beta = 0.1
-        p.update(FeedbackEvent(observed=True, recorded=0.7, score=0.7))
+        p.update(0.7)
         assert p.beta == pytest.approx(0.101)
 
     def test_initial_budget_is_target_miscoverage(self):
@@ -219,9 +212,9 @@ class TestAci:
         p = spec("aci", gamma=gamma).build()
         misses = 0
         for s in scores:
-            fb = apply_feedback(p.propose(), s)
-            misses += 0 if fb.observed else 1
-            p.update(fb)
+            observed = apply_feedback(p.propose(), s)
+            misses += observed is None
+            p.update(observed)
         t = len(scores) + 1
         expected = gamma * (t - 1) * (1 - ALPHA) - gamma * misses
         assert p.beta - (1 - ALPHA) == pytest.approx(expected, abs=1e-9)
@@ -230,12 +223,12 @@ class TestAci:
 class TestDlr:
     def test_cover_step(self):
         p = spec("dlr", tau_init=0.5).build()
-        p.update(FeedbackEvent(observed=True, recorded=0.9, score=0.9))
+        p.update(0.9)
         assert p.tau == pytest.approx(0.6)
 
     def test_miss_step(self):
         p = spec("dlr", tau_init=0.5).build()
-        p.update(FeedbackEvent(observed=False, recorded=0.5))
+        p.update(None)
         assert p.tau == pytest.approx(-0.4)
 
     def test_step_size_at_t100(self):
@@ -247,10 +240,10 @@ class TestDlr:
         p = spec("dlr", tau_init=0.0).build()
         prev = p.propose()
         for t, s in enumerate(scores, start=1):
-            fb = apply_feedback(prev, s)
-            p.update(fb)
+            observed = apply_feedback(prev, s)
+            p.update(observed)
             eta = t ** (-0.6)
-            expected = (1 - ALPHA) * eta if fb.observed else ALPHA * eta
+            expected = (1 - ALPHA) * eta if observed is not None else ALPHA * eta
             assert abs(p.tau - prev) == pytest.approx(expected, rel=1e-12)
             prev = p.tau
 
