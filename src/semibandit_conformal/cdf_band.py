@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 NEG_INF = float("-inf")
@@ -45,10 +45,13 @@ class BandParams:
     """Failure probability and the derived per-count band width."""
 
     delta: float
+    # log(2/delta) / 2, so that epsilon(t) is one division and a square root
+    _half_log: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0,1), got {self.delta}")
+        object.__setattr__(self, "_half_log", math.log(2.0 / self.delta) / 2.0)
 
     @classmethod
     def for_horizon(cls, horizon: int) -> "BandParams":
@@ -58,7 +61,10 @@ class BandParams:
         return cls(delta=2.0 / (horizon * horizon))
 
     def epsilon(self, t: int) -> float:
-        return band_epsilon(self.delta, t)
+        """`band_epsilon(delta, t)` bit for bit: halving is exact, so
+        (log(2/delta) / 2) / t rounds the same quotient as log(2/delta) / (2t).
+        """
+        return math.sqrt(self._half_log / t)
 
 
 def order_index(n: int, level: float) -> int:

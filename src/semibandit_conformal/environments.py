@@ -12,6 +12,11 @@ Three families, each behind one `ScoreDistribution`:
                  the round's highest bid; bids come from a parametric
                  value distribution or a bid pool's `EmpiricalDist`.
 
+Every environment gives rounds two ways that consume the generator
+alike: `draw(rng, n)` returns n rounds as columns and leaves the
+environment unchanged (the simulator's path), and `next_round(rng)`
+returns one `RoundSample` (the per-round library loop).
+
 Score-log CSV schema: header ``round_id,gt_score[,cand_0,cand_1,...]``,
 UTF-8, decimal scores.  Bid-pool CSV: one bid value per line.
 """
@@ -44,7 +49,12 @@ class RunExhaustedError(RuntimeError):
 class ScoreDistribution:
     """Sampling plus exact CDF / sup-quantile for one distribution."""
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator, size=None):
+        """One draw when `size` is None, else an array of that shape.
+
+        numpy's generator gives the same stream for n single draws as for
+        one draw of size n, so both forms follow one rule.
+        """
         raise NotImplementedError
 
     def cdf(self, x: float) -> float:
@@ -65,8 +75,8 @@ class UniformDist(ScoreDistribution):
             raise EnvironmentConfigError(f"uniform needs b > a, got ({a}, {b})")
         self.a, self.b = float(a), float(b)
 
-    def sample(self, rng):
-        return rng.uniform(self.a, self.b)
+    def sample(self, rng, size=None):
+        return rng.uniform(self.a, self.b, size)
 
     def cdf(self, x):
         if x <= self.a:
@@ -94,8 +104,8 @@ class GaussianDist(ScoreDistribution):
         self.mu, self.sigma = float(mu), float(sigma)
         self._dist = NormalDist(self.mu, self.sigma)
 
-    def sample(self, rng):
-        return rng.normal(self.mu, self.sigma)
+    def sample(self, rng, size=None):
+        return rng.normal(self.mu, self.sigma, size)
 
     def cdf(self, x):
         return self._dist.cdf(x)
@@ -120,8 +130,8 @@ class BetaDist(ScoreDistribution):
             raise EnvironmentConfigError(f"beta needs p, q > 0, got ({p}, {q})")
         self.p, self.q = float(p), float(q)
 
-    def sample(self, rng):
-        return rng.beta(self.p, self.q)
+    def sample(self, rng, size=None):
+        return rng.beta(self.p, self.q, size)
 
     def cdf(self, x):
         from scipy.stats import beta as beta_dist
@@ -156,8 +166,8 @@ class PointMixtureDist(ScoreDistribution):
         self.atoms = [atoms[i] for i in order]
         self.weights = [weights[i] for i in order]
 
-    def sample(self, rng):
-        return float(rng.choice(self.atoms, p=self.weights))
+    def sample(self, rng, size=None):
+        return rng.choice(self.atoms, size, p=self.weights)
 
     def cdf(self, x):
         return sum(w for a, w in zip(self.atoms, self.weights) if a <= x)
@@ -185,8 +195,8 @@ class EmpiricalDist(ScoreDistribution):
         if not len(self.values):
             raise EnvironmentConfigError("an empirical distribution needs a value")
 
-    def sample(self, rng):
-        return float(self.values[rng.integers(len(self.values))])
+    def sample(self, rng, size=None):
+        return self.values[rng.integers(len(self.values), size=size)]
 
     def cdf(self, x):
         return float(np.searchsorted(self.values, x, side="right")) / len(self.values)
@@ -270,11 +280,18 @@ def auction_reward(p: float, rnd: AuctionRound) -> float:
     return rnd.b2
 
 
-def set_size(sample: RoundSample, tau: float) -> int | None:
-    """Number of candidate scores >= tau; None when candidates are absent."""
-    if sample.candidates is None:
+def set_size(candidates: np.ndarray | None, taus: np.ndarray) -> np.ndarray | None:
+    """Per round, the number of candidate scores >= that round's tau.
+
+    `candidates` holds one row per round, padded with NaN; a round whose
+    row is all NaN has no candidates and counts -1.  None when
+    `candidates` is None or no round has any.
+    """
+    if candidates is None:
         return None
-    return sum(1 for c in sample.candidates if c >= tau)
+    sizes = np.where(np.isnan(candidates).all(axis=1), -1,
+                     np.count_nonzero(candidates >= taus[:, None], axis=1))
+    return sizes if (sizes >= 0).any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +309,16 @@ class SyntheticEnv:
     def score_range(self):
         return self.dist.support
 
+    def draw(self, rng, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(scores, candidates) of the next n rounds.
+
+        `candidates` is an (n, width) matrix padded with NaN (see
+        `set_size`), or None when the rounds carry no candidate scores.
+        """
+        return self.dist.sample(rng, n), None
+
     def next_round(self, rng) -> RoundSample:
-        return RoundSample(score=self.dist.sample(rng))
+        return RoundSample(score=float(self.dist.sample(rng)))
 
     def oracle_cdf(self):
         return self.dist.cdf
@@ -336,17 +361,37 @@ class ScoreLogEnv(SyntheticEnv):
     """Replay a score log, with or without replacement.
 
     With replacement (the default) rounds are i.i.d. uniform draws from
-    the log.  Without replacement a seed-fixed permutation is consumed;
-    exhausting it raises RunExhaustedError.  The score range and the
-    oracle are those of the `EmpiricalDist` of the ground-truth scores.
+    the log.  Without replacement they follow one seed-fixed permutation;
+    asking for more rounds than the log holds raises RunExhaustedError.
+    `next_round` keeps its place in that permutation, `draw` takes a
+    prefix of a fresh one.  The score range and the oracle are those of
+    the `EmpiricalDist` of the ground-truth scores.
     """
 
     def __init__(self, rows: list[RoundSample], with_replacement: bool = True):
-        super().__init__(EmpiricalDist([r.score for r in rows]))
+        self._scores = np.array([r.score for r in rows], dtype=np.float64)
+        super().__init__(EmpiricalDist(self._scores))
         self.rows = rows
         self.with_replacement = with_replacement
         self._perm: list[int] | None = None
         self._pos = 0
+        width = max((len(r.candidates) for r in rows if r.candidates is not None), default=0)
+        self._candidates = None
+        if width:
+            self._candidates = np.full((len(rows), width), np.nan)
+            for i, r in enumerate(rows):
+                if r.candidates is not None:
+                    self._candidates[i, :len(r.candidates)] = r.candidates
+
+    def draw(self, rng, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+        if self.with_replacement:
+            idx = rng.integers(len(self.rows), size=n)
+        elif n > len(self.rows):
+            raise RunExhaustedError(
+                f"score log exhausted: {n} rounds asked of {len(self.rows)} rows")
+        else:
+            idx = rng.permutation(len(self.rows))[:n]
+        return self._scores[idx], None if self._candidates is None else self._candidates[idx]
 
     def next_round(self, rng) -> RoundSample:
         if self.with_replacement:
@@ -399,8 +444,12 @@ class AuctionEnv:
     def score_range(self):
         return self.value_dist.support
 
+    def draw(self, rng, n: int) -> tuple[np.ndarray, None]:
+        """The top bid of each of n rounds; auctions carry no candidates."""
+        return self.value_dist.sample(rng, (n, self.bidders)).max(axis=1), None
+
     def next_round(self, rng) -> RoundSample:
-        return RoundSample(score=max(self.value_dist.sample(rng) for _ in range(self.bidders)))
+        return RoundSample(score=float(self.value_dist.sample(rng, self.bidders).max()))
 
     def oracle_cdf(self):
         value_cdf, n = self.value_dist.cdf, self.bidders
@@ -415,13 +464,17 @@ class AuctionEnv:
 
 
 # ---------------------------------------------------------------------------
-# Specification (config-facing, builds a fresh env per run)
+# Specification (config-facing; a config builds its environment once)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """Declarative environment description; `build()` is called per run."""
+    """Declarative environment description.
+
+    `build()` loads any data file and checks the parameters; a config
+    builds once and every run draws from that one environment.
+    """
 
     kind: str  # synthetic | score_log | auction
     distribution: str | None = None

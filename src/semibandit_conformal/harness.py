@@ -36,9 +36,10 @@ A section, or a key, that nothing reads is a config error, and so is an
 empty grid; a ``[DEFAULT]`` key must be one some section reads, and is
 exempt where it is spread into a section that does not.
 
-`run_single` returns one run as `metrics.RunColumns`: numpy columns tau,
-covered and set_size filled per round, plus inst_regret, cum_regret and
-undercover derived from them.  Outputs (floats at 12 significant digits,
+`run_single` draws a run's scores as one column, plays the policy over
+it, and returns the run as `metrics.RunColumns`: numpy columns tau,
+covered and set_size, plus inst_regret, cum_regret and undercover
+derived from them.  Outputs (floats at 12 significant digits,
 -inf spelled ``-inf``, +inf ``inf``; each written to a temp file first):
 
     summary.csv  policy,t,metric,mean,ci_lo,ci_hi
@@ -66,7 +67,6 @@ from .environments import (
     DISTRIBUTION_PARAMS,
     EnvironmentConfigError,
     EnvironmentSpec,
-    apply_feedback,
     set_size,
 )
 from .metrics import LossParams, RunColumns, coverage_rate, undercoverage_count
@@ -136,7 +136,7 @@ class ExperimentConfig:
     loss: LossParams | None = None
     out_dir: str = "results"
     trace: bool = False
-    # (spec, environment built from it) for config-time lookups; runs build their own
+    # (spec, environment built from it), shared by config-time lookups and runs
     _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -193,8 +193,9 @@ class ExperimentConfig:
     def built_environment(self):
         """The environment built once from the current spec.
 
-        For config-time lookups such as the score range; every run builds a
-        fresh environment, because a replayed log keeps its read position.
+        Config-time lookups such as the score range and every run share it:
+        `draw` leaves an environment unchanged, so a score log is parsed
+        once per batch.
         """
         if self._built is None or self._built[0] is not self.environment:
             self._built = (self.environment, self.environment.build())
@@ -393,24 +394,30 @@ def checkpoint_grid(horizon: int) -> list[int]:
     return sorted(points)
 
 
+# Rounds per Python list taken from the score column: a list of the whole
+# column would hold T float objects at once.
+BLOCK_ROUNDS = 4096
+
+
 def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int) -> RunColumns:
-    """One (environment, policy, seed) trajectory of exactly T rounds."""
-    env = cfg.environment.build()
-    rng = np.random.default_rng(seed)
+    """One (environment, policy, seed) trajectory of exactly T rounds.
+
+    The environment draws all T scores up front; the loop then plays the
+    policy over them with semi-bandit feedback (the score when it clears
+    tau, else None).  Coverage and set sizes follow from the columns.
+    """
+    env = cfg.built_environment()
+    scores, candidates = env.draw(np.random.default_rng(seed), cfg.horizon)
     policy = spec.build()
     taus = np.empty(cfg.horizon)
-    covered = np.empty(cfg.horizon, dtype=bool)
-    sizes = np.empty(cfg.horizon, dtype=np.int64)
-    for i in range(cfg.horizon):
-        tau = policy.propose()
-        sample = env.next_round(rng)
-        observed = apply_feedback(tau, sample.score)
-        policy.update(observed)
-        taus[i] = tau
-        covered[i] = observed is not None
-        size = set_size(sample, tau)
-        sizes[i] = -1 if size is None else size
-    return RunColumns.derive(taus, covered, sizes if (sizes >= 0).any() else None,
+    for start in range(0, cfg.horizon, BLOCK_ROUNDS):
+        block = []
+        for score in scores[start:start + BLOCK_ROUNDS].tolist():
+            tau = policy.tau
+            block.append(tau)
+            policy.update(score if score >= tau else None)
+        taus[start:start + len(block)] = block
+    return RunColumns.derive(taus, scores >= taus, set_size(candidates, taus),
                              env.oracle_tau_star(cfg.alpha), env.oracle_cdf(), cfg.loss)
 
 

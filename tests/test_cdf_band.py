@@ -69,6 +69,19 @@ class TestBandEpsilon:
         eps = [params.epsilon(t) for t in range(1, 200)]
         assert all(a > b for a, b in zip(eps, eps[1:]))
 
+    @pytest.mark.parametrize("horizon", [2, 3, 10, 10**3, 10**4, 10**5, 10**6, 12345])
+    def test_hoisted_constant_is_bit_identical(self, horizon):
+        # BandParams keeps log(2/delta)/2; the reference divides by 2t each time
+        params = BandParams.for_horizon(horizon)
+        counts = set(range(1, min(horizon, 5000) + 1)) | set(range(max(1, horizon - 99), horizon + 1))
+        for t in sorted(counts):
+            assert params.epsilon(t) == band_epsilon(params.delta, t)
+
+    @given(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+           st.integers(min_value=1, max_value=10**12))
+    def test_hoisted_constant_any_delta(self, delta, t):
+        assert BandParams(delta).epsilon(t) == band_epsilon(delta, t)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             band_epsilon(0.0, 10)

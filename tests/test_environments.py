@@ -3,6 +3,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semibandit_conformal.cdf_band import NEG_INF, POS_INF
 from semibandit_conformal.environments import (
@@ -217,15 +219,14 @@ class TestScoreLog:
 
 class TestSetSize:
     def test_counts_candidates_at_or_above_threshold(self):
-        from semibandit_conformal.environments import RoundSample
-        sample = RoundSample(score=0.9, candidates=(0.9, 0.4, 0.2))
-        assert set_size(sample, 0.5) == 1
-        assert set_size(sample, NEG_INF) == 3
-        assert set_size(sample, 0.95) == 0
+        candidates = np.array([[0.9, 0.4, 0.2]] * 3)
+        taus = np.array([0.5, NEG_INF, 0.95])
+        assert set_size(candidates, taus).tolist() == [1, 3, 0]
 
     def test_unavailable_without_candidates(self):
-        from semibandit_conformal.environments import RoundSample
-        assert set_size(RoundSample(score=0.9), 0.5) is None
+        taus = np.array([0.5, 0.5])
+        assert set_size(None, taus) is None
+        assert set_size(np.full((2, 3), np.nan), taus) is None
 
 
 class TestAuctionEnv:
@@ -256,6 +257,53 @@ class TestAuctionEnv:
     def test_config_validation(self):
         with pytest.raises(EnvironmentConfigError):
             AuctionEnv(EmpiricalDist([1.0, 2.0]), bidders=1)
+
+
+def bundled(name):
+    return resources.files("semibandit_conformal.data") / name
+
+
+# name -> factory; a fresh environment per example, since a
+# without-replacement log's `next_round` keeps its place
+DRAW_ENVIRONMENTS = {
+    "uniform": lambda: SyntheticEnv(make_distribution("uniform", {"a": -1.0, "b": 2.0})),
+    "gaussian": lambda: SyntheticEnv(make_distribution("gaussian", {"mu": 1.0, "sigma": 2.0})),
+    "beta": lambda: SyntheticEnv(make_distribution("beta", {"p": 0.5, "q": 3.0})),
+    "pointmix": lambda: SyntheticEnv(make_distribution(
+        "pointmix", {"atoms": (0.7, 0.1, 0.4, 0.4), "weights": (0.1, 0.3, 0.2, 0.4)})),
+    "empirical": lambda: SyntheticEnv(EmpiricalDist([0.5, 0.9, 0.2, 0.5, -1.0])),
+    "score_log": lambda: ScoreLogEnv(load_score_log(bundled("example_scores.csv"))),
+    "score_log_without_replacement": lambda: ScoreLogEnv(
+        load_score_log(bundled("example_scores.csv")), with_replacement=False),
+    "auction_gaussian": lambda: AuctionEnv(
+        make_distribution("gaussian", {"mu": 25.0, "sigma": 8.0}), bidders=3),
+    "auction_pool": lambda: AuctionEnv(EmpiricalDist(load_bid_pool(bundled("bid_pool.csv"))),
+                                       bidders=2),
+}
+
+
+class TestDrawMatchesNextRound:
+    @pytest.mark.parametrize("name", sorted(DRAW_ENVIRONMENTS))
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**63), n=st.integers(min_value=1, max_value=500))
+    def test_block_equals_rounds(self, name, seed, n):
+        env = DRAW_ENVIRONMENTS[name]()
+        scores, candidates = env.draw(np.random.default_rng(seed), n)
+        rng = np.random.default_rng(seed)
+        rounds = [env.next_round(rng) for _ in range(n)]
+        assert scores.tolist() == [r.score for r in rounds]
+        if rounds[0].candidates is None:
+            assert candidates is None
+        else:
+            assert candidates.tolist() == [list(r.candidates) for r in rounds]
+        # draw leaves the environment unchanged, next_round's place included
+        again, _ = env.draw(np.random.default_rng(seed), n)
+        assert again.tolist() == scores.tolist()
+
+    def test_without_replacement_past_the_log_raises(self):
+        env = DRAW_ENVIRONMENTS["score_log_without_replacement"]()
+        with pytest.raises(RunExhaustedError):
+            env.draw(np.random.default_rng(0), len(env.rows) + 1)
 
 
 class TestDeterminism:

@@ -1,11 +1,13 @@
 """Pinned output bytes: SHA-256 of every result CSV at a reduced size.
 
-Each config runs at T = 2000 with 2 runs and the trace on.  The digests
-were recorded before the run core moved to numpy columns (the bid-pool
-auction's before its bids moved behind `EmpiricalDist`); a change that
-alters any emitted byte (a threshold, a regret fold, a coverage mean, a
-set size) fails here.  The score-log config is the only one whose trace
-has a non-empty ``set_size`` column.
+Each config runs at T = 2000 (the without-replacement log at T = 400)
+with 2 runs and the trace on.  The digests were recorded before the run
+core moved to numpy columns (the bid-pool auction's before its bids moved
+behind `EmpiricalDist`; the pointmix, beta, gaussian and
+without-replacement configs' before runs drew their scores as one block);
+a change that alters any emitted byte (a threshold, a regret fold, a
+coverage mean, a set size) fails here.  The two score-log configs are the
+only ones whose trace has a non-empty ``set_size`` column.
 """
 
 import hashlib
@@ -58,10 +60,104 @@ kind = greedy
 kind = dlr
 """
 
-# inline configs: (template, package data file it reads)
+POINTMIX_CONFIG = """\
+[experiment]
+alpha = 0.9
+seed = 7
+
+[environment]
+kind = synthetic
+distribution = pointmix
+atoms = 0.1, 0.4, 0.4, 0.7, 0.95
+weights = 0.3, 0.2, 0.25, 0.15, 0.1
+
+[policy:sps]
+kind = sps
+
+[policy:greedy]
+kind = greedy
+
+[policy:etc]
+kind = etc
+m_grid = 100, 500
+"""
+
+BETA_CONFIG = """\
+[experiment]
+alpha = 0.9
+seed = 11
+
+[environment]
+kind = synthetic
+distribution = beta
+p = 2.0
+q = 5.0
+
+[policy:sps]
+kind = sps
+
+[policy:aci]
+kind = aci
+gamma_grid = 0.004, 0.032
+
+[policy:con_etc]
+kind = con_etc
+m = 250
+"""
+
+# gaussian scores are unbounded below, so dlr needs its own tau_init
+GAUSSIAN_CONFIG = """\
+[experiment]
+alpha = 0.9
+seed = 13
+
+[environment]
+kind = synthetic
+distribution = gaussian
+mu = 1.0
+sigma = 2.0
+
+[policy:sps]
+kind = sps
+
+[policy:greedy]
+kind = greedy
+
+[policy:dlr]
+kind = dlr
+tau_init = -5.0
+"""
+
+# a 500-row log sampled without replacement, at T = 400
+SCORE_LOG_WOR_CONFIG = """\
+[experiment]
+alpha = 0.9
+seed = 17
+
+[environment]
+kind = score_log
+path = {path}
+sampling = without_replacement
+
+[policy:sps]
+kind = sps
+
+[policy:greedy]
+kind = greedy
+
+[policy:etc]
+kind = etc
+m = 100
+"""
+
+# inline configs: (template, package data file it reads or None, horizon)
 INLINE = {
-    "score_log": (SCORE_LOG_CONFIG, "example_scores.csv"),
-    "auction_pool": (AUCTION_POOL_CONFIG, "bid_pool.csv"),
+    "score_log": (SCORE_LOG_CONFIG, "example_scores.csv", 2000),
+    "auction_pool": (AUCTION_POOL_CONFIG, "bid_pool.csv", 2000),
+    "pointmix": (POINTMIX_CONFIG, None, 2000),
+    "beta": (BETA_CONFIG, None, 2000),
+    "gaussian": (GAUSSIAN_CONFIG, None, 2000),
+    "score_log_without_replacement": (SCORE_LOG_WOR_CONFIG, "example_scores.csv", 400),
 }
 
 GOLDEN = {
@@ -83,20 +179,41 @@ GOLDEN = {
         "sweep.csv": "b08bae5c39201bc446c6793cefa1ad6ac18e93c74b9d6a9bbbf5960dee855357",
         "trace.csv": "56bbcaa3455130aa3ec8600d2fbbbe84f416ae52d778dbb822972de5e8f46378",
     },
+    "pointmix": {
+        "summary.csv": "8ac611510407966fef87eebda43abde4a07921c2253e2b011c4ac2755c5781b7",
+        "sweep.csv": "67528569212eaf5279c9d3902e4966dd114b0b51012399c0587c4b2f5a651eac",
+        "trace.csv": "1726d6f4bc82f939546a573fda8e880383159f887456efa8d27341ab62ed193d",
+    },
+    "beta": {
+        "summary.csv": "97e49d7707699e63153f8f95a59b39135dbc3e899f6e1991aea4a510b1b45b9e",
+        "sweep.csv": "56159c2988e9675ebe1a62706bc8c744a708ee10511362026ea09d90f07100c6",
+        "trace.csv": "0d1b3912d92e062d322c439505709d5af44569a7a1ba19d8c901146030a0fc5a",
+    },
+    "gaussian": {
+        "summary.csv": "ba3af3932656daa75c9895ce99661ffc32f8f74dbeb5985d652be23659ab5943",
+        "trace.csv": "32c9334bbe839914dc5d03fc592981c0ea87321d1d96496645e515f88281e7fc",
+    },
+    "score_log_without_replacement": {
+        "summary.csv": "bb68d23161c2a207b295298020a875c5c99e7e566aa0e56f755d64222c9e9c48",
+        "trace.csv": "d1bf2cab458c1485a564a47eda0c276fa401f417f72f63744aee5c39b325726f",
+    },
 }
 
 
 def config_path(name, tmp_path):
+    """(config file, horizon) of a pinned config."""
     if name not in INLINE:
-        return str(CONFIGS / f"{name}.ini")
-    template, data = INLINE[name]
+        return str(CONFIGS / f"{name}.ini"), 2000
+    template, data, horizon = INLINE[name]
     path = tmp_path / f"{name}.ini"
-    path.write_text(template.format(path=resources.files("semibandit_conformal.data") / data))
-    return str(path)
+    if data is not None:
+        template = template.format(path=resources.files("semibandit_conformal.data") / data)
+    path.write_text(template)
+    return str(path), horizon
 
 
-def output_digests(config, out):
-    cfg = load_config(config, {"horizon": 2000, "runs": 2, "trace": True,
+def output_digests(config, horizon, out):
+    cfg = load_config(config, {"horizon": horizon, "runs": 2, "trace": True,
                                "out": str(out)})
     written = emit_csv(run_batch(cfg), cfg)
     return {
@@ -107,5 +224,5 @@ def output_digests(config, out):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digests(name, tmp_path):
-    got = output_digests(config_path(name, tmp_path), tmp_path / "out")
+    got = output_digests(*config_path(name, tmp_path), tmp_path / "out")
     assert got == GOLDEN[name]

@@ -15,6 +15,7 @@ from semibandit_conformal.environments import (
     EnvironmentSpec,
     RunExhaustedError,
     ScoreLogEnv,
+    apply_feedback,
 )
 from semibandit_conformal.harness import (
     ConfigError,
@@ -151,6 +152,58 @@ class TestRunSingle:
         spec = cfg.policy_spec(PolicyEntry(policy_id="g", kind="greedy"), {})
         run = run_single(cfg, spec, seed=5)
         assert np.array_equal(run.undercover, run.tau > tau_star)
+
+
+SCORE_LOG_ENV = EnvironmentSpec(
+    kind="score_log",
+    path=str(resources.files("semibandit_conformal.data") / "example_scores.csv"),
+)
+# four atoms: scores often equal the threshold, where feedback must count as seen
+POINTMIX_ENV = EnvironmentSpec(
+    kind="synthetic", distribution="pointmix",
+    dist_params={"atoms": (0.1, 0.4, 0.7, 0.95), "weights": (0.05, 0.05, 0.5, 0.4)},
+)
+
+LOOP_POLICIES = [
+    PolicyEntry(policy_id="sps", kind="sps"),
+    PolicyEntry(policy_id="greedy", kind="greedy"),
+    PolicyEntry(policy_id="aci", kind="aci", gamma=0.032),
+    PolicyEntry(policy_id="dlr", kind="dlr"),
+    PolicyEntry(policy_id="etc", kind="etc", m=100),
+    PolicyEntry(policy_id="con_etc", kind="con_etc", m=100),
+]
+
+
+class TestRunMatchesLibraryLoop:
+    """`run_single` over a pre-drawn column against the README's per-round loop."""
+
+    @pytest.mark.parametrize("entry", LOOP_POLICIES, ids=lambda e: e.policy_id)
+    @pytest.mark.parametrize("env_spec", [UNIFORM_ENV, SCORE_LOG_ENV, POINTMIX_ENV],
+                             ids=["uniform", "score_log", "pointmix"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_columns_equal(self, entry, env_spec, seed):
+        cfg = ExperimentConfig(environment=env_spec, policies=[entry], alpha=0.9,
+                               horizon=600, runs=1)
+        cfg.validate()
+        spec = cfg.policy_spec(entry, {})
+        run = run_single(cfg, spec, seed)
+
+        env = env_spec.build()
+        policy = spec.build()
+        rng = np.random.default_rng(seed)
+        taus, covered, sizes = [], [], []
+        for _ in range(cfg.horizon):
+            tau = policy.propose()
+            sample = env.next_round(rng)
+            observed = apply_feedback(tau, sample.score)
+            policy.update(observed)
+            taus.append(tau)
+            covered.append(observed is not None)
+            if sample.candidates is not None:
+                sizes.append(sum(c >= tau for c in sample.candidates))
+        assert run.tau.tolist() == taus
+        assert run.covered.tolist() == covered
+        assert (None if run.set_size is None else run.set_size.tolist()) == (sizes or None)
 
 
 class TestLoadConfig:
@@ -562,10 +615,10 @@ class TestCli:
 
     def test_run_failure_exit_2(self, tmp_path, capsys, monkeypatch):
         # a log that runs dry mid-run despite passing validation
-        def exhausted(env, rng):
+        def exhausted(env, rng, n):
             raise RunExhaustedError("score log exhausted after 0 rounds")
 
-        monkeypatch.setattr(ScoreLogEnv, "next_round", exhausted)
+        monkeypatch.setattr(ScoreLogEnv, "draw", exhausted)
         (tmp_path / "scores.csv").write_text("round_id,gt_score\n0,0.5\n1,0.7\n")
         body = (
             "[experiment]\nhorizon = 2\nruns = 1\nout = res\n"
