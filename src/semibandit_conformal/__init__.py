@@ -3,7 +3,8 @@
 Core pieces: a truncated empirical CDF with a DKW upper band
 (`cdf_band`), the banded threshold policy and five baselines
 (`policies`), score-generating environments (`environments`), evaluation
-metrics (`metrics`), and a reproducible benchmark harness (`harness`).
+metrics (`metrics`), and a reproducible benchmark harness (`config`,
+`harness`).
 """
 
 from .cdf_band import NEG_INF, POS_INF, BandParams, TruncatedEcdf, band_epsilon, sup_quantile
@@ -21,7 +22,8 @@ from .environments import (
     load_score_log,
     set_size,
 )
-from .harness import ExperimentConfig, checkpoint_grid, derive_seed, load_config, run_batch, run_single
+from .config import ExperimentConfig, load_config
+from .harness import checkpoint_grid, derive_seed, run_batch, run_single
 from .metrics import LossParams, RunColumns, coverage_rate, cum_regret, inst_regret, loss_phi, regret_bound, undercoverage_count
 from .policies import Policy, PolicySpec
 

@@ -57,15 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(args) -> dict:
-    out = {}
-    for key in ("alpha", "horizon", "runs", "seed", "out", "trace", "policy"):
-        value = getattr(args, key)
-        if value is not None:
-            out[key] = value
-    return out
-
-
 def _cmd_run(cfg) -> int:
     result = run_batch(cfg)
     written = emit_csv(result, cfg)
@@ -100,7 +91,7 @@ def _cmd_oracle(cfg) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, _overrides(args))
+        cfg = load_config(args.config, vars(args))
         if args.command == "validate":
             print("config ok")
             return 0

@@ -30,7 +30,7 @@ from .cdf_band import NEG_INF, TruncatedEcdf, sup_quantile
 
 POLICY_KINDS = ("sps", "greedy", "aci", "dlr", "etc", "con_etc")
 
-# Default grids for the swept hyperparameters (see harness.run_batch).
+# Default grids for the swept hyperparameters (see config.SWEEPS).
 ACI_GAMMA_GRID = (0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.128)
 ETC_M_GRID = (100, 250, 500, 1000)
 

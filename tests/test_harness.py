@@ -4,6 +4,7 @@ import json
 import math
 import os
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from semibandit_conformal import harness
 from semibandit_conformal.cdf_band import NEG_INF
 from semibandit_conformal.cli import main
+from semibandit_conformal.config import KEYS
 from semibandit_conformal.environments import (
     EnvironmentSpec,
     RunExhaustedError,
@@ -30,6 +32,8 @@ from semibandit_conformal.harness import (
     run_single,
 )
 from semibandit_conformal.metrics import LossParams, loss_phi
+
+REPO = Path(__file__).resolve().parent.parent
 
 UNIFORM_ENV = EnvironmentSpec(
     kind="synthetic", distribution="uniform", dist_params={"a": 0.0, "b": 1.0}
@@ -167,10 +171,10 @@ POINTMIX_ENV = EnvironmentSpec(
 LOOP_POLICIES = [
     PolicyEntry(policy_id="sps", kind="sps"),
     PolicyEntry(policy_id="greedy", kind="greedy"),
-    PolicyEntry(policy_id="aci", kind="aci", gamma=0.032),
+    PolicyEntry(policy_id="aci", kind="aci", params={"gamma": 0.032}),
     PolicyEntry(policy_id="dlr", kind="dlr"),
-    PolicyEntry(policy_id="etc", kind="etc", m=100),
-    PolicyEntry(policy_id="con_etc", kind="con_etc", m=100),
+    PolicyEntry(policy_id="etc", kind="etc", params={"explore_rounds": 100}),
+    PolicyEntry(policy_id="con_etc", kind="con_etc", params={"explore_rounds": 100}),
 ]
 
 
@@ -270,13 +274,16 @@ class TestLoadConfig:
             "\n[policy:etc]\nkind = etc\nm_grid = 10, 20\n"
         cfg = load_config(write_config(tmp_path, body))
         by_id = {p.policy_id: p for p in cfg.policies}
-        assert by_id["aci"].gamma_grid == (0.01, 0.02)
-        assert by_id["etc"].m_grid == (10, 20)
+        assert by_id["aci"].grid == ("gamma", (0.01, 0.02))
+        assert by_id["etc"].grid == ("m", (10, 20))
         assert len(by_id["aci"].grid_points()) == 2
 
     @pytest.mark.parametrize("section, repeated", [
         ("[policy:aci]\nkind = aci\ngamma_grid = 0.01, 0.02, 0.01\n", "gamma_grid repeats 0.01"),
         ("[policy:etc]\nkind = etc\nm_grid = 10, 10, 50\n", "m_grid repeats 10"),
+        # distinct values whose grid keys (and so run seeds) print alike
+        ("[policy:aci]\nkind = aci\ngamma_grid = 0.0010000001, 0.001\n",
+         "gamma_grid repeats 0.001"),
     ])
     def test_repeated_grid_value_rejected(self, tmp_path, section, repeated):
         body = BASE_CONFIG.format(out="res", trace="false") + "\n" + section
@@ -329,6 +336,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=error):
             load_config(write_config(tmp_path, body))
 
+    @pytest.mark.parametrize("old, new, error", [
+        ("kind = sps\n", "kind = aci\ngamma = nan\n", r"\[policy:sps\] gamma = 'nan': not a finite"),
+        ("kind = sps\n", "kind = dlr\ntau_init = -inf\n",
+         r"\[policy:sps\] tau_init = '-inf': not a finite"),
+        ("distribution = uniform\na = 0.0\nb = 1.0\n",
+         "distribution = pointmix\natoms = 0.1, 0.5\nweights = nan, 0.5\n",
+         r"\[environment\] weights = 'nan': not a finite"),
+        ("distribution = uniform\na = 0.0\nb = 1.0\n",
+         "distribution = gaussian\nmu = nan\nsigma = 1.0\n",
+         r"\[environment\] mu = 'nan': not a finite"),
+        ("alpha = 0.9\n", "alpha = inf\n", r"\[experiment\] alpha = 'inf': not a finite"),
+    ], ids=["gamma", "tau_init", "weights", "mu", "alpha"])
+    def test_non_finite_number_rejected(self, tmp_path, old, new, error):
+        body = BASE_CONFIG.format(out="res", trace="false").replace(old, new)
+        with pytest.raises(ConfigError, match=error):
+            load_config(write_config(tmp_path, body))
+
+    @pytest.mark.parametrize("section", ["[policy:fast,sps]", "[policy:]", "[policy:a b]"])
+    def test_policy_id_that_breaks_the_csv_rejected(self, tmp_path, section):
+        body = BASE_CONFIG.format(out="res", trace="false").replace("[policy:sps]", section)
+        with pytest.raises(ConfigError, match="policy id must match"):
+            load_config(write_config(tmp_path, body))
+
     def test_default_keys_do_not_trip_the_key_check(self, tmp_path):
         # lambda1 reaches [environment] and [policy:sps] too, which do not read it
         body = "[DEFAULT]\nlambda1 = 0.2\n" + BASE_CONFIG.format(out="res", trace="false")
@@ -366,10 +396,108 @@ class TestLoadConfig:
             cfg.validate()
 
 
+DATA = resources.files("semibandit_conformal.data")
+KEY_CONFIG = """\
+[experiment]
+{experiment}
+[environment]
+{environment}
+[policy:p]
+{policy}
+"""
+KEY_PARTS = {"experiment": "", "environment": "kind = synthetic\ndistribution = uniform\n"
+             "a = 0.0\nb = 1.0", "policy": "kind = sps"}
+
+
+def spec_fields(name):
+    """Read back one PolicySpec field over every grid point of the policy."""
+    return lambda cfg: [getattr(cfg.policy_spec(entry, point), name)
+                        for entry in cfg.policies for _, point in entry.grid_points()]
+
+
+def env_param(name):
+    return lambda cfg: cfg.environment.dist_params[name]
+
+
+def synthetic(dist, params):
+    return {"environment": f"kind = synthetic\ndistribution = {dist}\n{params}"}
+
+
+# (reader, key) in config.KEYS -> (config parts setting the key, read back, expected)
+KEY_CASES = {
+    ("experiment", "alpha"): ({"experiment": "alpha = 0.8"}, lambda c: c.alpha, 0.8),
+    ("experiment", "horizon"): ({"experiment": "horizon = 300"}, lambda c: c.horizon, 300),
+    ("experiment", "runs"): ({"experiment": "runs = 4"}, lambda c: c.runs, 4),
+    ("experiment", "seed"): ({"experiment": "seed = 9"}, lambda c: c.seed, 9),
+    ("experiment", "out"): ({"experiment": "out = elsewhere"}, lambda c: c.out_dir, "elsewhere"),
+    ("experiment", "trace"): ({"experiment": "trace = yes"}, lambda c: c.trace, True),
+    ("experiment", "lambda1"): ({"experiment": "lambda1 = 0.5"},
+                                lambda c: c.loss.lambda1, 0.5),
+    ("experiment", "lambda2"): ({"experiment": "lambda2 = 20"}, lambda c: c.loss.lambda2, 20.0),
+    ("synthetic", "distribution"): (synthetic("beta", "p = 2\nq = 5"),
+                                    lambda c: c.environment.distribution, "beta"),
+    ("score_log", "path"): ({"environment": f"kind = score_log\npath = {DATA / 'example_scores.csv'}"},
+                            lambda c: c.environment.path, str(DATA / "example_scores.csv")),
+    ("score_log", "sampling"): (
+        {"experiment": "horizon = 200",
+         "environment": f"kind = score_log\npath = {DATA / 'example_scores.csv'}\n"
+                        "sampling = without_replacement"},
+        lambda c: c.environment.with_replacement, False),
+    ("auction", "pool"): ({"environment": f"kind = auction\npool = {DATA / 'bid_pool.csv'}"},
+                          lambda c: c.environment.path, str(DATA / "bid_pool.csv")),
+    ("auction", "bidders"): ({"environment": "kind = auction\ndistribution = uniform\n"
+                                             "a = 0.0\nb = 1.0\nbidders = 4"},
+                             lambda c: c.environment.bidders, 4),
+    ("auction", "distribution"): ({"environment": "kind = auction\ndistribution = beta\n"
+                                                  "p = 2\nq = 5"},
+                                  lambda c: c.environment.distribution, "beta"),
+    ("uniform", "a"): (synthetic("uniform", "a = 0.25\nb = 1.0"), env_param("a"), 0.25),
+    ("uniform", "b"): (synthetic("uniform", "a = 0.0\nb = 2.5"), env_param("b"), 2.5),
+    ("gaussian", "mu"): (synthetic("gaussian", "mu = 3\nsigma = 1"), env_param("mu"), 3.0),
+    ("gaussian", "sigma"): (synthetic("gaussian", "mu = 0\nsigma = 2"), env_param("sigma"), 2.0),
+    ("beta", "p"): (synthetic("beta", "p = 2\nq = 5"), env_param("p"), 2.0),
+    ("beta", "q"): (synthetic("beta", "p = 2\nq = 5"), env_param("q"), 5.0),
+    ("pointmix", "atoms"): (synthetic("pointmix", "atoms = 0.1, 0.5\nweights = 0.25, 0.75"),
+                            env_param("atoms"), (0.1, 0.5)),
+    ("pointmix", "weights"): (synthetic("pointmix", "atoms = 0.1, 0.5\nweights = 0.25, 0.75"),
+                              env_param("weights"), (0.25, 0.75)),
+    ("aci", "gamma"): ({"policy": "kind = aci\ngamma = 0.05"}, spec_fields("gamma"), [0.05]),
+    ("aci", "gamma_grid"): ({"policy": "kind = aci\ngamma_grid = 0.01, 0.03"},
+                            spec_fields("gamma"), [0.01, 0.03]),
+    ("dlr", "tau_init"): ({"policy": "kind = dlr\ntau_init = -0.5"},
+                          spec_fields("tau_init"), [-0.5]),
+    ("etc", "m"): ({"policy": "kind = etc\nm = 20"}, spec_fields("explore_rounds"), [20]),
+    ("etc", "m_grid"): ({"policy": "kind = etc\nm_grid = 10, 30"},
+                        spec_fields("explore_rounds"), [10, 30]),
+    ("con_etc", "m"): ({"policy": "kind = con_etc\nm = 20"},
+                       spec_fields("explore_rounds"), [20]),
+    ("con_etc", "m_grid"): ({"policy": "kind = con_etc\nm_grid = 10, 30"},
+                            spec_fields("explore_rounds"), [10, 30]),
+}
+
+
+class TestKeyTable:
+    def test_every_key_has_a_case(self):
+        assert set(KEY_CASES) == {(reader, key) for reader, keys in KEYS.items()
+                                  for key in keys}
+
+    @pytest.mark.parametrize("reader, key", sorted(KEY_CASES))
+    def test_key_reaches_its_field(self, tmp_path, reader, key):
+        parts, read_back, expected = KEY_CASES[reader, key]
+        body = KEY_CONFIG.format(**{**KEY_PARTS, **parts})
+        assert read_back(load_config(write_config(tmp_path, body))) == expected
+
+    @pytest.mark.parametrize("path", sorted(
+        str(p.relative_to(REPO)) for pattern in ("configs/*.ini", "perfbench/workloads/*.ini")
+        for p in REPO.glob(pattern)))
+    def test_shipped_config_loads(self, path):
+        assert load_config(str(REPO / path)).policies
+
+
 class TestRunBatch:
     def test_sweep_selection_and_rows(self):
         cfg = small_cfg(policies=[
-            PolicyEntry(policy_id="etc", kind="etc", m_grid=(10, 50, 100)),
+            PolicyEntry(policy_id="etc", kind="etc", grid=("m", (10, 50, 100))),
         ], horizon=200, runs=2)
         result = run_batch(cfg)
         assert len(result.sweep_rows) == 3
@@ -418,7 +546,7 @@ class TestRunBatch:
 
     def test_tie_goes_to_first_grid_point(self, monkeypatch):
         cfg = small_cfg(policies=[
-            PolicyEntry(policy_id="etc", kind="etc", m_grid=(50, 10, 100)),
+            PolicyEntry(policy_id="etc", kind="etc", grid=("m", (50, 10, 100))),
         ], horizon=200, runs=2)
         tied = run_single(cfg, cfg.policy_spec(cfg.policies[0], {"explore_rounds": 10}), 0)
         monkeypatch.setattr(harness, "run_single", lambda *args: tied)
@@ -547,7 +675,7 @@ class TestEmitCsv:
 
     def test_sweep_file_only_when_sweeping(self, tmp_path):
         cfg = small_cfg(policies=[
-            PolicyEntry(policy_id="etc", kind="etc", m_grid=(10, 50)),
+            PolicyEntry(policy_id="etc", kind="etc", grid=("m", (10, 50))),
         ], horizon=100, runs=1, out=str(tmp_path / "res"))
         with warns_single_run():
             result = run_batch(cfg)
@@ -630,6 +758,16 @@ class TestCli:
         with warns_single_run():
             assert main(["run", "--config", path]) == 2
         assert "run error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, flags", [
+        ("alpha = 0.9\n", "alpha = 1.5\n", []),
+        ("alpha = 0.9\n", "alpha = 0.9\n", ["--alpha", "1.5"]),
+        ("alpha = 0.9\n", "alpha = 0.9\nlambda1 = 20\n", []),
+    ], ids=["alpha", "alpha-flag", "lambda1"])
+    def test_bad_loss_parameters_exit_1(self, tmp_path, capsys, old, new, flags):
+        body = BASE_CONFIG.format(out="res", trace="false").replace(old, new)
+        assert main(["validate", "--config", write_config(tmp_path, body)] + flags) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_short_log_rejected_before_any_run(self, tmp_path, capsys):
         # 500 rows cannot be sampled 1000 times without replacement
