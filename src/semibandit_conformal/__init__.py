@@ -7,7 +7,7 @@ metrics (`metrics`), and a reproducible benchmark harness (`config`,
 `harness`).
 """
 
-from .cdf_band import NEG_INF, POS_INF, BandParams, TruncatedEcdf, band_epsilon, sup_quantile
+from .cdf_band import NEG_INF, POS_INF, TruncatedEcdf, band_epsilon, sup_quantile
 from .environments import (
     AuctionEnv,
     AuctionRound,

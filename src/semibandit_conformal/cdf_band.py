@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 NEG_INF = float("-inf")
@@ -38,33 +37,6 @@ def band_epsilon(delta: float, t: int) -> float:
     if t < 1:
         raise ValueError(f"sample count must be >= 1, got {t}")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * t))
-
-
-@dataclass(frozen=True)
-class BandParams:
-    """Failure probability and the derived per-count band width."""
-
-    delta: float
-    # log(2/delta) / 2, so that epsilon(t) is one division and a square root
-    _half_log: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0,1), got {self.delta}")
-        object.__setattr__(self, "_half_log", math.log(2.0 / self.delta) / 2.0)
-
-    @classmethod
-    def for_horizon(cls, horizon: int) -> "BandParams":
-        """delta = 2/T^2, so a union bound over T rounds gives 2/T."""
-        if horizon < 2:
-            raise ValueError(f"horizon must be >= 2, got {horizon}")
-        return cls(delta=2.0 / (horizon * horizon))
-
-    def epsilon(self, t: int) -> float:
-        """`band_epsilon(delta, t)` bit for bit: halving is exact, so
-        (log(2/delta) / 2) / t rounds the same quotient as log(2/delta) / (2t).
-        """
-        return math.sqrt(self._half_log / t)
 
 
 def order_index(n: int, level: float) -> int:
@@ -135,7 +107,9 @@ class TruncatedEcdf:
         if not isinstance(horizon, int) or horizon < 2:
             raise ValueError(f"horizon must be an integer >= 2, got {horizon!r}")
         self.horizon = horizon
-        self.band = BandParams.for_horizon(horizon)
+        # log(2/delta) / 2 for delta = 2/T^2, so that epsilon() is one
+        # division and a square root
+        self._half_log = math.log(2.0 / (2.0 / (horizon * horizon))) / 2.0
         self._low: list[float] = []
         self._high: list[float] = []
         self._sorted: list[float] | None = None
@@ -164,9 +138,11 @@ class TruncatedEcdf:
             insort(self._sorted, value)
 
     def epsilon(self) -> float:
-        """Band half-width at the current count."""
+        """Band half-width at the current count: `band_epsilon(2/T^2, t)` bit
+        for bit, since halving is exact and (log(2/delta) / 2) / t rounds the
+        same quotient as log(2/delta) / (2t)."""
         self._require_samples()
-        return self.band.epsilon(self.count)
+        return math.sqrt(self._half_log / self.count)
 
     def eval_g(self, tau: float) -> float:
         """Fraction of recorded values <= tau (right-continuous step)."""

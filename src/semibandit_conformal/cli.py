@@ -76,7 +76,7 @@ def _cmd_sweep(cfg) -> int:
 
 
 def _cmd_oracle(cfg) -> int:
-    env = cfg.built_environment()
+    env = cfg.environment.built
     gstar = env.oracle_cdf()
     tau_star = env.oracle_tau_star(cfg.alpha)
     lo, hi = env.score_range

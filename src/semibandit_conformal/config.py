@@ -21,20 +21,22 @@ A benchmark is described by one INI-style config file:
     [policy:sps]
     kind = sps
 
-CLI flags override the [experiment] keys of the same name.  `KEYS`
-lists the keys each section reads: [experiment] its own, [environment]
-those of its ``kind`` and of its ``distribution``, ``[policy:<id>]``
-those of its kind (the id when ``kind`` is absent).  `SWEEPS` names the
-swept parameters: ``gamma`` or ``gamma_grid`` for ACI, ``m`` or
-``m_grid`` for ETC and Con-ETC, each with a default grid.  DLR's
-``tau_init`` defaults to the environment's lower score bound when that
-bound is finite.
+CLI flags override the [experiment] keys of the same name.  Each is one
+`ExperimentConfig` field; the loss is derived from ``lambda1``,
+``lambda2`` and ``alpha``, never stored beside them.  `KEYS` lists the
+keys each section reads: [experiment] its own, [environment] those of
+its ``kind`` and of its ``distribution``, ``[policy:<id>]`` those of its
+kind (the id when ``kind`` is absent).  `SWEEPS` names the swept
+parameters: ``gamma`` or ``gamma_grid`` for ACI, ``m`` or ``m_grid`` for
+ETC and Con-ETC, each with a default grid.  DLR's ``tau_init`` defaults
+to the environment's lower score bound when that bound is finite.
 
-A section or key that nothing reads is a config error, and so is a
-number that does not parse or is not finite, an empty grid or one whose
-values print alike, and a policy id outside ``[A-Za-z0-9_.-]+``.  A
-``[DEFAULT]`` key must be one some section reads; where it is spread
-into a section that does not read it, it is ignored.
+A file `configparser` cannot read is a config error, and so is a section
+or key that nothing reads, a number that does not parse or is not
+finite, an empty grid or one whose values print alike, and a policy id
+outside ``[A-Za-z0-9_.-]+``.  A ``[DEFAULT]`` key must be one some
+section reads; where it is spread into a section that does not read it,
+it is ignored.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ class PolicyEntry:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment; `loss` defaults to the loss at this config's alpha."""
+    """One experiment: one field per [experiment] key (``out`` is `out_dir`)."""
 
     environment: EnvironmentSpec
     policies: list[PolicyEntry]
@@ -152,31 +154,29 @@ class ExperimentConfig:
     horizon: int = 10000
     runs: int = 10
     seed: int = 0
-    loss: LossParams | None = None
+    lambda1: float = LossParams.lambda1
+    lambda2: float = LossParams.lambda2
     out_dir: str = "results"
     trace: bool = False
-    # (spec, environment built from it), shared by config-time lookups and runs
-    _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.loss is None and 0.0 < self.alpha < 1.0:
-            self.loss = LossParams(alpha=self.alpha)
+    @property
+    def loss(self) -> LossParams:
+        """The loss regret is measured by, at this config's alpha."""
+        return LossParams(self.lambda1, self.lambda2, self.alpha)
 
     def validate(self) -> None:
+        try:
+            self.loss  # checks alpha and the lambdas
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.horizon < 2:
             raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.loss.alpha != self.alpha:
-            raise ConfigError(
-                f"loss alpha {self.loss.alpha} differs from the experiment alpha {self.alpha}"
-            )
         if not self.policies:
             raise ConfigError("at least one [policy:*] section is required")
         try:
-            env = self.built_environment()
+            env = self.environment.built
         except EnvironmentConfigError as exc:
             raise ConfigError(str(exc)) from exc
         spec = self.environment
@@ -210,22 +210,11 @@ class ExperimentConfig:
                 except PolicyConfigError as exc:
                     raise ConfigError(f"{where} {exc}") from exc
 
-    def built_environment(self):
-        """The environment built once from the current spec.
-
-        Config-time lookups such as the score range and every run share it:
-        `draw` leaves an environment unchanged, so a score log is parsed
-        once per batch.
-        """
-        if self._built is None or self._built[0] is not self.environment:
-            self._built = (self.environment, self.environment.build())
-        return self._built[1]
-
     def policy_spec(self, entry: PolicyEntry, overrides: dict) -> PolicySpec:
         """The entry's spec with `overrides` (one grid point's fields) on top."""
         params = {**entry.params, **overrides}
         if entry.kind == "dlr" and "tau_init" not in params:
-            lo = self.built_environment().score_range[0]
+            lo = self.environment.built.score_range[0]
             if not math.isfinite(lo):
                 raise PolicyConfigError(
                     "dlr needs tau_init: environment score range is unbounded below"
@@ -301,8 +290,18 @@ def _policy(section, defaults) -> PolicyEntry:
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate a config file; `overrides` holds CLI flags (None: unset)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not parser.read(path):
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        cfg = _experiment(parser, os.path.dirname(os.path.abspath(path)), overrides or {})
+    except configparser.Error as exc:  # malformed file, or a bad '%' in a value
+        raise ConfigError(f"{path}: {exc}") from exc
+    cfg.validate()
+    return cfg
+
+
+def _experiment(parser, base_dir: str, overrides: dict) -> ExperimentConfig:
+    """The unvalidated config in `parser`; data paths resolve against `base_dir`."""
     if "environment" not in parser:
         raise ConfigError("config needs an [environment] section")
     for name in parser.sections():
@@ -314,21 +313,14 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"[DEFAULT] unknown key {unread[0]!r}; no section reads it")
     exp = _read(parser["experiment"] if "experiment" in parser else parser["DEFAULT"],
                 KEYS["experiment"], defaults)
-    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     exp.update((key, value) for key, value in overrides.items() if key in KEYS["experiment"])
     if "out" in exp:
         exp["out_dir"] = exp.pop("out")
-    lambdas = {key: exp.pop(key) for key in ("lambda1", "lambda2") if key in exp}
-    try:
-        loss = LossParams(alpha=exp.get("alpha", ExperimentConfig.alpha), **lambdas)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     cfg = ExperimentConfig(
-        environment=_environment(parser["environment"],
-                                 os.path.dirname(os.path.abspath(path)), defaults),
+        environment=_environment(parser["environment"], base_dir, defaults),
         policies=[_policy(parser[name], defaults)
                   for name in parser.sections() if name.startswith("policy:")],
-        loss=loss,
         **exp,
     )
     if "policy" in overrides:
@@ -336,5 +328,4 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         cfg.policies = [p for p in cfg.policies if p.policy_id == wanted]
         if not cfg.policies:
             raise ConfigError(f"no [policy:{wanted}] section in config")
-    cfg.validate()
     return cfg

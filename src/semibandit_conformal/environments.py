@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -61,8 +62,13 @@ class ScoreDistribution:
         raise NotImplementedError
 
     def sup_quantile(self, level: float) -> float:
-        """sup{ x : cdf(x) <= level }; -inf / +inf outside [0,1)."""
-        raise NotImplementedError
+        """sup{ x : cdf(x) <= level }; -inf / +inf outside [0,1), else the
+        subclass's `_sup(level)`."""
+        if level < 0.0:
+            return NEG_INF
+        if level >= 1.0:
+            return POS_INF
+        return self._sup(level)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -85,11 +91,7 @@ class UniformDist(ScoreDistribution):
             return 1.0
         return (x - self.a) / (self.b - self.a)
 
-    def sup_quantile(self, level):
-        if level < 0.0:
-            return NEG_INF
-        if level >= 1.0:
-            return POS_INF
+    def _sup(self, level):
         return self.a + level * (self.b - self.a)
 
     @property
@@ -110,11 +112,7 @@ class GaussianDist(ScoreDistribution):
     def cdf(self, x):
         return self._dist.cdf(x)
 
-    def sup_quantile(self, level):
-        if level < 0.0:
-            return NEG_INF
-        if level >= 1.0:
-            return POS_INF
+    def _sup(self, level):
         if level == 0.0:
             return NEG_INF  # gaussian has unbounded lower support
         return self._dist.inv_cdf(level)
@@ -138,13 +136,9 @@ class BetaDist(ScoreDistribution):
 
         return float(beta_dist.cdf(x, self.p, self.q))
 
-    def sup_quantile(self, level):
+    def _sup(self, level):
         from scipy.stats import beta as beta_dist
 
-        if level < 0.0:
-            return NEG_INF
-        if level >= 1.0:
-            return POS_INF
         return float(beta_dist.ppf(level, self.p, self.q))
 
     @property
@@ -172,9 +166,7 @@ class PointMixtureDist(ScoreDistribution):
     def cdf(self, x):
         return sum(w for a, w in zip(self.atoms, self.weights) if a <= x)
 
-    def sup_quantile(self, level):
-        if level < 0.0:
-            return NEG_INF
+    def _sup(self, level):
         cum = 0.0
         for a, w in zip(self.atoms, self.weights):
             cum += w
@@ -202,7 +194,7 @@ class EmpiricalDist(ScoreDistribution):
         return float(np.searchsorted(self.values, x, side="right")) / len(self.values)
 
     def sup_quantile(self, level):
-        return sup_quantile(list(self.values), level)
+        return sup_quantile(self.values, level)
 
     @property
     def support(self):
@@ -347,6 +339,8 @@ def load_score_log(path) -> list[RoundSample]:
                 raise EnvironmentConfigError(f"{path}:{lineno}: {exc}") from exc
             if not math.isfinite(gt):
                 raise EnvironmentConfigError(f"{path}:{lineno}: non-finite gt_score")
+            if cands is not None and not all(map(math.isfinite, cands)):
+                raise EnvironmentConfigError(f"{path}:{lineno}: non-finite candidate score")
             if cands is not None and gt not in cands:
                 raise EnvironmentConfigError(
                     f"{path}:{lineno}: gt_score missing from candidate scores"
@@ -472,8 +466,8 @@ class AuctionEnv:
 class EnvironmentSpec:
     """Declarative environment description.
 
-    `build()` loads any data file and checks the parameters; a config
-    builds once and every run draws from that one environment.
+    `build()` loads any data file, checks the parameters and returns a
+    fresh environment; a config's lookups and runs share `built`.
     """
 
     kind: str  # synthetic | score_log | auction
@@ -501,3 +495,9 @@ class EnvironmentSpec:
                 )
             return AuctionEnv(dist, self.bidders)
         raise EnvironmentConfigError(f"unknown environment kind {self.kind!r}")
+
+    @cached_property
+    def built(self):
+        """`build()` once per spec; `draw` leaves an environment unchanged,
+        so every run can share it and a score log is parsed once."""
+        return self.build()

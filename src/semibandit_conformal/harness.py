@@ -71,7 +71,7 @@ def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int) -> RunColumns
     policy over them with semi-bandit feedback (the score when it clears
     tau, else None).  Coverage and set sizes follow from the columns.
     """
-    env = cfg.built_environment()
+    env = cfg.environment.built
     scores, candidates = env.draw(np.random.default_rng(seed), cfg.horizon)
     policy = spec.build()
     taus = np.empty(cfg.horizon)

@@ -115,7 +115,8 @@ def sps_runs():
 def batch_cfg(env_spec, policies, runs, horizon=HORIZON, seed=0):
     cfg = ExperimentConfig(
         environment=env_spec, policies=policies, alpha=ALPHA,
-        horizon=horizon, runs=runs, seed=seed, loss=LOSS,
+        horizon=horizon, runs=runs, seed=seed,
+        lambda1=LOSS.lambda1, lambda2=LOSS.lambda2,
     )
     cfg.validate()
     return cfg

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from semibandit_conformal.cdf_band import (
     NEG_INF,
     POS_INF,
-    BandParams,
     TruncatedEcdf,
     band_epsilon,
     order_index,
@@ -65,22 +64,29 @@ class TestBandEpsilon:
         assert eps > 1.0
 
     def test_strictly_decreasing_in_t(self):
-        params = BandParams.for_horizon(500)
-        eps = [params.epsilon(t) for t in range(1, 200)]
+        e = TruncatedEcdf(500)
+        eps = []
+        for _ in range(1, 200):
+            e.insert(0.5)
+            eps.append(e.epsilon())
         assert all(a > b for a, b in zip(eps, eps[1:]))
 
     @pytest.mark.parametrize("horizon", [2, 3, 10, 10**3, 10**4, 10**5, 10**6, 12345])
     def test_hoisted_constant_is_bit_identical(self, horizon):
-        # BandParams keeps log(2/delta)/2; the reference divides by 2t each time
-        params = BandParams.for_horizon(horizon)
+        # TruncatedEcdf keeps log(2/delta)/2; the reference divides by 2t each time
         counts = set(range(1, min(horizon, 5000) + 1)) | set(range(max(1, horizon - 99), horizon + 1))
-        for t in sorted(counts):
-            assert params.epsilon(t) == band_epsilon(params.delta, t)
+        e = TruncatedEcdf(horizon)
+        for t in range(1, max(counts) + 1):
+            e.insert(0.5)
+            if t in counts:
+                assert e.epsilon() == band_epsilon(2.0 / horizon**2, t)
 
-    @given(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
-           st.integers(min_value=1, max_value=10**12))
-    def test_hoisted_constant_any_delta(self, delta, t):
-        assert BandParams(delta).epsilon(t) == band_epsilon(delta, t)
+    @given(st.integers(min_value=2, max_value=10**9), st.integers(min_value=1, max_value=50))
+    def test_hoisted_constant_any_horizon(self, horizon, n):
+        e = TruncatedEcdf(horizon)
+        for t in range(1, n + 1):
+            e.insert(0.5)
+            assert e.epsilon() == band_epsilon(2.0 / horizon**2, t)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -90,7 +96,7 @@ class TestBandEpsilon:
         with pytest.raises(ValueError):
             band_epsilon(0.1, 0)
         with pytest.raises(ValueError):
-            BandParams.for_horizon(1)
+            TruncatedEcdf(1)
 
 
 class TestInsert:

@@ -388,13 +388,6 @@ class TestLoadConfig:
         cfg.validate()
         assert cfg.loss == LossParams(alpha=0.1)
 
-    def test_loss_alpha_mismatch_rejected(self):
-        cfg = ExperimentConfig(environment=UNIFORM_ENV,
-                               policies=[PolicyEntry(policy_id="sps", kind="sps")],
-                               alpha=0.1, horizon=200, loss=LossParams(alpha=0.9))
-        with pytest.raises(ConfigError, match="loss alpha 0.9"):
-            cfg.validate()
-
 
 DATA = resources.files("semibandit_conformal.data")
 KEY_CONFIG = """\
@@ -768,6 +761,30 @@ class TestCli:
         body = BASE_CONFIG.format(out="res", trace="false").replace(old, new)
         assert main(["validate", "--config", write_config(tmp_path, body)] + flags) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("old, new, error", [
+        ("runs = 3\n", "runs = 3\nruns = 4\n", "option 'runs' in section 'experiment' already"),
+        ("[experiment]\n", "", "no section headers"),
+        ("out = res\n", "out = res%1\n", "'%' must be followed by"),
+    ], ids=["repeated-key", "no-section-header", "bare-percent"])
+    def test_parse_error_exit_1(self, tmp_path, capsys, old, new, error):
+        body = BASE_CONFIG.format(out="res", trace="false").replace(old, new, 1)
+        path = write_config(tmp_path, body)
+        assert main(["validate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and error in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_candidate_exit_1(self, tmp_path, capsys, bad):
+        (tmp_path / "scores.csv").write_text(
+            f"round_id,gt_score,cand_0,cand_1\n0,0.5,0.5,0.2\n1,0.5,0.5,{bad}\n")
+        body = (
+            "[experiment]\nhorizon = 10\nruns = 1\n"
+            "[environment]\nkind = score_log\npath = scores.csv\n"
+            "[policy:sps]\nkind = sps\n"
+        )
+        assert main(["validate", "--config", write_config(tmp_path, body)]) == 1
+        assert "scores.csv:3: non-finite candidate score" in capsys.readouterr().err
 
     def test_short_log_rejected_before_any_run(self, tmp_path, capsys):
         # 500 rows cannot be sampled 1000 times without replacement

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semibandit_conformal.cdf_band import NEG_INF, band_epsilon
+from semibandit_conformal.cdf_band import NEG_INF, band_epsilon, sup_quantile
 from semibandit_conformal.environments import apply_feedback
 from semibandit_conformal.policies import (
     ACI_GAMMA_GRID,
@@ -141,6 +141,21 @@ class TestSps:
     def test_threshold_nondecreasing_on_any_trace(self, scores):
         taus = drive(spec("sps").build(), scores)
         assert all(a <= b for a, b in zip(taus, taus[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 0.25, 0.5]) | st.floats(-1, 1),
+                    min_size=1, max_size=300),
+           st.floats(0.05, 0.95), st.integers(2, 10**6))
+    def test_censoring_costs_nothing(self, scores, alpha, horizon):
+        # the full-information answer: the running max of the banded order
+        # statistic of the raw scores, with no TruncatedEcdf in between
+        taus = drive(PolicySpec(kind="sps", alpha=alpha, horizon=horizon).build(), scores)
+        expected, tau = [], NEG_INF
+        for t in range(1, len(scores) + 1):
+            expected.append(tau)
+            level = 1 - alpha - band_epsilon(2.0 / horizon**2, t)
+            tau = max(tau, sup_quantile(sorted(scores[:t]), level))
+        assert taus == expected
 
     def test_miss_rounds_record_the_proposed_threshold(self):
         rng = np.random.default_rng(5)
