@@ -46,11 +46,17 @@ def order_index(n: int, level: float) -> int:
     smallest value is sup{ tau : ecdf(tau) <= level }.  Valid for
     -LEVEL_TOL <= level < 1; the callers handle the sentinel levels.
 
+    The start is floor(n * level) clamped to [0, n-1]: `int` truncates
+    toward zero, which is the floor above 0 and lands on the clamp below.
     The adjustment loops keep the index consistent with exact k/n
     comparisons, so results agree bit-for-bit with a scan that evaluates
     the ECDF directly.
     """
-    m = min(max(int(math.floor(n * level)), 0), n - 1)
+    m = int(n * level)
+    if m < 0:
+        m = 0
+    elif m >= n:
+        m = n - 1
     while m + 1 < n and (m + 1) / n <= level + LEVEL_TOL:
         m += 1
     while m > 0 and m / n > level + LEVEL_TOL:
@@ -161,10 +167,14 @@ class TruncatedEcdf:
         remaining budget; the sentinels never enter the sample multiset.
         The value is `sup_quantile(self.samples, 1 - alpha - eps)`.
         """
-        self._require_samples()
+        low, high = self._low, self._high
+        n = len(low) + len(high)
+        if not n:
+            raise ValueError("CDF query on an empty sample")
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {alpha}")
-        eps = self.epsilon() if epsilon is None else float(epsilon)
+        # the width epsilon() gives, without its second emptiness check
+        eps = math.sqrt(self._half_log / n) if epsilon is None else float(epsilon)
         if eps < 0.0:
             raise ValueError(f"epsilon must be >= 0, got {eps}")
         level = 1.0 - alpha - eps
@@ -172,8 +182,7 @@ class TruncatedEcdf:
             return NEG_INF
         if level >= 1.0:
             raise ValueError(f"alpha = {alpha!r} is too small: 1 - alpha rounds to 1")
-        low, high = self._low, self._high
-        k = order_index(len(low) + len(high), level) + 1
+        k = order_index(n, level) + 1
         while len(low) < k:
             heappush(low, -heappop(high))
         while len(low) > k:

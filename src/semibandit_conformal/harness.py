@@ -74,14 +74,17 @@ def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int) -> RunColumns
     env = cfg.environment.built
     scores, candidates = env.draw(np.random.default_rng(seed), cfg.horizon)
     policy = spec.build()
+    update = policy.update
     taus = np.empty(cfg.horizon)
+    block: list[float] = []
+    append = block.append
     for start in range(0, cfg.horizon, BLOCK_ROUNDS):
-        block = []
         for score in scores[start:start + BLOCK_ROUNDS].tolist():
             tau = policy.tau
-            block.append(tau)
-            policy.update(score if score >= tau else None)
+            append(tau)
+            update(score if score >= tau else None)
         taus[start:start + len(block)] = block
+        block.clear()
     return RunColumns.derive(taus, scores >= taus, set_size(candidates, taus),
                              env.oracle_tau_star(cfg.alpha), env.oracle_cdf(), cfg.loss)
 

@@ -74,12 +74,108 @@ def inst_regret(tau, tau_star: float, gstar, params: LossParams) -> np.ndarray:
     return np.array(regret, dtype=float)[where]
 
 
+# Constant stretches shorter than this take scalar steps: a grid run costs
+# about as much as ten of them.
+MIN_GRID_RUN = 12
+
+# Grid runs need |x/u - (r + 1/2)| above this: the float error of the sum
+# and of x/u is below 3.4e-4 grid units, so the rounding is then decided.
+HALF_UNIT_MARGIN = 1e-3
+
+
+def _step(c: float, x: float) -> float:
+    return float(f"{c + x:.12g}")
+
+
+def _grid_run(out, k: int, end: int, c: float, x: float) -> int:
+    """Write steps c <- _step(c, x) on c's 12-digit grid into out[k:end].
+
+    c = N * u with u = 10**(e-11) for c in [10**e, 10**(e+1)).  While the
+    sum stays in that decade, each step adds r = round(x/u) grid units, so
+    step j is (N + j*r) / 10**(11-e): one correctly rounded division of
+    exact integers, as `float` of the 12-digit string is.  Returns how
+    many steps were written, up to the decade edge.  0 means the rule is
+    unproven here and one scalar step must be taken: c is not positive, x
+    is negative, either is not finite or not 12-digit rounded, 11-e is
+    outside [0, 22] (10**22 is the largest exact power of ten), x/u is
+    within HALF_UNIT_MARGIN of a half unit, or the first step leaves the
+    decade.
+    """
+    if not (0.0 < c < POS_INF and 0.0 <= x < POS_INF and _step(0.0, x) == x):
+        return 0
+    digits, _, exponent = f"{c:.11e}".partition("e")
+    shift = 11 - int(exponent)
+    if not 0 <= shift <= 22:
+        return 0
+    scale = float(10 ** shift)
+    n = int(digits.replace(".", ""))
+    if n / scale != c:
+        return 0
+    q = x * scale
+    if not q < 10**12 or abs(q - math.floor(q) - 0.5) <= HALF_UNIT_MARGIN:
+        return 0
+    r = math.floor(q + 0.5)
+    if not r:
+        out[k:end] = c
+        return end - k
+    m = min(end - k, (10**12 - 1 - n) // r)
+    if m:
+        np.divide(np.arange(n + r, n + r * m + 1, r, dtype=np.int64), scale,
+                  out=out[k:k + m])
+    return m
+
+
 def cum_regret(inst) -> np.ndarray:
-    """Running sum of a per-round regret column, folded in round order."""
-    # round at 12 significant digits (the CSV precision) each step, so a
-    # reader re-summing the emitted trace reproduces cum_regret exactly
-    fold = accumulate(np.asarray(inst).tolist(), lambda c, x: float(f"{c + x:.12g}"))
-    return np.fromiter(fold, dtype=float, count=len(inst))
+    """Running sum of a per-round regret column, folded in round order.
+
+    Each step rounds the sum at 12 significant digits, the CSV precision,
+    so a reader re-summing the emitted trace reproduces cum_regret exactly:
+    c_1 = x_1 and c_t = float(f"{c_{t-1} + x_t:.12g}").  The result is that
+    fold bit for bit, but a constant stretch of x of length MIN_GRID_RUN or
+    more is folded as grid runs (`_grid_run`).  Let c lie in the decade
+    [10**e, 10**(e+1)) on the grid u = 10**(e-11), and let x be finite,
+    nonnegative and 12-digit rounded.  Then every step inside the decade
+    adds the same r = round(x/u) grid units.  Where that is unproven the
+    scalar step is taken: on the first round, on short stretches, and
+    where x, c, the exponent, a half-unit tie or a decade edge rules the
+    grid run out.
+    """
+    inst = np.asarray(inst, dtype=float)
+    out = np.empty(len(inst))
+    if not len(inst):
+        return out
+    bits = inst.view(np.int64)
+    edges = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    starts = np.concatenate(([1], edges[edges > 1]))
+    ends = np.append(starts[1:], len(inst))
+    long = ends - starts >= MIN_GRID_RUN
+    c = out[0] = float(inst[0])
+    pos = 1
+    for start, end in zip(starts[long].tolist(), ends[long].tolist()):
+        c = _fold_scalar(inst, out, pos, start, c)
+        x = float(inst[start])
+        k = start
+        while k < end:
+            m = _grid_run(out, k, end, c, x)
+            if m:
+                k += m
+                c = float(out[k - 1])
+            else:
+                c = out[k] = _step(c, x)
+                k += 1
+        pos = end
+    _fold_scalar(inst, out, pos, len(inst), c)
+    return out
+
+
+def _fold_scalar(inst, out, start: int, end: int, c: float) -> float:
+    """Fold inst[start:end] step by step into out, from running sum c."""
+    if start < end:
+        fold = accumulate(inst[start:end].tolist(), _step, initial=c)
+        next(fold)
+        out[start:end] = np.fromiter(fold, dtype=float, count=end - start)
+        c = float(out[end - 1])
+    return c
 
 
 def coverage_rate(covered) -> np.ndarray:

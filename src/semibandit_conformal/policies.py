@@ -106,13 +106,16 @@ class Policy:
         """Consume the round's feedback: the observed score, or None on a miss.
 
         A miss records the proposed threshold in place of the hidden score.
+        A score that is not >= tau, NaN included, breaks the contract.
         """
-        if observed is not None and observed < self.tau:
+        tau = self.tau
+        # `not >=` so that a NaN score fails too
+        if observed is not None and not observed >= tau:
             raise PolicyContractError(
-                f"observed score {observed} below proposed threshold {self.tau}"
+                f"observed score {observed} not at or above proposed threshold {tau}"
             )
         self.t += 1
-        self._apply(self.tau if observed is None else observed, observed is not None)
+        self._apply(tau if observed is None else observed, observed is not None)
 
     def _apply(self, recorded: float, observed: bool) -> None:
         raise NotImplementedError
@@ -126,8 +129,9 @@ class SpsPolicy(Policy):
         self.ecdf = TruncatedEcdf(spec.horizon)
 
     def _apply(self, recorded: float, observed: bool) -> None:
-        self.ecdf.insert(recorded)
-        cutoff = self.ecdf.conformal_cutoff(self.alpha)
+        ecdf = self.ecdf
+        ecdf.insert(recorded)
+        cutoff = ecdf.conformal_cutoff(self.alpha)
         if cutoff > self.tau:
             self.tau = cutoff
 

@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semibandit_conformal import cdf_band
 from semibandit_conformal.cdf_band import (
+    LEVEL_TOL,
     NEG_INF,
     POS_INF,
     TruncatedEcdf,
@@ -336,6 +339,43 @@ class TestSupQuantile:
         assert order_index(10, 0.1) == 1  # boundary tie admitted
         assert order_index(10, 1 - 0.9) == 1  # 1 - 0.9 < 0.1 in binary
         assert order_index(10, 0.999) == 9
+
+    @staticmethod
+    def floor_form_order_index(n, level):
+        """Reference: the start clamped with floor/min/max, then adjusted."""
+        m = min(max(int(math.floor(n * level)), 0), n - 1)
+        while m + 1 < n and (m + 1) / n <= level + LEVEL_TOL:
+            m += 1
+        while m > 0 and m / n > level + LEVEL_TOL:
+            m -= 1
+        return m
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**7), st.data())
+    def test_order_index_matches_floor_form(self, n, data):
+        k = data.draw(st.integers(0, n))
+        levels = [data.draw(st.floats(-LEVEL_TOL, 1.0, exclude_max=True)), -LEVEL_TOL]
+        for base in (k / n, k / n - LEVEL_TOL, k / n + LEVEL_TOL):
+            levels += [base, math.nextafter(base, -math.inf), math.nextafter(base, math.inf)]
+        for level in levels:
+            if -LEVEL_TOL <= level < 1.0:
+                assert order_index(n, level) == self.floor_form_order_index(n, level)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 10**7), st.integers(1, 200), st.floats(0.01, 0.99))
+    def test_cutoff_band_width_is_epsilon(self, horizon, n, alpha):
+        e = TruncatedEcdf(horizon)
+        for i in range(n):
+            e.insert(i / n)
+        eps = e.epsilon()
+        assert eps == band_epsilon(2.0 / horizon**2, n)
+        with mock.patch.object(cdf_band, "order_index", wraps=order_index) as index:
+            e.conformal_cutoff(alpha)
+        # the level the cutoff queried carries epsilon() bit for bit
+        if index.called:
+            assert index.call_args.args == (n, 1.0 - alpha - eps)
+        else:
+            assert 1.0 - alpha - eps < -LEVEL_TOL
 
 
 class TestRetruncationEquivalence:

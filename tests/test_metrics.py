@@ -1,10 +1,12 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semibandit_conformal import metrics
 from semibandit_conformal.cdf_band import NEG_INF, POS_INF
 from semibandit_conformal.metrics import (
     LossParams,
@@ -106,6 +108,32 @@ class TestInstRegret:
         assert got.tolist() == want
 
 
+def scalar_cum_regret(inst) -> np.ndarray:
+    """Reference fold: round the running sum at 12 digits every round."""
+    fold = accumulate(np.asarray(inst, dtype=float).tolist(),
+                      lambda c, x: float(f"{c + x:.12g}"))
+    return np.fromiter(fold, dtype=float, count=len(inst))
+
+
+# 12-digit values from 1e-15 to 1e4, log-uniform over the decades
+DIGITS12 = st.builds(lambda m, e: float(f"{m * 10.0**e:.12g}"),
+                     st.floats(1.0, 9.999), st.integers(-15, 3))
+STRETCH_VALUES = st.one_of(
+    DIGITS12,
+    st.just(0.0),
+    # x/u exactly on a half unit for sums in some decade
+    st.sampled_from([5e-12, 1.5e-11, 5e-13, 2.5e-10, 5e-6, 1.5e-3, 0.5]),
+    # not 12-digit rounded
+    st.floats(1e-15, 1e4),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -1e-3]),
+)
+FIRST_VALUES = st.one_of(
+    DIGITS12, st.floats(0.0, 1e4),
+    # just below a decade edge, so the next stretch crosses it
+    st.sampled_from([9.9, 9.99999999999, 0.0999999, 99.9999999]),
+)
+
+
 class TestCumRegret:
     def test_sequential_fold_at_12_digits(self):
         inst = [0.1, 0.2, 1e-13, 0.3] * 50
@@ -114,6 +142,34 @@ class TestCumRegret:
             cum = float(f"{cum + x:.12g}")
             want.append(cum)
         assert cum_regret(np.array(inst)).tolist() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(FIRST_VALUES,
+           st.lists(st.tuples(STRETCH_VALUES, st.integers(1, 400)), max_size=8))
+    def test_stretch_fold_matches_scalar_fold(self, first, stretches):
+        inst = np.array([first] + [x for x, length in stretches for _ in range(length)])
+        assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
+
+    @pytest.mark.parametrize("inst", [
+        [9.99] + [1e-4] * 500,              # crosses 10 mid-stretch
+        [0.0999999] + [1e-9] * 300,         # crosses 0.1 after 100 steps
+        [1.0] + [5e-12] * 50,               # every step is a half-unit tie
+        [1.0] + [1.5e-11] * 50,
+        [0.1 + 0.2] + [0.3] * 50,           # first element not 12-digit rounded
+        [1e-13] + [1e-13] * 300,            # sums below 1e-11 take scalar steps
+        [0.0] * 40 + [2.0] * 40 + [0.0] * 40,
+        [], [0.7], [math.nan] * 20, [math.inf] + [1.0] * 20,
+    ])
+    def test_edge_cases_match_scalar_fold(self, inst):
+        assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
+
+    def test_constant_stretch_skips_scalar_steps(self, monkeypatch):
+        calls = []
+        step = metrics._step
+        monkeypatch.setattr(metrics, "_step", lambda c, x: calls.append(1) or step(c, x))
+        inst = np.repeat([0.0123, 0.000456, 0.0], 10000)
+        assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
+        assert len(calls) < 20
 
 
 class TestTraceAggregates:

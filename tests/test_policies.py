@@ -54,6 +54,19 @@ class TestUpdate:
         assert p.t == len(self.ROUNDS)
 
 
+    @pytest.mark.parametrize("kind,kw", [
+        ("sps", {}), ("greedy", {}), ("aci", {"gamma": 0.01}), ("dlr", {"tau_init": 0.0}),
+        ("etc", {"explore_rounds": 100}), ("con_etc", {"explore_rounds": 100})])
+    def test_nan_score_breaks_contract(self, kind, kw):
+        # nan < tau is False too, so only `not nan >= tau` catches it
+        p = spec(kind, **kw).build()
+        for _ in range(3):
+            p.update(max(p.tau, 0.0) + 0.5)
+        with pytest.raises(PolicyContractError):
+            p.update(math.nan)
+        assert p.t == 3
+
+
 class TestPolicySpec:
     def test_unknown_kind(self):
         with pytest.raises(PolicyConfigError):
