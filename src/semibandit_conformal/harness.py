@@ -10,6 +10,13 @@ derived from them.  Outputs (floats at 12 significant digits,
     sweep.csv    policy,param,value,mean_final_regret,selected
     trace.csv    run_id,policy,t,tau,covered,inst_regret,cum_regret,undercover,set_size
     meta.json    timestamp sidecar (the only nondeterministic output)
+
+Output is rendered from columns, not from per-round objects.  Summary
+rows reduce one (checkpoint x run) matrix per metric.  trace.csv is one
+string per run: each column becomes a list of field strings and the
+lists are interleaved into rows.  A column that repeats (tau,
+inst_regret, the flags, set_size) is formatted once per distinct bit
+pattern, so -0.0 still prints ``-0``; cum_regret is formatted per round.
 """
 
 from __future__ import annotations
@@ -97,25 +104,34 @@ class BatchResult:
     selected: dict[str, str]    # policy_id -> winning grid_key
 
 
-def _ci_halfwidth(values: np.ndarray) -> float:
-    if len(values) < 2:
-        return 0.0
-    return 1.96 * float(np.std(values, ddof=1)) / math.sqrt(len(values))
-
-
 def _aggregate(policy_id: str, runs: list[RunColumns],
                checkpoints: list[int]) -> list[tuple]:
-    metrics = ("cum_regret", "coverage_rate", "undercoverage_count")
-    per_run = [(run.cum_regret, coverage_rate(run.covered),
-                undercoverage_count(run.undercover)) for run in runs]
-    rows = []
-    for t in checkpoints:
-        for col, metric in enumerate(metrics):
-            vals = np.array([columns[col][t - 1] for columns in per_run], dtype=float)
-            mean = float(np.mean(vals))
-            half = _ci_halfwidth(vals)
-            rows.append((policy_id, t, metric, mean, mean - half, mean + half))
-    return rows
+    """Summary rows: mean and 95% CI of each metric at each checkpoint.
+
+    Each metric is one C-contiguous (checkpoint x run) matrix, so every
+    row reduces as one contiguous 1-D sum, the same pairwise sum that
+    `np.mean` gives one checkpoint's values; a strided reduction over the
+    transpose would sum in another order.
+    """
+    at = np.asarray(checkpoints) - 1
+    n = len(runs)
+    columns = {
+        "cum_regret": [run.cum_regret[at] for run in runs],
+        "coverage_rate": [coverage_rate(run.covered)[at] for run in runs],
+        "undercoverage_count": [undercoverage_count(run.undercover)[at] for run in runs],
+    }
+    per_metric = []
+    for metric, cols in columns.items():
+        matrix = np.stack(cols, axis=1, dtype=float)
+        mean = matrix.mean(axis=1)
+        # one run: the CI degenerates to zero width (run_batch warns)
+        half = (1.96 * matrix.std(axis=1, ddof=1) / math.sqrt(n) if n > 1
+                else np.zeros_like(mean))
+        per_metric.append((metric, mean.tolist(), (mean - half).tolist(),
+                           (mean + half).tolist()))
+    return [(policy_id, t, metric, mean[i], lo[i], hi[i])
+            for i, t in enumerate(checkpoints)
+            for metric, mean, lo, hi in per_metric]
 
 
 def run_batch(cfg: ExperimentConfig) -> BatchResult:
@@ -172,9 +188,15 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
 # ---------------------------------------------------------------------------
 
 
+# 12 significant digits; the sentinels serialize as '-inf' and 'inf'
+FLOAT_FORMAT = "%.12g"
+# a trace field and the comma after it
+FLOAT_FIELD = FLOAT_FORMAT + ","
+INT_FIELD = "%d,"
+
+
 def _fmt(x: float) -> str:
-    """12 significant digits; the sentinels serialize as '-inf' and 'inf'."""
-    return f"{x:.12g}"
+    return FLOAT_FORMAT % x
 
 
 def _render_summary(rows) -> str:
@@ -191,19 +213,50 @@ def _render_sweep(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _distinct_strings(col: np.ndarray, fmt) -> list[str]:
+    """`fmt(x)` for every entry x, called once per distinct entry.
+
+    Floats are told apart by bits, not value: -0.0 and 0.0 are equal but
+    print apart.
+    """
+    keys, inverse = np.unique(col.view(np.int64) if col.dtype.kind == "f" else col,
+                              return_inverse=True)
+    strings = np.array([fmt(x) for x in keys.view(col.dtype).tolist()], dtype=object)
+    return strings[inverse].tolist()
+
+
+def _size_field(n: int) -> str:
+    return "\n" if n < 0 else f"{n}\n"
+
+
 def _render_trace(traces) -> str:
-    lines = ["run_id,policy,t,tau,covered,inst_regret,cum_regret,undercover,set_size"]
+    """One string per run, built column by column (see the module doc).
+
+    Each field string carries the separator after it; the t strings are
+    made once for all runs of one length.
+    """
+    chunks = ["run_id,policy,t,tau,covered,inst_regret,cum_regret,undercover,set_size\n"]
+    rounds: dict[int, list[str]] = {}
     for run_id, policy, run in traces:
-        sizes = repeat("") if run.set_size is None else [
-            "" if n < 0 else str(n) for n in run.set_size.tolist()]
-        rounds = zip(run.tau.tolist(), run.covered.tolist(), run.inst_regret.tolist(),
-                     run.cum_regret.tolist(), run.undercover.tolist(), sizes)
-        for t, (tau, covered, inst, cum, under, size) in enumerate(rounds, start=1):
-            lines.append(
-                f"{run_id},{policy},{t},{_fmt(tau)},{int(covered)},"
-                f"{_fmt(inst)},{_fmt(cum)},{int(under)},{size}"
-            )
-    return "\n".join(lines) + "\n"
+        n = len(run.tau)
+        if n not in rounds:
+            rounds[n] = [INT_FIELD % t for t in range(1, n + 1)]
+        fields = (
+            repeat(f"{run_id},{policy},", n),
+            rounds[n],
+            _distinct_strings(run.tau, FLOAT_FIELD.__mod__),
+            _distinct_strings(run.covered, INT_FIELD.__mod__),
+            _distinct_strings(run.inst_regret, FLOAT_FIELD.__mod__),
+            map(FLOAT_FIELD.__mod__, run.cum_regret.tolist()),
+            _distinct_strings(run.undercover, INT_FIELD.__mod__),
+            repeat("\n", n) if run.set_size is None
+            else _distinct_strings(run.set_size, _size_field),
+        )
+        pieces = [""] * (len(fields) * n)
+        for i, column in enumerate(fields):
+            pieces[i::len(fields)] = column
+        chunks.append("".join(pieces))
+    return "".join(chunks)
 
 
 def emit_csv(result: BatchResult, cfg: ExperimentConfig) -> dict[str, str]:

@@ -4,7 +4,8 @@ Each config runs at T = 2000 (the without-replacement log at T = 400)
 with 2 runs and the trace on.  The digests were recorded before the run
 core moved to numpy columns (the bid-pool auction's before its bids moved
 behind `EmpiricalDist`; the pointmix, beta, gaussian and
-without-replacement configs' before runs drew their scores as one block);
+without-replacement configs' before runs drew their scores as one block,
+the negative-zero config's before the trace was rendered by column);
 a change that alters any emitted byte (a threshold, a regret fold, a
 coverage mean, a set size) fails here.  The two score-log configs are the
 only ones whose trace has a non-empty ``set_size`` column.
@@ -150,6 +151,27 @@ kind = etc
 m = 100
 """
 
+# dlr starts at tau_init = -0, so its first trace row prints "-0": the
+# trace renderer must keep -0.0 apart from 0.0
+NEGATIVE_ZERO_CONFIG = """\
+[experiment]
+alpha = 0.9
+seed = 19
+
+[environment]
+kind = synthetic
+distribution = uniform
+a = -1.0
+b = 1.0
+
+[policy:sps]
+kind = sps
+
+[policy:dlr]
+kind = dlr
+tau_init = -0
+"""
+
 # inline configs: (template, package data file it reads or None, horizon)
 INLINE = {
     "score_log": (SCORE_LOG_CONFIG, "example_scores.csv", 2000),
@@ -158,6 +180,7 @@ INLINE = {
     "beta": (BETA_CONFIG, None, 2000),
     "gaussian": (GAUSSIAN_CONFIG, None, 2000),
     "score_log_without_replacement": (SCORE_LOG_WOR_CONFIG, "example_scores.csv", 400),
+    "negative_zero_tau": (NEGATIVE_ZERO_CONFIG, None, 2000),
 }
 
 GOLDEN = {
@@ -196,6 +219,10 @@ GOLDEN = {
     "score_log_without_replacement": {
         "summary.csv": "bb68d23161c2a207b295298020a875c5c99e7e566aa0e56f755d64222c9e9c48",
         "trace.csv": "d1bf2cab458c1485a564a47eda0c276fa401f417f72f63744aee5c39b325726f",
+    },
+    "negative_zero_tau": {
+        "summary.csv": "7be3846591edd3db32ca92facbd69a5ce8a9e99d6e0d15caf9ee15de642ceb15",
+        "trace.csv": "0642d7f345474447c23e69d0f5fd6e21443345d7027a11e2ab97ef7387343779",
     },
 }
 

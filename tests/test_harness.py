@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semibandit_conformal import harness
 from semibandit_conformal.cdf_band import NEG_INF
@@ -31,7 +33,13 @@ from semibandit_conformal.harness import (
     run_batch,
     run_single,
 )
-from semibandit_conformal.metrics import LossParams, loss_phi
+from semibandit_conformal.metrics import (
+    LossParams,
+    RunColumns,
+    coverage_rate,
+    loss_phi,
+    undercoverage_count,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -688,6 +696,102 @@ class TestEmitCsv:
         with pytest.raises(OutputError):
             emit_csv(result, cfg)
         assert not (blocker / "res" / "summary.csv").exists()
+
+
+def reference_render_trace(traces):
+    """The row-by-row trace renderer: one f-string and three formats a row."""
+    lines = ["run_id,policy,t,tau,covered,inst_regret,cum_regret,undercover,set_size"]
+    for run_id, policy, run in traces:
+        sizes = [""] * len(run.tau) if run.set_size is None else [
+            "" if n < 0 else str(n) for n in run.set_size.tolist()]
+        rounds = zip(run.tau.tolist(), run.covered.tolist(), run.inst_regret.tolist(),
+                     run.cum_regret.tolist(), run.undercover.tolist(), sizes)
+        for t, (tau, covered, inst, cum, under, size) in enumerate(rounds, start=1):
+            lines.append(
+                f"{run_id},{policy},{t},{tau:.12g},{int(covered)},"
+                f"{inst:.12g},{cum:.12g},{int(under)},{size}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def reference_aggregate(policy_id, runs, checkpoints):
+    """Summary rows from one 1-D mean and std per (checkpoint, metric)."""
+    per_run = [(run.cum_regret, coverage_rate(run.covered),
+                undercoverage_count(run.undercover)) for run in runs]
+    rows = []
+    for t in checkpoints:
+        for col, metric in enumerate(("cum_regret", "coverage_rate", "undercoverage_count")):
+            vals = np.array([columns[col][t - 1] for columns in per_run], dtype=float)
+            mean = float(np.mean(vals))
+            half = (0.0 if len(vals) < 2 else
+                    1.96 * float(np.std(vals, ddof=1)) / math.sqrt(len(vals)))
+            rows.append((policy_id, t, metric, mean, mean - half, mean + half))
+    return rows
+
+
+# values that repeat, print alike as floats but not as bits, or are sentinels
+SPECIAL = st.sampled_from([-0.0, 0.0, NEG_INF, math.inf, 0.1, 1e-5, 123456789012.5])
+TRACE_FLOAT = st.one_of(SPECIAL, st.floats(allow_nan=False))
+
+
+@st.composite
+def float_column(draw, n, longest):
+    """n floats in stretches of up to `longest` equal values."""
+    values = []
+    while len(values) < n:
+        values += [draw(TRACE_FLOAT)] * draw(st.integers(1, longest))
+    return np.array(values[:n])
+
+
+@st.composite
+def trace_run(draw):
+    n = draw(st.integers(1, 60))
+    flags = st.integers(0, 2**n - 1).map(
+        lambda bits: np.array([bits >> i & 1 for i in range(n)], dtype=bool))
+    sizes = st.none() | st.lists(st.integers(-1, 12), min_size=n, max_size=n).map(
+        lambda xs: np.array(xs, dtype=np.int64))
+    # tau and inst_regret come in long constant stretches, cum_regret not
+    return RunColumns(tau=draw(float_column(n, 30)), covered=draw(flags),
+                      set_size=draw(sizes), inst_regret=draw(float_column(n, 30)),
+                      cum_regret=draw(float_column(n, 2)), undercover=draw(flags))
+
+
+POLICY_ID = st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True)
+
+
+def zero_signs_run():
+    """-0.0 and 0.0 in one tau column, beside a set size of -1."""
+    tau = np.array([-0.0, 0.0, 0.0, -0.0, math.inf, NEG_INF])
+    flags = np.array([True, False, True, False, True, False])
+    return RunColumns(tau=tau, covered=flags, set_size=np.array([-1, 0, 3, -1, 2, 0]),
+                      inst_regret=np.array([0.0, -0.0, 1.5, 1.5, 1.5, 0.0]),
+                      cum_regret=np.array([0.0, -0.0, 1.5, 3.0, 4.5, 4.5]),
+                      undercover=~flags)
+
+
+class TestTraceRender:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 200), POLICY_ID, trace_run()), max_size=3))
+    @example([(0, "dlr", zero_signs_run()), (1, "a.b-c_d", zero_signs_run())])
+    def test_matches_row_by_row_renderer(self, traces):
+        assert harness._render_trace(traces) == reference_render_trace(traces)
+
+
+class TestAggregate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 8, 9, 17, 129]), st.integers(1, 400),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_checkpoint_reduction(self, n_runs, horizon, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-6, 7)
+        runs = [RunColumns(tau=np.zeros(horizon), covered=rng.random(horizon) < 0.9,
+                           set_size=None, inst_regret=np.zeros(horizon),
+                           cum_regret=np.cumsum(rng.random(horizon) * scale),
+                           undercover=rng.random(horizon) < 0.1)
+                for _ in range(n_runs)]
+        checkpoints = checkpoint_grid(horizon)
+        assert (harness._aggregate("sps", runs, checkpoints)
+                == reference_aggregate("sps", runs, checkpoints))
 
 
 class TestCli:
