@@ -74,24 +74,18 @@ BLOCK_ROUNDS = 4096
 def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int) -> RunColumns:
     """One (environment, policy, seed) trajectory of exactly T rounds.
 
-    The environment draws all T scores up front; the loop then plays the
-    policy over them with semi-bandit feedback (the score when it clears
-    tau, else None).  Coverage and set sizes follow from the columns.
+    The environment draws all T scores up front; the policy then plays
+    them block by block with semi-bandit feedback (`Policy.play`: a
+    score that clears tau is observed, any other is a miss).  Coverage
+    and set sizes follow from the columns.
     """
     env = cfg.environment.built
     scores, candidates = env.draw(np.random.default_rng(seed), cfg.horizon)
-    policy = spec.build()
-    update = policy.update
+    play = spec.build().play
     taus = np.empty(cfg.horizon)
-    block: list[float] = []
-    append = block.append
     for start in range(0, cfg.horizon, BLOCK_ROUNDS):
-        for score in scores[start:start + BLOCK_ROUNDS].tolist():
-            tau = policy.tau
-            append(tau)
-            update(score if score >= tau else None)
-        taus[start:start + len(block)] = block
-        block.clear()
+        block = slice(start, start + BLOCK_ROUNDS)
+        taus[block] = play(scores[block].tolist())
     return RunColumns.derive(taus, scores >= taus, set_size(candidates, taus),
                              env.oracle_tau_star(cfg.alpha), env.oracle_cdf(), cfg.loss)
 
@@ -259,12 +253,19 @@ def _render_trace(traces) -> str:
     return "".join(chunks)
 
 
+# every file `emit_csv` may write
+RESULT_FILES = ("summary.csv", "sweep.csv", "trace.csv", "meta.json")
+
+
 def emit_csv(result: BatchResult, cfg: ExperimentConfig) -> dict[str, str]:
     """Write summary/sweep/trace CSVs plus the timestamp sidecar.
 
     Every body is rendered and written to a temporary file in the output
     directory before any is moved into place with `os.replace`, so a
     failure leaves the earlier result files whole, never a truncated one.
+    Once all are in place, result files this run did not write (an
+    earlier run's trace.csv or sweep.csv) are removed, so every result
+    file in the directory comes from this run.
     """
     if not result.summary_rows:
         raise ValueError("nothing to emit: empty batch result")
@@ -292,6 +293,10 @@ def emit_csv(result: BatchResult, cfg: ExperimentConfig) -> dict[str, str]:
         written = {name: os.path.join(cfg.out_dir, name) for name in bodies}
         for name, temp in temps.items():
             os.replace(temp, written[name])
+        for name in RESULT_FILES:
+            if name not in bodies:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(os.path.join(cfg.out_dir, name))
     except OSError as exc:
         for temp in temps.values():
             with contextlib.suppress(OSError):

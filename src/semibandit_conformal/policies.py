@@ -18,6 +18,15 @@ Policies:
 * etc      -- explore (tau = -inf) for m rounds, then commit to the plain
               empirical sup-quantile.
 * con_etc  -- explore-then-commit using the banded sup-quantile.
+
+Each policy writes its recurrence once, as `play(scores)`: one round per
+score over a block, returning the thresholds it proposed.  A score
+`>= tau` is observed; any other score, NaN included, is a miss that
+records tau.  `update` is the per-round form, one `play` of one score.
+The baselines play their blocks in local-variable loops.  SPS plays
+through `update` instead, so that each of its rounds is one `update`
+call: a tracer that counts SPS rounds, or wraps the method, sees every
+round.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 
-from .cdf_band import NEG_INF, TruncatedEcdf, sup_quantile
+from .cdf_band import NEG_INF, POS_INF, TruncatedEcdf, order_index
 
 POLICY_KINDS = ("sps", "greedy", "aci", "dlr", "etc", "con_etc")
 
@@ -36,9 +45,17 @@ ETC_M_GRID = (100, 250, 500, 1000)
 
 DLR_EXPONENT_OFFSET = 0.1  # step size eta_t = t^(-1/2 - offset)
 
+# The score `update` plays for a miss: no threshold admits NaN.
+MISS = math.nan
+
 
 class PolicyContractError(RuntimeError):
     """Feedback inconsistent with the threshold the policy proposed."""
+
+
+def _contract_error(observed: float, tau: float) -> PolicyContractError:
+    return PolicyContractError(
+        f"observed score {observed} not at or above proposed threshold {tau}")
 
 
 class PolicyConfigError(ValueError):
@@ -89,8 +106,9 @@ class Policy:
     """Base propose/update contract.
 
     `propose` returns the current threshold without mutating state;
-    `update` consumes the round's feedback.  The round index `t` counts
-    completed updates.  Subclasses implement `_apply(recorded, observed)`.
+    `update` consumes one round's feedback and `play` a block of rounds.
+    The round index `t` counts completed rounds.  Subclasses implement
+    `play`.
     """
 
     def __init__(self, spec: PolicySpec):
@@ -108,16 +126,17 @@ class Policy:
         A miss records the proposed threshold in place of the hidden score.
         A score that is not >= tau, NaN included, breaks the contract.
         """
-        tau = self.tau
         # `not >=` so that a NaN score fails too
-        if observed is not None and not observed >= tau:
-            raise PolicyContractError(
-                f"observed score {observed} not at or above proposed threshold {tau}"
-            )
-        self.t += 1
-        self._apply(tau if observed is None else observed, observed is not None)
+        if observed is not None and not observed >= self.tau:
+            raise _contract_error(observed, self.tau)
+        self.play([MISS if observed is None else observed])
 
-    def _apply(self, recorded: float, observed: bool) -> None:
+    def play(self, scores: list[float]) -> list[float]:
+        """Play one round per score; return the thresholds proposed.
+
+        A score `>= tau` is observed; any other score is a miss.  A block
+        that raises leaves the policy part-way through it.
+        """
         raise NotImplementedError
 
 
@@ -128,12 +147,27 @@ class SpsPolicy(Policy):
         super().__init__(spec)
         self.ecdf = TruncatedEcdf(spec.horizon)
 
-    def _apply(self, recorded: float, observed: bool) -> None:
+    def update(self, observed: float | None) -> None:
+        tau = self.tau
+        if observed is not None and not observed >= tau:
+            raise _contract_error(observed, tau)
+        self.t += 1
         ecdf = self.ecdf
-        ecdf.insert(recorded)
+        ecdf.insert(tau if observed is None else observed)
         cutoff = ecdf.conformal_cutoff(self.alpha)
-        if cutoff > self.tau:
+        if cutoff > tau:
             self.tau = cutoff
+
+    def play(self, scores: list[float]) -> list[float]:
+        # round by round through `update` (see the module doc)
+        update = self.update
+        taus = []
+        append = taus.append
+        for score in scores:
+            tau = self.tau
+            append(tau)
+            update(score if score >= tau else None)
+        return taus
 
 
 class GreedyPolicy(Policy):
@@ -147,9 +181,20 @@ class GreedyPolicy(Policy):
         super().__init__(spec)
         self.ecdf = TruncatedEcdf(spec.horizon)
 
-    def _apply(self, recorded: float, observed: bool) -> None:
-        self.ecdf.insert(recorded)
-        self.tau = self.ecdf.conformal_cutoff(self.alpha, epsilon=0.0)
+    def play(self, scores: list[float]) -> list[float]:
+        insert = self.ecdf.insert
+        cutoff = self.ecdf.conformal_cutoff
+        alpha = self.alpha
+        tau = self.tau
+        taus = []
+        append = taus.append
+        for score in scores:
+            append(tau)
+            insert(score if score >= tau else tau)
+            tau = cutoff(alpha, epsilon=0.0)
+        self.t += len(scores)
+        self.tau = tau
+        return taus
 
 
 class AciPolicy(Policy):
@@ -160,6 +205,10 @@ class AciPolicy(Policy):
     beta to [0,1] but the budget itself may drift outside.  The score
     ECDF is only extended on observed rounds, which is exactly the biased
     update this baseline is meant to exhibit.
+
+    tau is `sup_quantile(observed_scores, min(max(beta, 0), 1))`, with
+    the sentinel folded in: +inf when beta >= 1, else the order statistic
+    at `order_index(n, max(beta, 0))` (the clamp rules out the -inf case).
     """
 
     def __init__(self, spec: PolicySpec):
@@ -167,16 +216,32 @@ class AciPolicy(Policy):
         self.beta = 1.0 - spec.alpha
         self.observed_scores: list[float] = []
 
-    def _apply(self, recorded: float, observed: bool) -> None:
-        err = 0.0 if observed else 1.0
-        self.beta += self.spec.gamma * ((1.0 - self.alpha) - err)
-        if observed:
-            insort(self.observed_scores, recorded)
-        if not self.observed_scores:
-            self.tau = NEG_INF
-        else:
-            level = min(max(self.beta, 0.0), 1.0)
-            self.tau = sup_quantile(self.observed_scores, level)
+    def play(self, scores: list[float]) -> list[float]:
+        gamma = self.spec.gamma
+        covered_step = gamma * ((1.0 - self.alpha) - 0.0)
+        missed_step = gamma * ((1.0 - self.alpha) - 1.0)
+        observed_scores = self.observed_scores
+        beta = self.beta
+        tau = self.tau
+        taus = []
+        append = taus.append
+        for score in scores:
+            append(tau)
+            if score >= tau:
+                beta += covered_step
+                insort(observed_scores, score)
+            else:
+                beta += missed_step
+            if not observed_scores:
+                tau = NEG_INF
+            elif beta >= 1.0:
+                tau = POS_INF
+            else:
+                tau = observed_scores[order_index(len(observed_scores), max(beta, 0.0))]
+        self.t += len(scores)
+        self.beta = beta
+        self.tau = tau
+        return taus
 
 
 class DlrPolicy(Policy):
@@ -186,10 +251,22 @@ class DlrPolicy(Policy):
         super().__init__(spec)
         self.tau = spec.tau_init
 
-    def _apply(self, recorded: float, observed: bool) -> None:
-        eta = self.t ** (-(0.5 + DLR_EXPONENT_OFFSET))
-        err = 0.0 if observed else 1.0
-        self.tau += eta * ((1.0 - self.alpha) - err)
+    def play(self, scores: list[float]) -> list[float]:
+        exponent = -(0.5 + DLR_EXPONENT_OFFSET)
+        covered_step = (1.0 - self.alpha) - 0.0
+        missed_step = (1.0 - self.alpha) - 1.0
+        t = self.t
+        tau = self.tau
+        taus = []
+        append = taus.append
+        for score in scores:
+            append(tau)
+            t += 1
+            eta = t ** exponent
+            tau += eta * (covered_step if score >= tau else missed_step)
+        self.t = t
+        self.tau = tau
+        return taus
 
 
 class EtcPolicy(Policy):
@@ -204,11 +281,17 @@ class EtcPolicy(Policy):
         self.explore_rounds = spec.explore_rounds
         self.ecdf = TruncatedEcdf(spec.horizon)
 
-    def _apply(self, recorded: float, observed: bool) -> None:
-        if self.t <= self.explore_rounds:
-            self.ecdf.insert(recorded)
-            if self.t == self.explore_rounds:
-                self.tau = self._commit()
+    def play(self, scores: list[float]) -> list[float]:
+        m = self.explore_rounds
+        explore = min(max(m - self.t, 0), len(scores))
+        tau = self.tau
+        insert = self.ecdf.insert
+        for score in scores[:explore]:
+            insert(score if score >= tau else tau)
+        if explore and self.t + explore == m:
+            self.tau = self._commit()
+        self.t += len(scores)
+        return [tau] * explore + [self.tau] * (len(scores) - explore)
 
     def _commit(self) -> float:
         return self.ecdf.conformal_cutoff(self.alpha, epsilon=0.0)

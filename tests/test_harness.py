@@ -639,6 +639,24 @@ class TestEmitCsv:
             emit_csv(run_batch(rerun), rerun)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_rerun_removes_results_it_did_not_write(self, tmp_path):
+        # a traced sweep, then a rerun with neither trace nor sweep into the
+        # same directory: the old trace.csv and sweep.csv must not stay
+        # beside the new summary.csv
+        out = tmp_path / "res"
+        cfg = small_cfg(policies=[
+            PolicyEntry(policy_id="sps", kind="sps"),
+            PolicyEntry(policy_id="etc", kind="etc", grid=("m", (10, 50))),
+        ], horizon=100, runs=2, trace=True, out=str(out))
+        emit_csv(run_batch(cfg), cfg)
+        (out / "notes.txt").write_text("not a result file")
+        assert {p.name for p in out.iterdir()} == {
+            "summary.csv", "sweep.csv", "trace.csv", "meta.json", "notes.txt"}
+        rerun = dataclasses.replace(cfg, policies=cfg.policies[:1], trace=False)
+        written = emit_csv(run_batch(rerun), rerun)
+        assert set(written) == {"summary.csv", "meta.json"}
+        assert {p.name for p in out.iterdir()} == {"summary.csv", "meta.json", "notes.txt"}
+
     def test_set_size_empty_on_rounds_without_candidates(self, tmp_path):
         (tmp_path / "scores.csv").write_text(
             "round_id,gt_score,cand_0,cand_1\n0,0.5,0.5,0.9\n1,0.7\n")

@@ -1,4 +1,5 @@
 import math
+from bisect import insort
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semibandit_conformal.cdf_band import NEG_INF, band_epsilon, sup_quantile
-from semibandit_conformal.environments import apply_feedback
+from semibandit_conformal.environments import EnvironmentSpec, apply_feedback
+from semibandit_conformal.harness import ExperimentConfig, PolicyEntry, run_single
 from semibandit_conformal.policies import (
     ACI_GAMMA_GRID,
+    DLR_EXPONENT_OFFSET,
     ETC_M_GRID,
+    POLICY_KINDS,
     AciPolicy,
     ConEtcPolicy,
     DlrPolicy,
@@ -315,3 +319,157 @@ class TestEtc:
         p = spec("con_etc", explore_rounds=100).build()
         drive(p, [j / 100 for j in range(1, 101)])
         assert p.propose() == NEG_INF
+
+
+# ---------------------------------------------------------------------------
+# Per-round reference for `Policy.play`: each policy's recurrence one round
+# at a time, written plainly on the policy's own state.  `recorded` is the
+# score when it was observed, else the round's tau.
+# ---------------------------------------------------------------------------
+
+
+def _ref_sps(p, recorded, observed):
+    p.ecdf.insert(recorded)
+    cutoff = p.ecdf.conformal_cutoff(p.alpha)
+    if cutoff > p.tau:
+        p.tau = cutoff
+
+
+def _ref_greedy(p, recorded, observed):
+    p.ecdf.insert(recorded)
+    p.tau = p.ecdf.conformal_cutoff(p.alpha, epsilon=0.0)
+
+
+def _ref_aci(p, recorded, observed):
+    err = 0.0 if observed else 1.0
+    p.beta += p.spec.gamma * ((1.0 - p.alpha) - err)
+    if observed:
+        insort(p.observed_scores, recorded)
+    if not p.observed_scores:
+        p.tau = NEG_INF
+    else:
+        level = min(max(p.beta, 0.0), 1.0)
+        p.tau = sup_quantile(p.observed_scores, level)
+
+
+def _ref_dlr(p, recorded, observed):
+    eta = p.t ** (-(0.5 + DLR_EXPONENT_OFFSET))
+    err = 0.0 if observed else 1.0
+    p.tau += eta * ((1.0 - p.alpha) - err)
+
+
+def _ref_etc(p, recorded, observed):
+    if p.t <= p.explore_rounds:
+        p.ecdf.insert(recorded)
+        if p.t == p.explore_rounds:
+            banded = p.spec.kind == "con_etc"
+            p.tau = p.ecdf.conformal_cutoff(p.alpha, epsilon=None if banded else 0.0)
+
+
+REFERENCE = {"sps": _ref_sps, "greedy": _ref_greedy, "aci": _ref_aci,
+             "dlr": _ref_dlr, "etc": _ref_etc, "con_etc": _ref_etc}
+
+
+def reference_round(p, score):
+    """One round of the reference on policy `p`; returns the tau it proposed."""
+    tau = p.tau
+    observed = score >= tau
+    p.t += 1
+    REFERENCE[p.spec.kind](p, score if observed else tau, observed)
+    return tau
+
+
+def state(p):
+    """Everything a policy carries between rounds, floats by repr."""
+    out = {"t": p.t, "tau": repr(p.tau)}
+    if hasattr(p, "beta"):
+        out["beta"] = repr(p.beta)
+        out["observed_scores"] = repr(p.observed_scores)
+    if hasattr(p, "ecdf"):
+        out["samples"] = repr(p.ecdf.samples)
+    return out
+
+
+# the token "tau" plays the round's own threshold as the score
+SCORE_TOKENS = (st.sampled_from(["tau", "tau", math.nan, -0.0, 0.0, 0.25, 0.5, 1.0])
+                | st.floats(-1, 1))
+
+
+@st.composite
+def play_cases(draw):
+    """(spec, scores, chunk sizes) for one policy over a random stream.
+
+    Dyadic alpha and gamma let ACI's budget land exactly on 0 and 1.
+    """
+    kind = draw(st.sampled_from(POLICY_KINDS))
+    tokens = draw(st.lists(SCORE_TOKENS, max_size=150))
+    kw = {}
+    if kind == "aci":
+        kw["gamma"] = draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.001, 0.6))
+    if kind == "dlr":
+        kw["tau_init"] = draw(st.sampled_from([-0.0, 0.0, 0.5]) | st.floats(-1, 1))
+    if kind in ("etc", "con_etc"):
+        kw["explore_rounds"] = draw(st.integers(1, len(tokens) + 2))
+    horizon = draw(st.integers(kw.get("explore_rounds", 1) + 1, 10**6))
+    alpha = draw(st.sampled_from([0.25, 0.5, 0.75]) | st.floats(0.05, 0.95))
+    spec = PolicySpec(kind=kind, alpha=alpha, horizon=horizon, **kw)
+    # resolve the tokens against the reference's own thresholds; NaN (a
+    # miss) only where recording tau is legal
+    ref, scores = spec.build(), []
+    for token in tokens:
+        tau = ref.tau
+        score = token
+        if token == "tau":
+            score = tau if math.isfinite(tau) else 0.5
+        elif math.isnan(token) and not (math.isfinite(tau) or kind == "aci"):
+            score = 0.25
+        scores.append(score)
+        reference_round(ref, score)
+    cuts = sorted(draw(st.lists(st.integers(0, len(scores)), max_size=6)))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [len(scores)])]
+    return spec, scores, sizes
+
+
+class TestPlayMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(play_cases())
+    def test_play_in_chunks_and_update(self, case):
+        spec, scores, sizes = case
+        ref = spec.build()
+        expected = [reference_round(ref, s) for s in scores]
+
+        played, taus, start = spec.build(), [], 0
+        for size in sizes:
+            taus += played.play(scores[start:start + size])
+            start += size
+        assert repr(taus) == repr(expected)
+        assert state(played) == state(ref)
+
+        # the per-round API: one `play` of one score, a miss passed as None
+        stepped = spec.build()
+        taus = []
+        for s in scores:
+            tau = stepped.propose()
+            taus.append(tau)
+            stepped.update(s if s >= tau else None)
+        assert repr(taus) == repr(expected)
+        assert state(stepped) == state(ref)
+
+    @pytest.mark.parametrize("kind", ["etc", "con_etc"])
+    def test_exploration_across_run_blocks(self, kind):
+        # m = 5000 crosses the first 4096-round block of run_single, which
+        # the default m grid never does
+        entry = PolicyEntry(policy_id=kind, kind=kind, params={"explore_rounds": 5000})
+        cfg = ExperimentConfig(
+            environment=EnvironmentSpec(kind="synthetic", distribution="uniform",
+                                        dist_params={"a": 0.0, "b": 1.0}),
+            policies=[entry], alpha=ALPHA, horizon=T, runs=1)
+        cfg.validate()
+        spec = cfg.policy_spec(entry, {})
+        run = run_single(cfg, spec, seed=4)
+
+        scores, _ = cfg.environment.built.draw(np.random.default_rng(4), T)
+        ref = spec.build()
+        expected = [reference_round(ref, s) for s in scores.tolist()]
+        assert run.tau.tobytes() == np.array(expected).tobytes()
+        assert run.tau[4999] == NEG_INF and math.isfinite(run.tau[5000])
