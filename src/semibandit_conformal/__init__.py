@@ -13,7 +13,6 @@ from .environments import (
     AuctionRound,
     EmpiricalDist,
     EnvironmentSpec,
-    RoundSample,
     ScoreLogEnv,
     SyntheticEnv,
     apply_feedback,

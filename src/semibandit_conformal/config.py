@@ -180,9 +180,9 @@ class ExperimentConfig:
         except EnvironmentConfigError as exc:
             raise ConfigError(str(exc)) from exc
         spec = self.environment
-        if spec.kind == "score_log" and not spec.with_replacement and len(env.rows) < self.horizon:
+        if spec.kind == "score_log" and not spec.with_replacement and len(env.scores) < self.horizon:
             raise ConfigError(
-                f"score log {spec.path} has {len(env.rows)} rows: too few to "
+                f"score log {spec.path} has {len(env.scores)} rows: too few to "
                 f"sample {self.horizon} rounds without replacement"
             )
         # surface per-policy parameter errors (grids included) at config time

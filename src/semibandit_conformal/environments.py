@@ -12,10 +12,10 @@ Three families, each behind one `ScoreDistribution`:
                  the round's highest bid; bids come from a parametric
                  value distribution or a bid pool's `EmpiricalDist`.
 
-Every environment gives rounds two ways that consume the generator
-alike: `draw(rng, n)` returns n rounds as columns and leaves the
-environment unchanged (the simulator's path), and `next_round(rng)`
-returns one `RoundSample` (the per-round library loop).
+Environments hold no state.  `draw(rng, n)` is their one sampling rule:
+it returns the next n rounds as a score column and a candidate matrix,
+and only the generator advances.  `next_round(rng)`, the score of
+`draw(rng, 1)`, serves a per-round loop.
 
 Score-log CSV schema: header ``round_id,gt_score[,cand_0,cand_1,...]``,
 UTF-8, decimal scores.  Bid-pool CSV: one bid value per line.
@@ -244,14 +244,6 @@ class AuctionRound:
         return sorted(self.bids)[-2]
 
 
-@dataclass(frozen=True)
-class RoundSample:
-    """Hidden score for the round plus optional context."""
-
-    score: float
-    candidates: tuple[float, ...] | None = None
-
-
 def apply_feedback(tau: float, score: float) -> float | None:
     """Semi-bandit observation rule: the score iff score >= tau, else None."""
     return score if score >= tau else None
@@ -292,7 +284,10 @@ def set_size(candidates: np.ndarray | None, taus: np.ndarray) -> np.ndarray | No
 
 
 class SyntheticEnv:
-    """Rounds drawn i.i.d. from one distribution, which is also the oracle."""
+    """Rounds drawn i.i.d. from one distribution, which is also the oracle.
+
+    The score-log and auction environments subclass it and override `draw`.
+    """
 
     def __init__(self, dist: ScoreDistribution):
         self.dist = dist
@@ -309,8 +304,9 @@ class SyntheticEnv:
         """
         return self.dist.sample(rng, n), None
 
-    def next_round(self, rng) -> RoundSample:
-        return RoundSample(score=float(self.dist.sample(rng)))
+    def next_round(self, rng) -> float:
+        """The hidden score of one round: the score of `draw(rng, 1)`."""
+        return float(self.draw(rng, 1)[0][0])
 
     def oracle_cdf(self):
         return self.dist.cdf
@@ -319,9 +315,15 @@ class SyntheticEnv:
         return self.dist.sup_quantile(1.0 - alpha)
 
 
-def load_score_log(path) -> list[RoundSample]:
-    """Parse the ``round_id,gt_score[,cand_*...]`` CSV schema; one round per row."""
-    rows: list[RoundSample] = []
+def load_score_log(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Parse the ``round_id,gt_score[,cand_*...]`` CSV schema, one round per row.
+
+    Returns the gt_score column and the candidate matrix, one row per
+    round padded with NaN (see `set_size`), or None when no row has
+    candidate scores.
+    """
+    scores: list[float] = []
+    cands: list[tuple[float, ...]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -332,71 +334,58 @@ def load_score_log(path) -> list[RoundSample]:
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
+            if len(rec) < 2:
+                raise EnvironmentConfigError(f"{path}:{lineno}: missing gt_score")
             try:
                 gt = float(rec[1])
-                cands = tuple(float(v) for v in rec[2:]) if len(rec) > 2 else None
+                row = tuple(float(v) for v in rec[2:])
             except ValueError as exc:
                 raise EnvironmentConfigError(f"{path}:{lineno}: {exc}") from exc
             if not math.isfinite(gt):
                 raise EnvironmentConfigError(f"{path}:{lineno}: non-finite gt_score")
-            if cands is not None and not all(map(math.isfinite, cands)):
+            if not all(map(math.isfinite, row)):
                 raise EnvironmentConfigError(f"{path}:{lineno}: non-finite candidate score")
-            if cands is not None and gt not in cands:
+            if row and gt not in row:
                 raise EnvironmentConfigError(
                     f"{path}:{lineno}: gt_score missing from candidate scores"
                 )
-            rows.append(RoundSample(score=gt, candidates=cands))
-    if not rows:
+            scores.append(gt)
+            cands.append(row)
+    if not scores:
         raise EnvironmentConfigError(f"{path}: score log is empty")
-    return rows
+    width = max(map(len, cands))
+    candidates = None
+    if width:
+        candidates = np.array([row + (math.nan,) * (width - len(row)) for row in cands])
+    return np.array(scores, dtype=np.float64), candidates
 
 
 class ScoreLogEnv(SyntheticEnv):
     """Replay a score log, with or without replacement.
 
     With replacement (the default) rounds are i.i.d. uniform draws from
-    the log.  Without replacement they follow one seed-fixed permutation;
-    asking for more rounds than the log holds raises RunExhaustedError.
-    `next_round` keeps its place in that permutation, `draw` takes a
-    prefix of a fresh one.  The score range and the oracle are those of
-    the `EmpiricalDist` of the ground-truth scores.
+    the log.  Without replacement they are a prefix of one seed-fixed
+    permutation; asking for more rounds than the log holds raises
+    RunExhaustedError.  The score range and the oracle are those of the
+    `EmpiricalDist` of the ground-truth scores.
     """
 
-    def __init__(self, rows: list[RoundSample], with_replacement: bool = True):
-        self._scores = np.array([r.score for r in rows], dtype=np.float64)
-        super().__init__(EmpiricalDist(self._scores))
-        self.rows = rows
+    def __init__(self, scores: np.ndarray, candidates: np.ndarray | None,
+                 with_replacement: bool = True):
+        super().__init__(EmpiricalDist(scores))
+        self.scores = scores
+        self.candidates = candidates
         self.with_replacement = with_replacement
-        self._perm: list[int] | None = None
-        self._pos = 0
-        width = max((len(r.candidates) for r in rows if r.candidates is not None), default=0)
-        self._candidates = None
-        if width:
-            self._candidates = np.full((len(rows), width), np.nan)
-            for i, r in enumerate(rows):
-                if r.candidates is not None:
-                    self._candidates[i, :len(r.candidates)] = r.candidates
 
     def draw(self, rng, n: int) -> tuple[np.ndarray, np.ndarray | None]:
         if self.with_replacement:
-            idx = rng.integers(len(self.rows), size=n)
-        elif n > len(self.rows):
+            idx = rng.integers(len(self.scores), size=n)
+        elif n > len(self.scores):
             raise RunExhaustedError(
-                f"score log exhausted: {n} rounds asked of {len(self.rows)} rows")
+                f"score log exhausted: {n} rounds asked of {len(self.scores)} rows")
         else:
-            idx = rng.permutation(len(self.rows))[:n]
-        return self._scores[idx], None if self._candidates is None else self._candidates[idx]
-
-    def next_round(self, rng) -> RoundSample:
-        if self.with_replacement:
-            return self.rows[int(rng.integers(len(self.rows)))]
-        if self._perm is None:
-            self._perm = [int(i) for i in rng.permutation(len(self.rows))]
-        if self._pos >= len(self._perm):
-            raise RunExhaustedError(f"score log exhausted after {self._pos} rounds")
-        row = self.rows[self._perm[self._pos]]
-        self._pos += 1
-        return row
+            idx = rng.permutation(len(self.scores))[:n]
+        return self.scores[idx], None if self.candidates is None else self.candidates[idx]
 
 
 def load_bid_pool(path) -> list[float]:
@@ -419,10 +408,10 @@ def load_bid_pool(path) -> list[float]:
     return pool
 
 
-class AuctionEnv:
+class AuctionEnv(SyntheticEnv):
     """Second-price auction rounds; the hidden score is the top bid.
 
-    Bids are i.i.d. within and across rounds, drawn from `value_dist`: a
+    Bids are i.i.d. within and across rounds, drawn from `dist`: a
     parametric value distribution, or the `EmpiricalDist` of a bid pool.
     The top bid over n bidders has CDF F(x)^n, so tau* is the value
     sup-quantile at level (1-alpha)^(1/n).
@@ -431,22 +420,15 @@ class AuctionEnv:
     def __init__(self, value_dist: ScoreDistribution, bidders: int):
         if bidders < 2:
             raise EnvironmentConfigError(f"auction needs >= 2 bidders, got {bidders}")
+        super().__init__(value_dist)
         self.bidders = bidders
-        self.value_dist = value_dist
-
-    @property
-    def score_range(self):
-        return self.value_dist.support
 
     def draw(self, rng, n: int) -> tuple[np.ndarray, None]:
         """The top bid of each of n rounds; auctions carry no candidates."""
-        return self.value_dist.sample(rng, (n, self.bidders)).max(axis=1), None
-
-    def next_round(self, rng) -> RoundSample:
-        return RoundSample(score=float(self.value_dist.sample(rng, self.bidders).max()))
+        return self.dist.sample(rng, (n, self.bidders)).max(axis=1), None
 
     def oracle_cdf(self):
-        value_cdf, n = self.value_dist.cdf, self.bidders
+        value_cdf, n = self.dist.cdf, self.bidders
 
         def cdf(x):
             return value_cdf(x) ** n
@@ -454,7 +436,7 @@ class AuctionEnv:
         return cdf
 
     def oracle_tau_star(self, alpha: float) -> float:
-        return self.value_dist.sup_quantile((1.0 - alpha) ** (1.0 / self.bidders))
+        return self.dist.sup_quantile((1.0 - alpha) ** (1.0 / self.bidders))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +465,7 @@ class EnvironmentSpec:
         if self.kind == "score_log":
             if not self.path:
                 raise EnvironmentConfigError("score_log requires a path")
-            return ScoreLogEnv(load_score_log(self.path), self.with_replacement)
+            return ScoreLogEnv(*load_score_log(self.path), self.with_replacement)
         if self.kind == "auction":
             if self.path:
                 dist = EmpiricalDist(load_bid_pool(self.path))
@@ -498,6 +480,6 @@ class EnvironmentSpec:
 
     @cached_property
     def built(self):
-        """`build()` once per spec; `draw` leaves an environment unchanged,
-        so every run can share it and a score log is parsed once."""
+        """`build()` once per spec.  Environments hold no state, so every
+        run can share this one and a score log is parsed once."""
         return self.build()

@@ -77,10 +77,10 @@ class SpsRun:
         cum = 0.0
         cum_at = {}
         band_ok = True
-        for t in range(1, HORIZON + 1):
+        scores, _ = env.draw(rng, HORIZON)
+        for t, score in enumerate(scores.tolist(), start=1):
             tau = policy.propose()
-            sample = env.next_round(rng)
-            fb = apply_feedback(tau, sample.score)
+            fb = apply_feedback(tau, score)
             policy.update(fb)
             covered_total += fb is not None
             if t >= tail_start:
@@ -273,10 +273,10 @@ def test_criterion_8_auction_reward_and_coverage():
     rng = np.random.default_rng(3)
     policy = PolicySpec(kind="sps", alpha=ALPHA, horizon=HORIZON).build()
     covered = 0
-    for _ in range(HORIZON):
+    scores, _ = env.draw(rng, HORIZON)
+    for score in scores.tolist():
         tau = policy.propose()
-        sample = env.next_round(rng)
-        fb = apply_feedback(tau, sample.score)
+        fb = apply_feedback(tau, score)
         policy.update(fb)
         covered += fb is not None
     coverage = covered / HORIZON

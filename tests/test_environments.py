@@ -1,3 +1,4 @@
+import csv
 import math
 from importlib import resources
 
@@ -157,9 +158,23 @@ class TestScoreLog:
     def test_round_trip(self, tmp_path):
         path = write_score_log(tmp_path / "log.csv", [0.5, 0.7],
                                candidates=[(0.5, 0.2), (0.7, 0.1)])
-        rows = load_score_log(path)
-        assert rows[0].score == 0.5
-        assert rows[0].candidates == (0.5, 0.2)
+        scores, candidates = load_score_log(path)
+        assert scores.dtype == np.float64 and scores.tolist() == [0.5, 0.7]
+        assert candidates.tolist() == [[0.5, 0.2], [0.7, 0.1]]
+
+    def test_rows_padded_with_nan(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("round_id,gt_score,cand_0,cand_1\n0,0.5,0.5,0.9\n1,0.7\n2,0.3,0.3\n")
+        scores, candidates = load_score_log(path)
+        assert scores.tolist() == [0.5, 0.7, 0.3]
+        assert np.isnan(candidates).tolist() == [[False, False], [True, True], [False, True]]
+        assert candidates[0].tolist() == [0.5, 0.9] and candidates[2, 0] == 0.3
+
+    def test_round_id_only_row_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("round_id,gt_score\n0,0.5\n2\n")
+        with pytest.raises(EnvironmentConfigError, match=r"short\.csv:3: "):
+            load_score_log(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -181,7 +196,7 @@ class TestScoreLog:
 
     def test_empirical_tau_star(self, tmp_path):
         path = write_score_log(tmp_path / "log.csv", [j / 10 for j in range(1, 11)])
-        env = ScoreLogEnv(load_score_log(path))
+        env = ScoreLogEnv(*load_score_log(path))
         # brute-force sup over the empirical CDF of the full log
         scores = sorted(j / 10 for j in range(1, 11))
         brute = next(
@@ -195,26 +210,16 @@ class TestScoreLog:
 
     def test_without_replacement_is_a_permutation(self, tmp_path):
         path = write_score_log(tmp_path / "log.csv", [0.1, 0.2, 0.3])
-        env = ScoreLogEnv(load_score_log(path), with_replacement=False)
-        rng = np.random.default_rng(9)
-        drawn = sorted(env.next_round(rng).score for _ in range(3))
-        assert drawn == [0.1, 0.2, 0.3]
-
-    def test_without_replacement_exhaustion(self, tmp_path):
-        path = write_score_log(tmp_path / "log.csv", [0.1, 0.2])
-        env = ScoreLogEnv(load_score_log(path), with_replacement=False)
-        rng = np.random.default_rng(9)
-        env.next_round(rng)
-        env.next_round(rng)
-        with pytest.raises(RunExhaustedError):
-            env.next_round(rng)
+        env = ScoreLogEnv(*load_score_log(path), with_replacement=False)
+        scores, _ = env.draw(np.random.default_rng(9), 3)
+        assert sorted(scores.tolist()) == [0.1, 0.2, 0.3]
 
     def test_with_replacement_draws_from_log(self, tmp_path):
         path = write_score_log(tmp_path / "log.csv", [0.1, 0.2, 0.3])
-        env = ScoreLogEnv(load_score_log(path))
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            assert env.next_round(rng).score in (0.1, 0.2, 0.3)
+        env = ScoreLogEnv(*load_score_log(path))
+        scores, candidates = env.draw(np.random.default_rng(9), 20)
+        assert set(scores.tolist()) <= {0.1, 0.2, 0.3}
+        assert candidates is None
 
 
 class TestSetSize:
@@ -233,10 +238,11 @@ class TestAuctionEnv:
     def test_score_is_top_bid(self):
         pool = [1.0, 5.0, 9.0]
         env = AuctionEnv(EmpiricalDist(pool), bidders=2)
-        rng, bids_rng = np.random.default_rng(4), np.random.default_rng(4)
-        for _ in range(20):
-            bids = tuple(pool[i] for i in bids_rng.integers(len(pool), size=2))
-            assert env.next_round(rng).score == AuctionRound(bids=bids).b1
+        scores, candidates = env.draw(np.random.default_rng(4), 20)
+        bids = np.random.default_rng(4).integers(len(pool), size=(20, 2))
+        assert scores.tolist() == [AuctionRound(bids=tuple(pool[i] for i in row)).b1
+                                   for row in bids]
+        assert candidates is None
 
     def test_oracle_is_power_of_pool_cdf(self):
         pool = list(np.arange(1.0, 101.0))
@@ -263,22 +269,68 @@ def bundled(name):
     return resources.files("semibandit_conformal.data") / name
 
 
-# name -> factory; a fresh environment per example, since a
-# without-replacement log's `next_round` keeps its place
+# Scalar per-round sampling, one generator call per round: the reference
+# that `draw` must match round for round.  Each yields (score, candidates)
+# with candidates None when the round carries none.
+
+
+def synthetic_rounds(dist, rng):
+    while True:
+        yield float(dist.sample(rng)), None
+
+
+def log_rounds(rows, rng):
+    while True:
+        yield rows[int(rng.integers(len(rows)))]
+
+
+def log_rounds_without_replacement(rows, rng):
+    """One permutation drawn at the first round, then walked a row a round."""
+    for i in rng.permutation(len(rows)):
+        yield rows[int(i)]
+    raise RunExhaustedError(f"score log exhausted after {len(rows)} rounds")
+
+
+def auction_rounds(value_dist, bidders, rng):
+    while True:
+        yield float(value_dist.sample(rng, bidders).max()), None
+
+
+def log_rows(path):
+    """(score, candidates) per row of a score log, read with `csv` alone."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        recs = [rec for rec in list(csv.reader(fh))[1:] if rec]
+    return [(float(rec[1]), tuple(map(float, rec[2:])) or None) for rec in recs]
+
+
+def synthetic(dist):
+    return SyntheticEnv(dist), lambda rng: synthetic_rounds(dist, rng)
+
+
+def auction(value_dist, bidders):
+    return (AuctionEnv(value_dist, bidders),
+            lambda rng: auction_rounds(value_dist, bidders, rng))
+
+
+SCORE_LOG = bundled("example_scores.csv")
+SCORE_LOG_ROWS = log_rows(SCORE_LOG)
+
+# name -> (environment, rng -> iterator over reference rounds)
 DRAW_ENVIRONMENTS = {
-    "uniform": lambda: SyntheticEnv(make_distribution("uniform", {"a": -1.0, "b": 2.0})),
-    "gaussian": lambda: SyntheticEnv(make_distribution("gaussian", {"mu": 1.0, "sigma": 2.0})),
-    "beta": lambda: SyntheticEnv(make_distribution("beta", {"p": 0.5, "q": 3.0})),
-    "pointmix": lambda: SyntheticEnv(make_distribution(
+    "uniform": synthetic(make_distribution("uniform", {"a": -1.0, "b": 2.0})),
+    "gaussian": synthetic(make_distribution("gaussian", {"mu": 1.0, "sigma": 2.0})),
+    "beta": synthetic(make_distribution("beta", {"p": 0.5, "q": 3.0})),
+    "pointmix": synthetic(make_distribution(
         "pointmix", {"atoms": (0.7, 0.1, 0.4, 0.4), "weights": (0.1, 0.3, 0.2, 0.4)})),
-    "empirical": lambda: SyntheticEnv(EmpiricalDist([0.5, 0.9, 0.2, 0.5, -1.0])),
-    "score_log": lambda: ScoreLogEnv(load_score_log(bundled("example_scores.csv"))),
-    "score_log_without_replacement": lambda: ScoreLogEnv(
-        load_score_log(bundled("example_scores.csv")), with_replacement=False),
-    "auction_gaussian": lambda: AuctionEnv(
+    "empirical": synthetic(EmpiricalDist([0.5, 0.9, 0.2, 0.5, -1.0])),
+    "score_log": (ScoreLogEnv(*load_score_log(SCORE_LOG)),
+                  lambda rng: log_rounds(SCORE_LOG_ROWS, rng)),
+    "score_log_without_replacement": (
+        ScoreLogEnv(*load_score_log(SCORE_LOG), with_replacement=False),
+        lambda rng: log_rounds_without_replacement(SCORE_LOG_ROWS, rng)),
+    "auction_gaussian": auction(
         make_distribution("gaussian", {"mu": 25.0, "sigma": 8.0}), bidders=3),
-    "auction_pool": lambda: AuctionEnv(EmpiricalDist(load_bid_pool(bundled("bid_pool.csv"))),
-                                       bidders=2),
+    "auction_pool": auction(EmpiricalDist(load_bid_pool(bundled("bid_pool.csv"))), bidders=2),
 }
 
 
@@ -287,23 +339,32 @@ class TestDrawMatchesNextRound:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**63), n=st.integers(min_value=1, max_value=500))
     def test_block_equals_rounds(self, name, seed, n):
-        env = DRAW_ENVIRONMENTS[name]()
+        env, reference = DRAW_ENVIRONMENTS[name]
         scores, candidates = env.draw(np.random.default_rng(seed), n)
-        rng = np.random.default_rng(seed)
-        rounds = [env.next_round(rng) for _ in range(n)]
-        assert scores.tolist() == [r.score for r in rounds]
-        if rounds[0].candidates is None:
+        rounds = reference(np.random.default_rng(seed))
+        expected = [next(rounds) for _ in range(n)]
+        assert scores.tolist() == [score for score, _ in expected]
+        if expected[0][1] is None:
             assert candidates is None
         else:
-            assert candidates.tolist() == [list(r.candidates) for r in rounds]
-        # draw leaves the environment unchanged, next_round's place included
+            assert candidates.tolist() == [list(cands) for _, cands in expected]
+        # next_round is the first round of the same stream
+        assert env.next_round(np.random.default_rng(seed)) == expected[0][0]
+        # draw leaves the environment unchanged
         again, _ = env.draw(np.random.default_rng(seed), n)
         assert again.tolist() == scores.tolist()
 
     def test_without_replacement_past_the_log_raises(self):
-        env = DRAW_ENVIRONMENTS["score_log_without_replacement"]()
+        env, reference = DRAW_ENVIRONMENTS["score_log_without_replacement"]
+        n = len(env.scores)
+        scores, _ = env.draw(np.random.default_rng(0), n)
+        assert sorted(scores.tolist()) == sorted(env.scores.tolist())
         with pytest.raises(RunExhaustedError):
-            env.draw(np.random.default_rng(0), len(env.rows) + 1)
+            env.draw(np.random.default_rng(0), n + 1)
+        rounds = reference(np.random.default_rng(0))
+        assert [next(rounds)[0] for _ in range(n)] == scores.tolist()
+        with pytest.raises(RunExhaustedError):
+            next(rounds)
 
 
 class TestDeterminism:
@@ -314,7 +375,7 @@ class TestDeterminism:
         for _ in range(2):
             env = env_spec.build()
             rng = np.random.default_rng(123)
-            seq.append([env.next_round(rng).score for _ in range(100)])
+            seq.append([env.next_round(rng) for _ in range(100)])
         assert seq[0] == seq[1]
 
 
@@ -346,6 +407,6 @@ class TestBundledData:
 
     def test_example_score_log_loads(self):
         path = resources.files("semibandit_conformal.data") / "example_scores.csv"
-        rows = load_score_log(path)
-        assert len(rows) == 500
-        assert all(len(r.candidates) == 10 for r in rows)
+        scores, candidates = load_score_log(path)
+        assert len(scores) == 500
+        assert candidates.shape == (500, 10) and not np.isnan(candidates).any()

@@ -200,19 +200,17 @@ class TestRunMatchesLibraryLoop:
         spec = cfg.policy_spec(entry, {})
         run = run_single(cfg, spec, seed)
 
-        env = env_spec.build()
         policy = spec.build()
-        rng = np.random.default_rng(seed)
+        scores, candidates = env_spec.build().draw(np.random.default_rng(seed), cfg.horizon)
         taus, covered, sizes = [], [], []
-        for _ in range(cfg.horizon):
+        for t, score in enumerate(scores.tolist()):
             tau = policy.propose()
-            sample = env.next_round(rng)
-            observed = apply_feedback(tau, sample.score)
+            observed = apply_feedback(tau, score)
             policy.update(observed)
             taus.append(tau)
             covered.append(observed is not None)
-            if sample.candidates is not None:
-                sizes.append(sum(c >= tau for c in sample.candidates))
+            if candidates is not None:
+                sizes.append(sum(c >= tau for c in candidates[t].tolist() if not math.isnan(c)))
         assert run.tau.tolist() == taus
         assert run.covered.tolist() == covered
         assert (None if run.set_size is None else run.set_size.tolist()) == (sizes or None)
