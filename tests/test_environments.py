@@ -214,6 +214,14 @@ class TestScoreLog:
         scores, _ = env.draw(np.random.default_rng(9), 3)
         assert sorted(scores.tolist()) == [0.1, 0.2, 0.3]
 
+    def test_without_replacement_exhaustion(self, tmp_path):
+        path = write_score_log(tmp_path / "log.csv", [0.1, 0.2])
+        env = ScoreLogEnv(*load_score_log(path), with_replacement=False)
+        scores, _ = env.draw(np.random.default_rng(9), 2)
+        assert sorted(scores.tolist()) == [0.1, 0.2]
+        with pytest.raises(RunExhaustedError):
+            env.draw(np.random.default_rng(9), 3)
+
     def test_with_replacement_draws_from_log(self, tmp_path):
         path = write_score_log(tmp_path / "log.csv", [0.1, 0.2, 0.3])
         env = ScoreLogEnv(*load_score_log(path))
