@@ -320,7 +320,8 @@ def load_score_log(path) -> tuple[np.ndarray, np.ndarray | None]:
 
     Returns the gt_score column and the candidate matrix, one row per
     round padded with NaN (see `set_size`), or None when no row has
-    candidate scores.
+    candidate scores.  A row may be shorter than the header but not
+    longer.
     """
     scores: list[float] = []
     cands: list[tuple[float, ...]] = []
@@ -336,6 +337,9 @@ def load_score_log(path) -> tuple[np.ndarray, np.ndarray | None]:
                 continue
             if len(rec) < 2:
                 raise EnvironmentConfigError(f"{path}:{lineno}: missing gt_score")
+            if len(rec) > len(header):
+                raise EnvironmentConfigError(
+                    f"{path}:{lineno}: {len(rec)} fields, header names {len(header)}")
             try:
                 gt = float(rec[1])
                 row = tuple(float(v) for v in rec[2:])

@@ -23,10 +23,12 @@ Each policy writes its recurrence once, as `play(scores)`: one round per
 score over a block, returning the thresholds it proposed.  A score
 `>= tau` is observed; any other score, NaN included, is a miss that
 records tau.  `update` is the per-round form, one `play` of one score.
-The baselines play their blocks in local-variable loops.  SPS plays
-through `update` instead, so that each of its rounds is one `update`
-call: a tracer that counts SPS rounds, or wraps the method, sees every
-round.
+The baselines play their blocks in local-variable loops; ACI plays each
+stretch where its budget is clamped at 0 as numpy columns, which is exact
+because tau stays the smallest observed score until the budget is back
+above 0.  SPS plays through `update` instead, so that each of its rounds
+is one `update` call: a tracer that counts SPS rounds, or wraps the
+method, sees every round.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
+from itertools import islice, repeat
+
+import numpy as np
 
 from .cdf_band import NEG_INF, POS_INF, TruncatedEcdf, order_index
 
@@ -44,6 +49,9 @@ ACI_GAMMA_GRID = (0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.128)
 ETC_M_GRID = (100, 250, 500, 1000)
 
 DLR_EXPONENT_OFFSET = 0.1  # step size eta_t = t^(-1/2 - offset)
+
+# The fewest rounds ACI plays as one clamped stretch (see `AciPolicy`).
+MIN_STRETCH = 32
 
 # The score `update` plays for a miss: no threshold admits NaN.
 MISS = math.nan
@@ -209,6 +217,11 @@ class AciPolicy(Policy):
     tau is `sup_quantile(observed_scores, min(max(beta, 0), 1))`, with
     the sentinel folded in: +inf when beta >= 1, else the order statistic
     at `order_index(n, max(beta, 0))` (the clamp rules out the -inf case).
+
+    Once beta is at least MIN_STRETCH covered steps below 0, `play` takes
+    the rounds until beta next rises above 0 as one numpy stretch: tau
+    stays the smallest observed score throughout, because covered scores
+    never go below it, so the stretch is exact.
     """
 
     def __init__(self, spec: PolicySpec):
@@ -220,12 +233,39 @@ class AciPolicy(Policy):
         gamma = self.spec.gamma
         covered_step = gamma * ((1.0 - self.alpha) - 0.0)
         missed_step = gamma * ((1.0 - self.alpha) - 1.0)
+        floor = -MIN_STRETCH * covered_step
         observed_scores = self.observed_scores
         beta = self.beta
         tau = self.tau
         taus = []
         append = taus.append
-        for score in scores:
+        block = None
+        rounds = iter(scores)
+        for score in rounds:
+            if beta <= floor and observed_scores and len(scores) - len(taus) >= MIN_STRETCH:
+                # Clamped: at beta <= 0, tau is observed_scores[0], since
+                # order_index(n, 0.0) is 0 for n < 1/LEVEL_TOL, and every
+                # covered score is >= tau and goes after it.  So tau holds
+                # until beta > 0; play those rounds as columns.
+                if block is None:
+                    block = np.array(scores, dtype=np.float64)
+                seg = block[len(taus):]
+                covered = seg >= tau
+                # a left fold: the loop's own additions, in its order
+                betas = np.add.accumulate(np.concatenate(
+                    ([beta], np.where(covered, covered_step, missed_step))))
+                # the stretch stops before the round that lifts beta above
+                # 0; that round, when the block holds it, is played below
+                rising = betas[1:] > 0.0
+                span = int(rising.argmax()) if rising.any() else len(seg)
+                taus += repeat(tau, span)
+                # a stable sort leaves ties where insort_right puts them
+                observed_scores += seg[:span][covered[:span]].tolist()
+                observed_scores.sort()
+                beta = betas[span].item()
+                score = next(islice(rounds, span - 1, span), None)
+                if score is None:
+                    break
             append(tau)
             if score >= tau:
                 beta += covered_step
@@ -236,8 +276,11 @@ class AciPolicy(Policy):
                 tau = NEG_INF
             elif beta >= 1.0:
                 tau = POS_INF
+            elif beta > 0.0:
+                tau = observed_scores[order_index(len(observed_scores), beta)]
             else:
-                tau = observed_scores[order_index(len(observed_scores), max(beta, 0.0))]
+                # max(beta, 0.0) without the call
+                tau = observed_scores[order_index(len(observed_scores), 0.0)]
         self.t += len(scores)
         self.beta = beta
         self.tau = tau

@@ -176,6 +176,12 @@ class TestScoreLog:
         with pytest.raises(EnvironmentConfigError, match=r"short\.csv:3: "):
             load_score_log(path)
 
+    def test_row_wider_than_header_rejected(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("round_id,gt_score,cand_0\n0,0.5,0.5\n1,0.5,0.5,0.9,0.1\n")
+        with pytest.raises(EnvironmentConfigError, match=r"wide\.csv:3: 5 fields"):
+            load_score_log(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,score\n0,0.5\n")

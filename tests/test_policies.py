@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from semibandit_conformal.cdf_band import NEG_INF, band_epsilon, sup_quantile
 from semibandit_conformal.environments import EnvironmentSpec, apply_feedback
-from semibandit_conformal.harness import ExperimentConfig, PolicyEntry, run_single
+from semibandit_conformal.harness import (BLOCK_ROUNDS, ExperimentConfig, PolicyEntry,
+                                          run_single)
 from semibandit_conformal.policies import (
     ACI_GAMMA_GRID,
     DLR_EXPONENT_OFFSET,
     ETC_M_GRID,
+    MIN_STRETCH,
     POLICY_KINDS,
     AciPolicy,
     ConEtcPolicy,
@@ -430,30 +432,82 @@ def play_cases(draw):
     return spec, scores, sizes
 
 
+# ACI streams as runs of one kind of round, so that misses can drive the
+# budget below the stretch floor and covers lift it back above 0:
+# "miss" just below tau (NaN while tau is -inf), "cover" uniform on [0, 1]
+# with +inf and scores equal to tau, "tie" among -0.0, 0.0 and tau.
+ACI_RUNS = st.tuples(st.sampled_from(["miss", "cover", "tie", "mixed"]),
+                     st.integers(1, 400), st.integers(0, 2**32 - 1))
+
+
+def _aci_token(kind, rng):
+    if kind == "miss":
+        return "miss"
+    if kind == "tie":
+        return [-0.0, 0.0, "tau"][rng.integers(3)]
+    if kind == "cover" or rng.integers(2):
+        u = rng.random()
+        return math.inf if u < 0.02 else "tau" if u < 0.1 else rng.random()
+    return ["miss", -0.0, 0.0, "tau", math.nan][rng.integers(5)]
+
+
+@st.composite
+def aci_stretch_cases(draw):
+    """(spec, scores, chunk sizes) for ACI over up to 2000 rounds."""
+    gamma = draw(st.sampled_from([0.001, 0.01, 0.125, 0.25]) | st.floats(0.001, 0.5))
+    alpha = draw(st.sampled_from([0.1, 0.5, 0.75, 0.9]) | st.floats(0.05, 0.95))
+    spec = PolicySpec(kind="aci", alpha=alpha, horizon=10**6, gamma=gamma)
+    ref, scores = spec.build(), []
+    for kind, length, seed in draw(st.lists(ACI_RUNS, min_size=1, max_size=12)):
+        rng = np.random.default_rng(seed)
+        for _ in range(min(length, 2000 - len(scores))):
+            tau, score = ref.tau, _aci_token(kind, rng)
+            if score == "miss":
+                score = math.nextafter(tau, -math.inf) if math.isfinite(tau) else math.nan
+            elif score == "tau":
+                score = tau if math.isfinite(tau) else 0.0
+            scores.append(score)
+            reference_round(ref, score)
+    sizes = draw(st.lists(st.integers(MIN_STRETCH, 700), max_size=8))
+    return spec, scores, sizes + [len(scores)]
+
+
+def assert_play_matches_reference(spec, scores, sizes):
+    """`play` over chunks of the given sizes, and `update` round by round,
+    give the reference's thresholds and final state, floats by repr."""
+    ref = spec.build()
+    expected = [reference_round(ref, s) for s in scores]
+
+    played, taus, start = spec.build(), [], 0
+    for size in sizes:
+        taus += played.play(scores[start:start + size])
+        start += size
+    assert repr(taus) == repr(expected)
+    assert state(played) == state(ref)
+
+    # the per-round API: one `play` of one score, a miss passed as None
+    stepped = spec.build()
+    taus = []
+    for s in scores:
+        tau = stepped.propose()
+        taus.append(tau)
+        stepped.update(s if s >= tau else None)
+    assert repr(taus) == repr(expected)
+    assert state(stepped) == state(ref)
+
+
 class TestPlayMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(play_cases())
     def test_play_in_chunks_and_update(self, case):
-        spec, scores, sizes = case
-        ref = spec.build()
-        expected = [reference_round(ref, s) for s in scores]
+        assert_play_matches_reference(*case)
 
-        played, taus, start = spec.build(), [], 0
-        for size in sizes:
-            taus += played.play(scores[start:start + size])
-            start += size
-        assert repr(taus) == repr(expected)
-        assert state(played) == state(ref)
-
-        # the per-round API: one `play` of one score, a miss passed as None
-        stepped = spec.build()
-        taus = []
-        for s in scores:
-            tau = stepped.propose()
-            taus.append(tau)
-            stepped.update(s if s >= tau else None)
-        assert repr(taus) == repr(expected)
-        assert state(stepped) == state(ref)
+    @settings(max_examples=150, deadline=None)
+    @given(aci_stretch_cases())
+    def test_aci_clamp_stretches(self, case):
+        # chunks of at least MIN_STRETCH rounds (the last takes what is left)
+        # let `play` take its clamped stretches; `update` never does
+        assert_play_matches_reference(*case)
 
     @pytest.mark.parametrize("kind", ["etc", "con_etc"])
     def test_exploration_across_run_blocks(self, kind):
@@ -473,3 +527,38 @@ class TestPlayMatchesReference:
         expected = [reference_round(ref, s) for s in scores.tolist()]
         assert run.tau.tobytes() == np.array(expected).tobytes()
         assert run.tau[4999] == NEG_INF and math.isfinite(run.tau[5000])
+
+    def test_aci_stretches_across_run_blocks(self):
+        # on this seed ACI's budget is clamped across run_single's first
+        # block edge (4096 rounds), and its clamped stretches end inside
+        # blocks when the budget climbs back above 0
+        entry = PolicyEntry(policy_id="aci", kind="aci", params={"gamma": 0.001})
+        cfg = ExperimentConfig(
+            environment=EnvironmentSpec(kind="synthetic", distribution="uniform",
+                                        dist_params={"a": 0.0, "b": 1.0}),
+            policies=[entry], alpha=ALPHA, horizon=T, runs=1)
+        cfg.validate()
+        spec = cfg.policy_spec(entry, {})
+        run = run_single(cfg, spec, seed=3)
+
+        scores, _ = cfg.environment.built.draw(np.random.default_rng(3), T)
+        ref = spec.build()
+        expected, betas = [], [ref.beta]
+        for s in scores.tolist():
+            expected.append(reference_round(ref, s))
+            betas.append(ref.beta)
+        assert run.tau.tobytes() == np.array(expected).tobytes()
+
+        # betas[r] is the budget at the start of round r
+        edge, floor = BLOCK_ROUNDS, -MIN_STRETCH * spec.gamma * (1.0 - ALPHA)
+        assert betas[edge - MIN_STRETCH] <= floor and betas[edge] <= floor
+        assert max(betas[edge - MIN_STRETCH:edge + 1]) <= 0.0
+
+        def clamp_start(r):
+            # first round of the clamp that round r ends, within r's block
+            while r % edge and betas[r - 1] <= 0.0:
+                r -= 1
+            return r
+
+        rises = [r for r in range(T) if betas[r] <= 0.0 < betas[r + 1]]
+        assert any(r % edge and min(betas[clamp_start(r):r + 1]) <= floor for r in rises)
