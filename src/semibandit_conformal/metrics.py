@@ -74,9 +74,11 @@ def inst_regret(tau, tau_star: float, gstar, params: LossParams) -> np.ndarray:
     return np.array(regret, dtype=float)[where]
 
 
-# Constant stretches shorter than this take scalar steps: a grid run costs
-# about as much as ten of them.
-MIN_GRID_RUN = 12
+# Rounds one grid run looks at: 16 times as many as the last run wrote,
+# within these bounds.  A run ends at its decade edge, and the next decade
+# takes about 10 times as many rounds.
+GRID_WINDOW_MIN = 64
+GRID_WINDOW_MAX = 4096
 
 # Grid runs need |x/u - (r + 1/2)| above this: the float error of the sum
 # and of x/u is below 3.4e-4 grid units, so the rounding is then decided.
@@ -87,21 +89,26 @@ def _step(c: float, x: float) -> float:
     return float(f"{c + x:.12g}")
 
 
-def _grid_run(out, k: int, end: int, c: float, x: float) -> int:
-    """Write steps c <- _step(c, x) on c's 12-digit grid into out[k:end].
+def _grid_run(out, inst, k: int, end: int, c: float) -> int:
+    """Write steps c <- _step(c, x) for x in inst[k:end] on c's 12-digit grid.
 
     c = N * u with u = 10**(e-11) for c in [10**e, 10**(e+1)).  While the
-    sum stays in that decade, each step adds r = round(x/u) grid units, so
-    step j is (N + j*r) / 10**(11-e): one correctly rounded division of
-    exact integers, as `float` of the 12-digit string is.  Returns how
-    many steps were written, up to the decade edge.  0 means the rule is
-    unproven here and one scalar step must be taken: c is not positive, x
-    is negative, either is not finite or not 12-digit rounded, 11-e is
-    outside [0, 22] (10**22 is the largest exact power of ten), x/u is
-    within HALF_UNIT_MARGIN of a half unit, or the first step leaves the
-    decade.
+    sum stays in that decade, the step by x adds r = round(x/u) grid
+    units, so the sum after steps k..j is (N + r_k + ... + r_j) /
+    10**(11-e): one correctly rounded division of exact integers, as
+    `float` of the 12-digit string is.  The errors of c, of the float sum
+    and of x/u come to below 3.4e-4 units whatever the digits of x.
+    A step whose x/u is within HALF_UNIT_MARGIN of a half unit is taken
+    as `_step` in place, and the sums after it carry its result.  Writes
+    out[k:] and returns how many steps were written: up to the decade
+    edge, or to the first x that is negative, not finite or at least
+    10**12 units.  0 means the rule is unproven here and scalar steps
+    must be taken: that first x is at k, the first step is a half-unit
+    tie, c is not positive, not finite or not 12-digit rounded, 11-e is
+    outside [0, 22] (10**22 is the largest exact power of ten), or the
+    first step leaves the decade.
     """
-    if not (0.0 < c < POS_INF and 0.0 <= x < POS_INF and _step(0.0, x) == x):
+    if not 0.0 < c < POS_INF:
         return 0
     digits, _, exponent = f"{c:.11e}".partition("e")
     shift = 11 - int(exponent)
@@ -111,17 +118,36 @@ def _grid_run(out, k: int, end: int, c: float, x: float) -> int:
     n = int(digits.replace(".", ""))
     if n / scale != c:
         return 0
+    x = inst[k:end]
     q = x * scale
-    if not q < 10**12 or abs(q - math.floor(q) - 0.5) <= HALF_UNIT_MARGIN:
-        return 0
-    r = math.floor(q + 0.5)
-    if not r:
-        out[k:end] = c
-        return end - k
-    m = min(end - k, (10**12 - 1 - n) // r)
-    if m:
-        np.divide(np.arange(n + r, n + r * m + 1, r, dtype=np.int64), scale,
-                  out=out[k:k + m])
+    with np.errstate(invalid="ignore"):
+        # NaN fails both comparisons, +inf the second (its inf - inf warns)
+        valid = (x >= 0.0) & (q < 10.0**12)
+        ties = np.abs(q - np.floor(q) - 0.5) <= HALF_UNIT_MARGIN
+    stop = len(x) if valid.all() else int(valid.argmin())
+    r = np.floor(q[:stop] + 0.5).astype(np.int64)
+    tied = np.flatnonzero(ties[:stop]).tolist()
+    if tied:
+        if not tied[0]:
+            return 0
+        # a step within HALF_UNIT_MARGIN of a half unit is the scalar
+        # step; `moved` is what those steps changed the prefix sums by
+        sums = np.cumsum(r)
+        moved = 0
+        for j in tied:
+            units = n + int(sums[j - 1]) + moved
+            if units > 10**12 - 1:
+                break
+            stepped = _step(units / scale, float(x[j]))
+            after = round(stepped * scale)
+            if not (after <= 10**12 - 1 and after / scale == stepped):
+                stop = j
+                break
+            moved += after - units - int(r[j])
+            r[j] = after - units
+    units = n + np.cumsum(r[:stop])
+    m = int(np.searchsorted(units, 10**12 - 1, side="right"))
+    np.divide(units[:m], scale, out=out[k:k + m])
     return m
 
 
@@ -131,40 +157,37 @@ def cum_regret(inst) -> np.ndarray:
     Each step rounds the sum at 12 significant digits, the CSV precision,
     so a reader re-summing the emitted trace reproduces cum_regret exactly:
     c_1 = x_1 and c_t = float(f"{c_{t-1} + x_t:.12g}").  The result is that
-    fold bit for bit, but a constant stretch of x of length MIN_GRID_RUN or
-    more is folded as grid runs (`_grid_run`).  Let c lie in the decade
-    [10**e, 10**(e+1)) on the grid u = 10**(e-11), and let x be finite,
-    nonnegative and 12-digit rounded.  Then every step inside the decade
-    adds the same r = round(x/u) grid units.  Where that is unproven the
-    scalar step is taken: on the first round, on short stretches, and
-    where x, c, the exponent, a half-unit tie or a decade edge rules the
-    grid run out.
+    fold bit for bit, taken as grid runs (`_grid_run`) of up to
+    GRID_WINDOW_MAX rounds: while c stays in the decade [10**e, 10**(e+1))
+    of the grid u = 10**(e-11), each step adds r_t = round(x_t/u) grid
+    units, so the sums are integer prefix sums.  Where that is unproven
+    the scalar step is taken: on the first round, at a half-unit tie, at
+    the step that leaves a decade, and wherever x or c rules the grid out.
     """
     inst = np.asarray(inst, dtype=float)
     out = np.empty(len(inst))
     if not len(inst):
         return out
-    bits = inst.view(np.int64)
-    edges = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    starts = np.concatenate(([1], edges[edges > 1]))
-    ends = np.append(starts[1:], len(inst))
-    long = ends - starts >= MIN_GRID_RUN
     c = out[0] = float(inst[0])
-    pos = 1
-    for start, end in zip(starts[long].tolist(), ends[long].tolist()):
-        c = _fold_scalar(inst, out, pos, start, c)
-        x = float(inst[start])
-        k = start
-        while k < end:
-            m = _grid_run(out, k, end, c, x)
-            if m:
-                k += m
-                c = float(out[k - 1])
-            else:
-                c = out[k] = _step(c, x)
-                k += 1
-        pos = end
-    _fold_scalar(inst, out, pos, len(inst), c)
+    k = 1
+    window = GRID_WINDOW_MIN
+    # scalar steps after a grid run that stopped short: one, or twice as
+    # many as last time when the run could not start
+    scalar = 1
+    while k < len(inst):
+        end = min(k + window, len(inst))
+        m = _grid_run(out, inst, k, end, c)
+        window = min(GRID_WINDOW_MAX, max(GRID_WINDOW_MIN, 16 * m))
+        if m:
+            k += m
+            c = float(out[k - 1])
+            scalar = 1
+        if k < end:
+            stop = min(k + scalar, len(inst))
+            c = _fold_scalar(inst, out, k, stop, c)
+            k = stop
+            if not m:
+                scalar *= 2
     return out
 
 

@@ -26,15 +26,16 @@ records tau.  `update` is the per-round form, one `play` of one score.
 The baselines play their blocks in local-variable loops; ACI plays each
 stretch where its budget is clamped at 0 as numpy columns, which is exact
 because tau stays the smallest observed score until the budget is back
-above 0.  SPS plays through `update` instead, so that each of its rounds
-is one `update` call: a tracer that counts SPS rounds, or wraps the
-method, sees every round.
+above 0, and inserts a covered score into a sorted list only when it
+lands near tau.  SPS plays through `update` instead, so that each of its
+rounds is one `update` call: a tracer that counts SPS rounds, or wraps
+the method, sees every round.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import islice, repeat
 
@@ -222,6 +223,14 @@ class AciPolicy(Policy):
     the rounds until beta next rises above 0 as one numpy stretch: tau
     stays the smallest observed score throughout, because covered scores
     never go below it, so the stretch is exact.
+
+    Once a block has inserted MIN_STRETCH scores one by one, `play`
+    holds the observed scores in two lists split at a pivot (see
+    `_split`): the sorted scores below it, which hold tau's index, and
+    the rest unsorted.  A covered score at or above the pivot is
+    appended, and only one below it is inserted into a sorted list, the
+    short one.  The block ends with one stable sort, which puts ties
+    where `insort` would.
     """
 
     def __init__(self, spec: PolicySpec):
@@ -234,57 +243,115 @@ class AciPolicy(Policy):
         covered_step = gamma * ((1.0 - self.alpha) - 0.0)
         missed_step = gamma * ((1.0 - self.alpha) - 1.0)
         floor = -MIN_STRETCH * covered_step
-        observed_scores = self.observed_scores
+        # observed_scores is held as `low`, the sorted scores below `pivot`
+        # (the list itself), and `high`, the rest; a score goes into the
+        # one it belongs to.  low + sorted(high), a stable sort, is the list
+        # insort would build, and tau's index stays in low.
+        low = self.observed_scores
+        high: list[float] = []
+        n = len(low)
+        # tau's index in the last round
+        m = 0
+        # one list until MIN_STRETCH scores have been inserted one by one:
+        # a split costs a pass over the list, and so do about as many
+        # inserts into the whole of it
+        pivot, cap = POS_INF, n + MIN_STRETCH
         beta = self.beta
         tau = self.tau
         taus = []
         append = taus.append
         block = None
         rounds = iter(scores)
-        for score in rounds:
-            if beta <= floor and observed_scores and len(scores) - len(taus) >= MIN_STRETCH:
-                # Clamped: at beta <= 0, tau is observed_scores[0], since
-                # order_index(n, 0.0) is 0 for n < 1/LEVEL_TOL, and every
-                # covered score is >= tau and goes after it.  So tau holds
-                # until beta > 0; play those rounds as columns.
-                if block is None:
-                    block = np.array(scores, dtype=np.float64)
-                seg = block[len(taus):]
-                covered = seg >= tau
-                # a left fold: the loop's own additions, in its order
-                betas = np.add.accumulate(np.concatenate(
-                    ([beta], np.where(covered, covered_step, missed_step))))
-                # the stretch stops before the round that lifts beta above
-                # 0; that round, when the block holds it, is played below
-                rising = betas[1:] > 0.0
-                span = int(rising.argmax()) if rising.any() else len(seg)
-                taus += repeat(tau, span)
-                # a stable sort leaves ties where insort_right puts them
-                observed_scores += seg[:span][covered[:span]].tolist()
-                observed_scores.sort()
-                beta = betas[span].item()
-                score = next(islice(rounds, span - 1, span), None)
-                if score is None:
-                    break
-            append(tau)
-            if score >= tau:
-                beta += covered_step
-                insort(observed_scores, score)
-            else:
-                beta += missed_step
-            if not observed_scores:
-                tau = NEG_INF
-            elif beta >= 1.0:
-                tau = POS_INF
-            elif beta > 0.0:
-                tau = observed_scores[order_index(len(observed_scores), beta)]
-            else:
-                # max(beta, 0.0) without the call
-                tau = observed_scores[order_index(len(observed_scores), 0.0)]
+        try:
+            for score in rounds:
+                if beta <= floor and low and len(scores) - len(taus) >= MIN_STRETCH:
+                    # Clamped: at beta <= 0, tau is low[0], since
+                    # order_index(n, 0.0) is 0 for n < 1/LEVEL_TOL, and every
+                    # covered score is >= tau and goes after it.  So tau holds
+                    # until beta > 0; play those rounds as columns.
+                    if block is None:
+                        block = np.array(scores, dtype=np.float64)
+                    seg = block[len(taus):]
+                    covered = seg >= tau
+                    # a left fold: the loop's own additions, in its order
+                    betas = np.add.accumulate(np.concatenate(
+                        ([beta], np.where(covered, covered_step, missed_step))))
+                    # the stretch stops before the round that lifts beta above
+                    # 0; that round, when the block holds it, is played below
+                    rising = betas[1:] > 0.0
+                    span = int(rising.argmax()) if rising.any() else len(seg)
+                    taus += repeat(tau, span)
+                    new = seg[:span][covered[:span]]
+                    below = new < pivot
+                    if below.any():
+                        # a stable sort leaves ties where insort_right puts them
+                        added = new[below].tolist()
+                        low += added
+                        low.sort()
+                        # only single inserts count towards a split
+                        cap += len(added)
+                    high += new[~below].tolist()
+                    n += new.size
+                    beta = betas[span].item()
+                    score = next(islice(rounds, span - 1, span), None)
+                    if score is None:
+                        break
+                append(tau)
+                if score >= tau:
+                    beta += covered_step
+                    n += 1
+                    if score >= pivot:
+                        high.append(score)
+                    else:
+                        insort(low, score)
+                        if len(low) > cap:
+                            pivot, cap = _split(low, high, m)
+                else:
+                    beta += missed_step
+                if not n:
+                    tau = NEG_INF
+                elif beta >= 1.0:
+                    tau = POS_INF
+                else:
+                    # order_index(n, max(beta, 0.0)), which is 0 at beta <= 0
+                    m = order_index(n, beta) if beta > 0.0 else 0
+                    try:
+                        tau = low[m]
+                    except IndexError:
+                        pivot, cap = _split(low, high, m)
+                        tau = low[m]
+        finally:
+            high.sort()
+            low += high
         self.t += len(scores)
         self.beta = beta
         self.tau = tau
         return taus
+
+
+def _split(low: list[float], high: list[float], m: int) -> tuple[float, int]:
+    """Move scores between `low` and `high` so that low holds tau's index m.
+
+    low is left with the m + 1 + n // 8 least scores, and any ties of the
+    last of them: an eighth of the scores past m, so that the index,
+    which moves with beta and n, stays in low for a while.  Returns the
+    new pivot, which every score in low is below and every score in high
+    is at or above (a pivot of +inf may have +inf in low, all of it
+    observed before any +inf in high), and the length of low at which to
+    split again.
+    """
+    high.sort()
+    n = len(low) + len(high)
+    target = min(n, m + 1 + n // 8)
+    if target > len(low):
+        k = bisect_right(high, high[target - len(low) - 1])
+        low += high[:k]
+        del high[:k]
+    elif target:
+        k = bisect_right(low, low[target - 1])
+        high[:0] = low[k:]
+        del low[k:]
+    return (high[0] if high else POS_INF), 2 * len(low) + MIN_STRETCH
 
 
 class DlrPolicy(Policy):

@@ -171,6 +171,37 @@ class TestCumRegret:
         assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
         assert len(calls) < 20
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000),
+           st.sampled_from(["digits12", "digits3", "unrounded", "few", "specials"]),
+           st.integers(-14, 3))
+    def test_varying_column_matches_scalar_fold(self, seed, n, kind, exponent):
+        # a new value nearly every round, as DLR's and ACI's regret columns
+        # have; 3-digit values are exact half units in many decades
+        rng = np.random.default_rng(seed)
+        values = rng.random(n) * 10.0**exponent
+        if kind == "digits12" or kind == "specials":
+            values = np.array([float(f"{v:.12g}") for v in values])
+        elif kind == "digits3":
+            values = np.array([float(f"{v:.3g}") for v in values])
+        elif kind == "few":
+            values = rng.choice([float(f"{v:.12g}") for v in values[:4]] + [0.0], n)
+        if kind == "specials":
+            values[rng.integers(0, n, 3)] = rng.choice(
+                [math.nan, math.inf, -0.0, -1e-3, 1e13], 3)
+        assert cum_regret(values).tobytes() == scalar_cum_regret(values).tobytes()
+
+    def test_varying_column_skips_scalar_steps(self, monkeypatch):
+        # the steps left to `_step` are the first round's, those that leave
+        # a decade and the half-unit ties
+        calls = []
+        step = metrics._step
+        monkeypatch.setattr(metrics, "_step", lambda c, x: calls.append(1) or step(c, x))
+        rng = np.random.default_rng(0)
+        inst = np.array([float(f"{v:.12g}") for v in rng.random(10000) * 0.01])
+        assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
+        assert len(calls) < 100
+
 
 class TestTraceAggregates:
     def test_coverage_rate(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semibandit_conformal import policies
 from semibandit_conformal.cdf_band import NEG_INF, band_epsilon, sup_quantile
 from semibandit_conformal.environments import EnvironmentSpec, apply_feedback
 from semibandit_conformal.harness import (BLOCK_ROUNDS, ExperimentConfig, PolicyEntry,
@@ -562,3 +563,67 @@ class TestPlayMatchesReference:
 
         rises = [r for r in range(T) if betas[r] <= 0.0 < betas[r + 1]]
         assert any(r % edge and min(betas[clamp_start(r):r + 1]) <= floor for r in rises)
+
+    def test_aci_moving_level_across_run_blocks(self):
+        # on this seed ACI's budget hovers above 0 and never reaches the
+        # stretch floor, so nearly every round is the scalar round with tau
+        # at an order statistic whose index moves with beta and n
+        entry = PolicyEntry(policy_id="aci", kind="aci", params={"gamma": 0.064})
+        cfg = ExperimentConfig(
+            environment=EnvironmentSpec(kind="synthetic", distribution="uniform",
+                                        dist_params={"a": 0.0, "b": 1.0}),
+            policies=[entry], alpha=ALPHA, horizon=T, runs=1)
+        cfg.validate()
+        spec = cfg.policy_spec(entry, {})
+        run = run_single(cfg, spec, seed=34)
+
+        scores, _ = cfg.environment.built.draw(np.random.default_rng(34), T)
+        ref = spec.build()
+        expected, betas = [], []
+        for s in scores.tolist():
+            expected.append(reference_round(ref, s))
+            betas.append(ref.beta)
+        assert run.tau.tobytes() == np.array(expected).tobytes()
+        floor = -MIN_STRETCH * spec.gamma * (1.0 - ALPHA)
+        assert np.mean(np.array(betas) > 0.0) > 0.5 and min(betas) > floor
+
+    def test_aci_split_moves_scores_both_ways(self, monkeypatch):
+        # `_split` lifts scores into the low part when tau's index passes
+        # it, and hands them back to high when low outgrows its cap
+        moved = []
+        split = policies._split
+
+        def recording(low, high, m):
+            before = len(low)
+            result = split(low, high, m)
+            moved.append(len(low) - before)
+            return result
+
+        monkeypatch.setattr(policies, "_split", recording)
+        rng = np.random.default_rng(34)
+        scores = rng.random(3000).tolist()
+        for i in rng.integers(0, 3000, 60).tolist():
+            scores[i] = [math.inf, -0.0, 0.0][i % 3]
+        spec = PolicySpec(kind="aci", alpha=ALPHA, horizon=T, gamma=0.064)
+        assert_play_matches_reference(spec, scores, [700, 1300, 1000])
+        assert any(d > 0 for d in moved) and any(d < 0 for d in moved)
+
+    def test_aci_zero_that_ties_the_pivot_goes_after_earlier_zeros(self):
+        # beta stays at 0 or just above it, so tau's index stays 0.  The
+        # MIN_STRETCH + 1-th single insert splits the 67 scores, keeping
+        # the 67 // 8 + 1 least in `low`: the nine -0.5, so the pivot is
+        # the first 0.0 and every -0.0 played after it ties it; it must go
+        # to `high`, after the zeros that came before it
+        spec = PolicySpec(kind="aci", alpha=ALPHA, horizon=T, gamma=1e-6)
+
+        def start():
+            p = spec.build()
+            p.observed_scores = [-0.5] * 9 + [0.0] * 25
+            p.beta, p.tau = 0.0, -0.5
+            return p
+
+        ref, played = start(), start()
+        scores = [0.7] * (MIN_STRETCH + 1) + [-0.0] * 8
+        expected = [reference_round(ref, s) for s in scores]
+        assert repr(played.play(scores)) == repr(expected)
+        assert state(played) == state(ref)
