@@ -76,10 +76,10 @@ def _cmd_sweep(cfg) -> int:
 
 
 def _cmd_oracle(cfg) -> int:
-    env = cfg.environment.built
+    env = cfg.environment.build()
     gstar = env.oracle_cdf()
     tau_star = env.oracle_tau_star(cfg.alpha)
-    lo, hi = env.score_range
+    lo, hi = env.dist.support
     print(f"alpha={cfg.alpha:.12g}")
     print(f"tau_star={tau_star:.12g}")
     print(f"g_at_tau_star={gstar(tau_star):.12g}")

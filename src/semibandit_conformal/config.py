@@ -176,7 +176,7 @@ class ExperimentConfig:
         if not self.policies:
             raise ConfigError("at least one [policy:*] section is required")
         try:
-            env = self.environment.built
+            env = self.environment.build()
         except EnvironmentConfigError as exc:
             raise ConfigError(str(exc)) from exc
         spec = self.environment
@@ -214,7 +214,7 @@ class ExperimentConfig:
         """The entry's spec with `overrides` (one grid point's fields) on top."""
         params = {**entry.params, **overrides}
         if entry.kind == "dlr" and "tau_init" not in params:
-            lo = self.environment.built.score_range[0]
+            lo = self.environment.build().dist.support[0]
             if not math.isfinite(lo):
                 raise PolicyConfigError(
                     "dlr needs tau_init: environment score range is unbounded below"

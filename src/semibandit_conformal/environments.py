@@ -18,7 +18,8 @@ and only the generator advances.  `next_round(rng)`, the score of
 `draw(rng, 1)`, serves a per-round loop.
 
 Score-log CSV schema: header ``round_id,gt_score[,cand_0,cand_1,...]``,
-UTF-8, decimal scores.  Bid-pool CSV: one bid value per line.
+UTF-8 (a leading byte-order mark is skipped), decimal scores.  Bid-pool
+CSV: one bid value per line, the same encoding.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -292,10 +292,6 @@ class SyntheticEnv:
     def __init__(self, dist: ScoreDistribution):
         self.dist = dist
 
-    @property
-    def score_range(self):
-        return self.dist.support
-
     def draw(self, rng, n: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(scores, candidates) of the next n rounds.
 
@@ -325,7 +321,7 @@ def load_score_log(path) -> tuple[np.ndarray, np.ndarray | None]:
     """
     scores: list[float] = []
     cands: list[tuple[float, ...]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 2 or header[:2] != ["round_id", "gt_score"]:
@@ -370,8 +366,8 @@ class ScoreLogEnv(SyntheticEnv):
     With replacement (the default) rounds are i.i.d. uniform draws from
     the log.  Without replacement they are a prefix of one seed-fixed
     permutation; asking for more rounds than the log holds raises
-    RunExhaustedError.  The score range and the oracle are those of the
-    `EmpiricalDist` of the ground-truth scores.
+    RunExhaustedError.  The score range (`dist.support`) and the oracle
+    are those of the `EmpiricalDist` of the ground-truth scores.
     """
 
     def __init__(self, scores: np.ndarray, candidates: np.ndarray | None,
@@ -395,7 +391,7 @@ class ScoreLogEnv(SyntheticEnv):
 def load_bid_pool(path) -> list[float]:
     """One bid per line, decimal values."""
     pool: list[float] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -452,8 +448,11 @@ class AuctionEnv(SyntheticEnv):
 class EnvironmentSpec:
     """Declarative environment description.
 
-    `build()` loads any data file, checks the parameters and returns a
-    fresh environment; a config's lookups and runs share `built`.
+    `build()` returns the spec's one environment: its first call loads any
+    data file, checks the parameters and builds it, and every later call
+    returns that same object.  Environments hold no state, so a config's
+    lookups and runs share it and a score log is parsed once.  A build
+    that raises keeps nothing, and the next call tries again.
     """
 
     kind: str  # synthetic | score_log | auction
@@ -464,13 +463,16 @@ class EnvironmentSpec:
     bidders: int = 2
 
     def build(self):
+        # the dataclass is frozen, so the environment is kept in __dict__
+        if "env" in self.__dict__:
+            return self.__dict__["env"]
         if self.kind == "synthetic":
-            return SyntheticEnv(make_distribution(self.distribution, self.dist_params))
-        if self.kind == "score_log":
+            env = SyntheticEnv(make_distribution(self.distribution, self.dist_params))
+        elif self.kind == "score_log":
             if not self.path:
                 raise EnvironmentConfigError("score_log requires a path")
-            return ScoreLogEnv(*load_score_log(self.path), self.with_replacement)
-        if self.kind == "auction":
+            env = ScoreLogEnv(*load_score_log(self.path), self.with_replacement)
+        elif self.kind == "auction":
             if self.path:
                 dist = EmpiricalDist(load_bid_pool(self.path))
             elif self.distribution:
@@ -479,11 +481,8 @@ class EnvironmentSpec:
                 raise EnvironmentConfigError(
                     "auction requires a bid-pool path or a distribution"
                 )
-            return AuctionEnv(dist, self.bidders)
-        raise EnvironmentConfigError(f"unknown environment kind {self.kind!r}")
-
-    @cached_property
-    def built(self):
-        """`build()` once per spec.  Environments hold no state, so every
-        run can share this one and a score log is parsed once."""
-        return self.build()
+            env = AuctionEnv(dist, self.bidders)
+        else:
+            raise EnvironmentConfigError(f"unknown environment kind {self.kind!r}")
+        self.__dict__["env"] = env
+        return env

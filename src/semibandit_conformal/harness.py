@@ -79,7 +79,7 @@ def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int) -> RunColumns
     score that clears tau is observed, any other is a miss).  Coverage
     and set sizes follow from the columns.
     """
-    env = cfg.environment.built
+    env = cfg.environment.build()
     scores, candidates = env.draw(np.random.default_rng(seed), cfg.horizon)
     play = spec.build().play
     taus = np.empty(cfg.horizon)
@@ -189,22 +189,11 @@ FLOAT_FIELD = FLOAT_FORMAT + ","
 INT_FIELD = "%d,"
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FORMAT % x
-
-
-def _render_summary(rows) -> str:
-    lines = ["policy,t,metric,mean,ci_lo,ci_hi"]
-    for policy, t, metric, mean, lo, hi in rows:
-        lines.append(f"{policy},{t},{metric},{_fmt(mean)},{_fmt(lo)},{_fmt(hi)}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_sweep(rows) -> str:
-    lines = ["policy,param,value,mean_final_regret,selected"]
-    for policy, param, value, final, sel in rows:
-        lines.append(f"{policy},{param},{value},{_fmt(final)},{sel}")
-    return "\n".join(lines) + "\n"
+def _render_rows(header: str, rows) -> str:
+    """`header`, then one line per row: float fields as FLOAT_FORMAT, the
+    rest by str.  Every row has the first row's field types."""
+    line = ",".join(FLOAT_FORMAT if isinstance(x, float) else "%s" for x in rows[0])
+    return "\n".join([header] + [line % row for row in rows]) + "\n"
 
 
 def _distinct_strings(col: np.ndarray, fmt) -> list[str]:
@@ -269,9 +258,11 @@ def emit_csv(result: BatchResult, cfg: ExperimentConfig) -> dict[str, str]:
     """
     if not result.summary_rows:
         raise ValueError("nothing to emit: empty batch result")
-    bodies = {"summary.csv": _render_summary(result.summary_rows)}
+    bodies = {"summary.csv": _render_rows("policy,t,metric,mean,ci_lo,ci_hi",
+                                           result.summary_rows)}
     if result.sweep_rows:
-        bodies["sweep.csv"] = _render_sweep(result.sweep_rows)
+        bodies["sweep.csv"] = _render_rows("policy,param,value,mean_final_regret,selected",
+                                          result.sweep_rows)
     if cfg.trace:
         bodies["trace.csv"] = _render_trace(result.traces)
     meta = {

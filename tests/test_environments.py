@@ -182,6 +182,12 @@ class TestScoreLog:
         with pytest.raises(EnvironmentConfigError, match=r"wide\.csv:3: 5 fields"):
             load_score_log(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfround_id,gt_score,cand_0\n0,0.5,0.5\n")
+        scores, candidates = load_score_log(path)
+        assert scores.tolist() == [0.5] and candidates.tolist() == [[0.5]]
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,score\n0,0.5\n")
@@ -383,11 +389,13 @@ class TestDrawMatchesNextRound:
 
 class TestDeterminism:
     def test_identical_seed_identical_sequence(self):
-        env_spec = EnvironmentSpec(kind="synthetic", distribution="gaussian",
-                                   dist_params={"mu": 0.0, "sigma": 1.0})
+        # two equal specs, so two separate builds
+        envs = [EnvironmentSpec(kind="synthetic", distribution="gaussian",
+                                dist_params={"mu": 0.0, "sigma": 1.0}).build()
+                for _ in range(2)]
+        assert envs[0] is not envs[1]
         seq = []
-        for _ in range(2):
-            env = env_spec.build()
+        for env in envs:
             rng = np.random.default_rng(123)
             seq.append([env.next_round(rng) for _ in range(100)])
         assert seq[0] == seq[1]
@@ -397,7 +405,20 @@ class TestEnvironmentSpec:
     def test_synthetic_build(self):
         spec = EnvironmentSpec(kind="synthetic", distribution="uniform",
                                dist_params={"a": 0.0, "b": 2.0})
-        assert spec.build().score_range == (0.0, 2.0)
+        assert spec.build().dist.support == (0.0, 2.0)
+
+    def test_build_returns_one_environment(self):
+        spec = EnvironmentSpec(kind="synthetic", distribution="uniform",
+                               dist_params={"a": 0.0, "b": 1.0})
+        assert spec.build() is spec.build()
+
+    def test_failed_build_keeps_nothing(self, tmp_path):
+        spec = EnvironmentSpec(kind="score_log", path=str(tmp_path / "log.csv"))
+        for _ in range(2):
+            with pytest.raises(FileNotFoundError):
+                spec.build()
+        write_score_log(tmp_path / "log.csv", [0.5, 0.7])
+        assert spec.build().scores.tolist() == [0.5, 0.7]
 
     def test_unknown_kind(self):
         with pytest.raises(EnvironmentConfigError):
@@ -418,6 +439,11 @@ class TestBundledData:
         pool = load_bid_pool(path)
         assert len(pool) == 2000
         assert all(math.isfinite(v) and v > 0 for v in pool)
+
+    def test_bid_pool_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n")
+        assert load_bid_pool(path) == [1.5, 2.5]
 
     def test_example_score_log_loads(self):
         path = resources.files("semibandit_conformal.data") / "example_scores.csv"

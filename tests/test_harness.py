@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semibandit_conformal import harness
+from semibandit_conformal import environments, harness
 from semibandit_conformal.cdf_band import NEG_INF
 from semibandit_conformal.cli import main
 from semibandit_conformal.config import KEYS
@@ -372,9 +372,9 @@ class TestLoadConfig:
 
     def test_config_time_lookups_build_the_environment_once(self, tmp_path, monkeypatch):
         builds = []
-        build = EnvironmentSpec.build
-        monkeypatch.setattr(EnvironmentSpec, "build",
-                            lambda spec: builds.append(spec) or build(spec))
+        load = environments.load_score_log
+        monkeypatch.setattr(environments, "load_score_log",
+                            lambda path: builds.append(path) or load(path))
         (tmp_path / "scores.csv").write_text("round_id,gt_score\n0,0.5\n1,0.2\n")
         body = (
             "[experiment]\nhorizon = 10\nruns = 1\n"
@@ -505,6 +505,24 @@ class TestRunBatch:
         assert result.selected["etc"] == f"m={winner[2]}"
         finals = [row[3] for row in result.sweep_rows]
         assert winner[3] == min(finals)
+
+    def test_score_log_parsed_once(self, tmp_path, monkeypatch):
+        parsed = []
+        load = environments.load_score_log
+        monkeypatch.setattr(environments, "load_score_log",
+                            lambda path: parsed.append(load(path)) or parsed[-1])
+        (tmp_path / "scores.csv").write_text("round_id,gt_score\n0,0.5\n1,0.2\n")
+        body = (
+            "[experiment]\nhorizon = 10\nruns = 2\n"
+            "[environment]\nkind = score_log\npath = scores.csv\n"
+            "[policy:sps]\nkind = sps\n"
+        )
+        cfg = load_config(write_config(tmp_path, body))
+        env = cfg.environment.build()
+        run_batch(cfg)
+        assert len(parsed) == 1
+        # the environment validation built, holding the one parse's arrays
+        assert env.scores is parsed[0][0]
 
     def test_fixed_policy_emits_no_sweep_rows(self):
         result = run_batch(small_cfg())
@@ -836,6 +854,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "tau_star=0.1" in out
         assert "g_at_tau_star=0.1" in out
+
+    @pytest.mark.parametrize("env, lines", [
+        ("distribution = uniform\na = 0.0\nb = 1.0\n",
+         ["tau_star=0.1", "g_at_tau_star=0.1", "phi_at_tau_star=-0", "score_range=0,1"]),
+        ("distribution = gaussian\nmu = 0.0\nsigma = 1.0\n",
+         ["tau_star=-1.28155156554", "g_at_tau_star=0.1", "phi_at_tau_star=-0",
+          "score_range=-inf,inf"]),
+    ], ids=["uniform", "gaussian"])
+    def test_oracle_prints_every_line(self, tmp_path, capsys, env, lines):
+        body = BASE_CONFIG.format(out="res", trace="false").replace(
+            "distribution = uniform\na = 0.0\nb = 1.0\n", env)
+        assert main(["oracle", "--config", write_config(tmp_path, body)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["alpha=0.9"] + lines
 
     def test_sweep_requires_a_grid(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_CONFIG.format(out="res", trace="false"))

@@ -523,7 +523,7 @@ class TestPlayMatchesReference:
         spec = cfg.policy_spec(entry, {})
         run = run_single(cfg, spec, seed=4)
 
-        scores, _ = cfg.environment.built.draw(np.random.default_rng(4), T)
+        scores, _ = cfg.environment.build().draw(np.random.default_rng(4), T)
         ref = spec.build()
         expected = [reference_round(ref, s) for s in scores.tolist()]
         assert run.tau.tobytes() == np.array(expected).tobytes()
@@ -542,7 +542,7 @@ class TestPlayMatchesReference:
         spec = cfg.policy_spec(entry, {})
         run = run_single(cfg, spec, seed=3)
 
-        scores, _ = cfg.environment.built.draw(np.random.default_rng(3), T)
+        scores, _ = cfg.environment.build().draw(np.random.default_rng(3), T)
         ref = spec.build()
         expected, betas = [], [ref.beta]
         for s in scores.tolist():
@@ -577,7 +577,7 @@ class TestPlayMatchesReference:
         spec = cfg.policy_spec(entry, {})
         run = run_single(cfg, spec, seed=34)
 
-        scores, _ = cfg.environment.built.draw(np.random.default_rng(34), T)
+        scores, _ = cfg.environment.build().draw(np.random.default_rng(34), T)
         ref = spec.build()
         expected, betas = [], []
         for s in scores.tolist():
