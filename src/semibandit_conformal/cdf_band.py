@@ -8,7 +8,8 @@ step-function CDF it answers the banded cutoff query
     sup{ tau : G_t(tau) + eps_t <= 1 - alpha },
 
 which is the quantity the threshold policies need each round.  The answer
-is an order statistic whose index `order_index` fixes; `TruncatedEcdf`
+is an order statistic whose index `order_index` fixes (`order_index_column`
+gives the index for a column of sample sizes at once); `TruncatedEcdf`
 keeps the sample split across two heaps at that index, so a round that
 moves the index by at most one costs O(log t) rather than the O(t) of a
 sorted insert.
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from heapq import heappop, heappush
+
+import numpy as np
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -64,6 +67,33 @@ def order_index(n: int, level: float) -> int:
     return m
 
 
+def order_index_column(n, level) -> np.ndarray:
+    """`order_index(n[i], level)` for every sample size in the array `n`.
+
+    `level` is a scalar or an array of n's shape (one level per size).
+    Each step is the scalar one on int64 and float64 values: the start
+    truncated toward zero and clamped, then the adjustment loops, run
+    until no index moves.  Both divisions are of integers below 2**53,
+    which float64 holds exactly, so every comparison sees the quotient
+    the scalar form sees and the column agrees with `order_index`
+    element for element.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    bound = np.asarray(level, dtype=np.float64) + LEVEL_TOL
+    m = np.clip((n * level).astype(np.int64), 0, n - 1)
+    while True:
+        up = (m + 1 < n) & ((m + 1) / n <= bound)
+        if not up.any():
+            break
+        m += up
+    while True:
+        down = (m > 0) & (m / n > bound)
+        if not down.any():
+            break
+        m -= down
+    return m
+
+
 def sup_quantile(sorted_values, level: float) -> float:
     """sup{ tau : ecdf(tau) <= level } over an already-sorted sample.
 
@@ -91,7 +121,9 @@ class TruncatedEcdf:
     `conformal_cutoff` moves heap tops across until k = m + 1 for the
     query's `order_index` m, then reads the answer off the top of `_low`.
     The banded and greedy policies move m by at most one per round, so
-    both operations cost O(log t).
+    both operations cost O(log t).  `extend` inserts a batch of values
+    in order, and `cutoff_rank` counts the values at or below the last
+    finite answer.
 
     The rank queries (`samples`, `eval_g`, `eval_upper`) need the sorted
     sample: the first of them sorts the heaps into a list, and every later
@@ -143,6 +175,34 @@ class TruncatedEcdf:
         if self._sorted is not None:
             insort(self._sorted, value)
 
+    def extend(self, values: list[float]) -> None:
+        """`insert` each of `values` in order, as one operation.
+
+        A non-finite value raises the ValueError `insert` raises, with the
+        values before it recorded.  A value goes to the heap `insert`
+        would push it onto: a value below the low heap's top goes to the
+        low heap, which leaves that top, and so the side of every later
+        value, as it was.
+        """
+        # a sum is finite only if every term is; one that overflows is
+        # checked term by term
+        if not math.isfinite(sum(values)):
+            for i, value in enumerate(values):
+                if not math.isfinite(value):
+                    self.extend(values[:i])
+                    raise ValueError(f"recorded score must be finite, got {value + 0.0}")
+        low, high = self._low, self._high
+        top = -low[0] if low else NEG_INF
+        for value in values:
+            value += 0.0
+            if value < top:
+                heappush(low, -value)
+            else:
+                heappush(high, value)
+        if self._sorted is not None:
+            for value in values:
+                insort(self._sorted, value + 0.0)
+
     def epsilon(self) -> float:
         """Band half-width at the current count: `band_epsilon(2/T^2, t)` bit
         for bit, since halving is exact and (log(2/delta) / 2) / t rounds the
@@ -188,6 +248,29 @@ class TruncatedEcdf:
         while len(low) > k:
             heappush(high, -heappop(low))
         return -low[0]
+
+    def cutoff_rank(self) -> int:
+        """Number of recorded values <= the last finite cutoff answer.
+
+        The answer is the low heap's top.  Only a query that answers a
+        finite value moves values between the heaps, and an insert below
+        the top goes to the low heap, so the low heap holds the answer and
+        every value below it, and the high heap any ties of it.  Those
+        ties sit at the high heap's root, and a walk down the heap that
+        turns back at larger values counts them in O(ties).
+        """
+        low, high = self._low, self._high
+        if not low:
+            raise ValueError("no finite cutoff has been answered")
+        top = -low[0]
+        ties = 0
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            if i < len(high) and high[i] == top:
+                ties += 1
+                stack += (2 * i + 1, 2 * i + 2)
+        return len(low) + ties
 
     def _require_samples(self) -> None:
         if not (self._low or self._high):

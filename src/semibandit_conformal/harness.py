@@ -14,9 +14,10 @@ derived from them.  Outputs (floats at 12 significant digits,
 Output is rendered from columns, not from per-round objects.  Summary
 rows reduce one (checkpoint x run) matrix per metric.  trace.csv is one
 string per run: each column becomes a list of field strings and the
-lists are interleaved into rows.  A column that repeats (tau,
-inst_regret, the flags, set_size) is formatted once per distinct bit
-pattern, so -0.0 still prints ``-0``; cum_regret is formatted per round.
+lists are interleaved, with the cum_regret floats, into one `%` of a row
+template.  A column that repeats (tau, inst_regret, the flags, set_size)
+is formatted once per distinct bit pattern, so -0.0 still prints ``-0``;
+cum_regret is formatted per round.
 """
 
 from __future__ import annotations
@@ -187,6 +188,9 @@ FLOAT_FORMAT = "%.12g"
 # a trace field and the comma after it
 FLOAT_FIELD = FLOAT_FORMAT + ","
 INT_FIELD = "%d,"
+# one trace row: cum_regret is formatted here, every other field is a
+# string made beforehand
+TRACE_ROW = "%s" * 5 + FLOAT_FIELD + "%s" * 2
 
 
 def _render_rows(header: str, rows) -> str:
@@ -216,7 +220,9 @@ def _render_trace(traces) -> str:
     """One string per run, built column by column (see the module doc).
 
     Each field string carries the separator after it; the t strings are
-    made once for all runs of one length.
+    made once for all runs of one length.  A run is one `%` of its row
+    template repeated n times, so the cum_regret floats are formatted
+    there.
     """
     chunks = ["run_id,policy,t,tau,covered,inst_regret,cum_regret,undercover,set_size\n"]
     rounds: dict[int, list[str]] = {}
@@ -230,15 +236,15 @@ def _render_trace(traces) -> str:
             _distinct_strings(run.tau, FLOAT_FIELD.__mod__),
             _distinct_strings(run.covered, INT_FIELD.__mod__),
             _distinct_strings(run.inst_regret, FLOAT_FIELD.__mod__),
-            map(FLOAT_FIELD.__mod__, run.cum_regret.tolist()),
+            run.cum_regret.tolist(),
             _distinct_strings(run.undercover, INT_FIELD.__mod__),
             repeat("\n", n) if run.set_size is None
             else _distinct_strings(run.set_size, _size_field),
         )
-        pieces = [""] * (len(fields) * n)
+        values = [None] * (len(fields) * n)
         for i, column in enumerate(fields):
-            pieces[i::len(fields)] = column
-        chunks.append("".join(pieces))
+            values[i::len(fields)] = column
+        chunks.append(TRACE_ROW * n % tuple(values))
     return "".join(chunks)
 
 

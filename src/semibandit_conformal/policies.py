@@ -11,7 +11,8 @@ Policies:
 * sps      -- banded sup-quantile of the truncated ECDF, thresholds
               constrained to be nondecreasing.  Never undercovers with
               high probability.
-* greedy   -- same truncated ECDF but no band and no monotonicity.
+* greedy   -- same truncated ECDF but no band, and tau is not max-ed with
+              the previous one (it still never decreases in play).
 * aci      -- adaptive miscoverage budget; quantile function built from
               observed scores only (biased under semi-bandit feedback).
 * dlr      -- decaying-learning-rate gradient steps directly on tau.
@@ -23,13 +24,17 @@ Each policy writes its recurrence once, as `play(scores)`: one round per
 score over a block, returning the thresholds it proposed.  A score
 `>= tau` is observed; any other score, NaN included, is a miss that
 records tau.  `update` is the per-round form, one `play` of one score.
-The baselines play their blocks in local-variable loops; ACI plays each
-stretch where its budget is clamped at 0 as numpy columns, which is exact
-because tau stays the smallest observed score until the budget is back
-above 0, and inserts a covered score into a sorted list only when it
-lands near tau.  SPS plays through `update` instead, so that each of its
-rounds is one `update` call: a tracer that counts SPS rounds, or wraps
-the method, sees every round.
+Greedy finds the rounds where its tau rises with an exact scan over the
+block and records the rounds between them with one `TruncatedEcdf.extend`,
+so it asks one cutoff query per raise, not one per round.  ETC and
+Con-ETC record their exploration rounds with one `extend`.  DLR plays its
+block in a local-variable loop.  ACI plays each stretch where its budget
+is clamped at 0 as numpy columns, which is exact because tau stays the
+smallest observed score until the budget is back above 0, and inserts a
+covered score into a sorted list only when it lands near tau.  SPS plays
+through `update` instead, so that each of its rounds is one `update`
+call: a tracer that counts SPS rounds, or wraps the method, sees every
+round.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .cdf_band import NEG_INF, POS_INF, TruncatedEcdf, order_index
+from .cdf_band import NEG_INF, POS_INF, TruncatedEcdf, order_index, order_index_column
 
 POLICY_KINDS = ("sps", "greedy", "aci", "dlr", "etc", "con_etc")
 
@@ -53,6 +58,10 @@ DLR_EXPONENT_OFFSET = 0.1  # step size eta_t = t^(-1/2 - offset)
 
 # The fewest rounds ACI plays as one clamped stretch (see `AciPolicy`).
 MIN_STRETCH = 32
+
+# The rounds greedy's `play` scans for a raise right after one (see
+# `GreedyPolicy`).
+SCAN_ROUNDS = 64
 
 # The score `update` plays for a miss: no threshold admits NaN.
 MISS = math.nan
@@ -182,27 +191,103 @@ class SpsPolicy(Policy):
 class GreedyPolicy(Policy):
     """Plain empirical sup-quantile of the truncated ECDF, no band.
 
-    May both undercover and decrease across rounds; included as the
-    natural but unsafe baseline.
+    tau is never max-ed with the previous threshold, yet in play it never
+    decreases: tau is the order statistic at m = order_index(t, 1 - alpha)
+    of the t recorded values, m never decreases in t, and every value
+    recorded from then on is >= tau, so the order statistic at m stays
+    tau and the one at the next m is at least tau.  The policy may
+    undercover; it is included as the natural but unsafe baseline.
+
+    `play` finds the rounds where tau rises instead of playing each one.
+    With c recorded values <= tau, tau holds through round t while
+    c + (the block's scores up to round t that are not > tau, NaN
+    included) >= order_index(t, 1 - alpha) + 1, the count the order
+    statistic needs.  `play` scans windows of rounds for the first round
+    where that fails, records the rounds up to it with one
+    `TruncatedEcdf.extend`, asks `conformal_cutoff` once for the new tau
+    and counts c again with `cutoff_rank`, in O(ties).  The first window
+    after a raise is SCAN_ROUNDS rounds, checked one by one in Python:
+    raises that come every few rounds cost less that way than a numpy
+    set-up each.  Each later window is 4x longer and checked as numpy
+    columns.  c is carried from block to block with the tau it counts; a
+    tau set from outside is first played one plain round.
     """
 
     def __init__(self, spec: PolicySpec):
         super().__init__(spec)
         self.ecdf = TruncatedEcdf(spec.horizon)
+        # (tau, recorded count, values <= tau) as the last `play` left them
+        self._held: tuple[float, int, int] | None = None
 
     def play(self, scores: list[float]) -> list[float]:
-        insert = self.ecdf.insert
-        cutoff = self.ecdf.conformal_cutoff
+        ecdf = self.ecdf
         alpha = self.alpha
         tau = self.tau
         taus = []
-        append = taus.append
-        for score in scores:
-            append(tau)
-            insert(score if score >= tau else tau)
-            tau = cutoff(alpha, epsilon=0.0)
+        start = 0
+        held = self._held
+        # `is`: a tau assigned from outside is another float object
+        if held is not None and held[0] is tau and held[1] == ecdf.count:
+            below = held[2]
+        elif scores:
+            score = scores[0]
+            taus.append(tau)
+            ecdf.insert(score if score >= tau else tau)
+            tau = ecdf.conformal_cutoff(alpha, epsilon=0.0)
+            below = ecdf.cutoff_rank()
+            start = 1
+        else:
+            return taus
+        # need[j]: the values <= tau that round j needs for tau to hold; a
+        # block that one scan in Python covers takes it round by round
+        n = ecdf.count - start
+        if len(scores) - start > SCAN_ROUNDS:
+            need = order_index_column(np.arange(n + 1, n + len(scores) + 1),
+                                      1.0 - alpha) + 1
+            need_at = need.tolist()
+        else:
+            need_at = [order_index(n + j + 1, 1.0 - alpha) + 1 for j in range(len(scores))]
+        block = None
+        # rounds from `recorded` on are played but not yet in the ECDF
+        recorded = start
+        window = SCAN_ROUNDS
+        while start < len(scores):
+            end = min(start + window, len(scores))
+            raised = False
+            if window == SCAN_ROUNDS:
+                # round by round: a raise this close to the last one is
+                # found sooner than numpy sets up a column scan
+                for j in range(start, end):
+                    # a score not > tau, a miss included, records tau
+                    if not scores[j] > tau:
+                        below += 1
+                    if below < need_at[j]:
+                        end, raised = j + 1, True
+                        break
+            else:
+                if block is None:
+                    block = np.array(scores, dtype=np.float64)
+                counts = np.cumsum(~(block[start:end] > tau)) + below
+                short = counts < need[start:end]
+                j = int(short.argmax())
+                if short[j]:
+                    end, raised = start + j + 1, True
+                else:
+                    below = int(counts[-1])
+            taus += repeat(tau, end - start)
+            start = end
+            if raised:
+                ecdf.extend([s if s > tau else tau for s in scores[recorded:end]])
+                recorded = end
+                tau = ecdf.conformal_cutoff(alpha, epsilon=0.0)
+                below = ecdf.cutoff_rank()
+                window = SCAN_ROUNDS
+            else:
+                window *= 4
+        ecdf.extend([s if s > tau else tau for s in scores[recorded:]])
         self.t += len(scores)
         self.tau = tau
+        self._held = (tau, ecdf.count, below)
         return taus
 
 
@@ -395,9 +480,7 @@ class EtcPolicy(Policy):
         m = self.explore_rounds
         explore = min(max(m - self.t, 0), len(scores))
         tau = self.tau
-        insert = self.ecdf.insert
-        for score in scores[:explore]:
-            insert(score if score >= tau else tau)
+        self.ecdf.extend([score if score >= tau else tau for score in scores[:explore]])
         if explore and self.t + explore == m:
             self.tau = self._commit()
         self.t += len(scores)

@@ -14,6 +14,7 @@ from semibandit_conformal.cdf_band import (
     TruncatedEcdf,
     band_epsilon,
     order_index,
+    order_index_column,
     sup_quantile,
 )
 
@@ -376,6 +377,123 @@ class TestSupQuantile:
             assert index.call_args.args == (n, 1.0 - alpha - eps)
         else:
             assert 1.0 - alpha - eps < -LEVEL_TOL
+
+
+class TestOrderIndexColumn:
+    N = 10**5
+
+    @pytest.mark.parametrize("level", [0.1, 1 - 0.9, 1 / 3])
+    def test_every_n_at_a_scalar_level(self, level):
+        n = np.arange(1, self.N + 1)
+        column = order_index_column(n, level)
+        assert column.tolist() == [order_index(k, level) for k in range(1, self.N + 1)]
+
+    @pytest.mark.parametrize("offset", [-1e-10, 1e-10])
+    def test_every_n_at_its_own_level(self, offset):
+        # k/n +- 1e-10 sits inside LEVEL_TOL of a tie, where the
+        # adjustment loops decide the index
+        n = np.arange(1, self.N + 1)
+        k = np.random.default_rng(7).integers(0, n)
+        levels = k / n + offset
+        column = order_index_column(n, levels)
+        assert column.tolist() == [order_index(size, level) for size, level
+                                   in zip(n.tolist(), levels.tolist())]
+
+
+def insert_each(e, values):
+    """The reference for `extend`: `insert` one value at a time."""
+    for v in values:
+        e.insert(v)
+
+
+# values that tie, zeros of both signs, and the non-finite ones `insert`
+# rejects
+EXTEND_VALUES = st.one_of(TIED, st.floats(-2, 2),
+                          st.sampled_from([math.nan, POS_INF, NEG_INF]))
+
+
+class TestExtend:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(TIED, st.floats(-2, 2)), max_size=40),
+           st.lists(st.lists(EXTEND_VALUES, max_size=40), min_size=1, max_size=4),
+           st.lists(st.tuples(ALPHAS, EPSILONS), min_size=1, max_size=3),
+           st.booleans())
+    def test_matches_repeated_insert(self, before, batches, queries, ranked):
+        # a sample split by cutoff queries, with or without the sorted list
+        # a rank query builds, then batches with cutoffs between them
+        bulk, single = TruncatedEcdf(10000), TruncatedEcdf(10000)
+        for e in (bulk, single):
+            insert_each(e, before)
+            if before:
+                e.conformal_cutoff(*queries[0])
+                if ranked:
+                    e.samples
+        for values in batches:
+            outcomes = []
+            for e, add in ((bulk, TruncatedEcdf.extend), (single, insert_each)):
+                try:
+                    add(e, values)
+                    outcomes.append(None)
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert [repr(v) for v in bulk.samples] == [repr(v) for v in single.samples]
+            if bulk.count:
+                for alpha, eps in queries:
+                    assert (repr(bulk.conformal_cutoff(alpha, epsilon=eps))
+                            == repr(single.conformal_cutoff(alpha, epsilon=eps)))
+
+    def test_negative_zero_is_recorded_as_zero(self):
+        e = TruncatedEcdf(100)
+        e.extend([-0.0, 0.5])
+        assert repr(e.conformal_cutoff(0.9, epsilon=0.0)) == "0.0"
+        e.extend([-0.0])
+        assert [repr(v) for v in e.samples] == ["0.0", "0.0", "0.5"]
+
+    def test_first_non_finite_value_raises_after_the_values_before_it(self):
+        e = TruncatedEcdf(100)
+        with pytest.raises(ValueError, match="got inf"):
+            e.extend([0.5, -0.0, POS_INF, math.nan, 0.25])
+        assert [repr(v) for v in e.samples] == ["0.0", "0.5"]
+
+    def test_finite_values_whose_sum_overflows(self):
+        e = TruncatedEcdf(100)
+        e.extend([1e308, 1e308, -1.0])
+        assert e.samples == [-1.0, 1e308, 1e308]
+
+
+class TestCutoffRank:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("insert"), st.one_of(TIED, st.floats(-3, 3))),
+        st.tuples(st.just("extend"), st.lists(st.one_of(TIED, st.floats(-3, 3)),
+                                              max_size=10)),
+        st.tuples(st.just("cutoff"), st.tuples(ALPHAS, st.floats(0.0, 1.5))),
+    ), max_size=60))
+    def test_counts_values_at_or_below_the_last_finite_cutoff(self, ops):
+        e = TruncatedEcdf(10000)
+        values, answer = [], None
+        for op, arg in ops:
+            if op == "insert":
+                e.insert(arg)
+                values.append(arg)
+            elif op == "extend":
+                e.extend(arg)
+                values += arg
+            elif values:
+                cut = e.conformal_cutoff(arg[0], epsilon=arg[1])
+                if math.isfinite(cut):
+                    answer = cut
+            if answer is not None:
+                assert e.cutoff_rank() == sum(1 for v in values if v <= answer)
+
+    def test_no_finite_cutoff_yet(self):
+        e = ecdf_with_cutoff([1.0, 2.0])
+        with pytest.raises(ValueError):
+            e.cutoff_rank()
+        assert e.conformal_cutoff(0.9, epsilon=0.5) == NEG_INF
+        with pytest.raises(ValueError):
+            e.cutoff_rank()
 
 
 class TestRetruncationEquivalence:

@@ -1,5 +1,6 @@
 import math
 from bisect import insort
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semibandit_conformal import policies
-from semibandit_conformal.cdf_band import NEG_INF, band_epsilon, sup_quantile
+from semibandit_conformal.cdf_band import NEG_INF, TruncatedEcdf, band_epsilon, sup_quantile
 from semibandit_conformal.environments import EnvironmentSpec, apply_feedback
 from semibandit_conformal.harness import (BLOCK_ROUNDS, ExperimentConfig, PolicyEntry,
                                           run_single)
@@ -473,14 +474,72 @@ def aci_stretch_cases(draw):
     return spec, scores, sizes + [len(scores)]
 
 
-def assert_play_matches_reference(spec, scores, sizes):
+# Greedy streams as runs of one kind of round: "rise" scores climbing
+# above tau, so that tau rises every few rounds; "tie" scores from a few
+# values, zeros of both signs among them; "tau" scores equal to tau;
+# "nan" misses; "uniform" scores on [0, 1].
+GREEDY_RUNS = st.tuples(st.sampled_from(["rise", "tie", "tau", "nan", "uniform"]),
+                        st.integers(1, 1200), st.integers(0, 2**32 - 1))
+
+
+def _greedy_score(kind, tau, rng):
+    if kind == "rise":
+        return (tau if math.isfinite(tau) else 0.0) + rng.random()
+    if kind == "tie":
+        return [-0.0, 0.0, 0.25, 0.5, 1.0][rng.integers(5)]
+    if kind == "tau":
+        return tau if math.isfinite(tau) else 0.5
+    if kind == "nan":
+        return math.nan if math.isfinite(tau) else 0.25
+    return rng.random()
+
+
+@st.composite
+def greedy_cases(draw, max_rounds=3000):
+    """(spec, scores, chunk sizes, taus set from outside) for greedy.
+
+    Up to max_rounds rounds, so that `play`'s scan windows, 64 rounds
+    after a raise and 4x longer after each window without one, reach
+    4096 rounds within a chunk.
+    """
+    alpha = draw(st.sampled_from([0.1, 0.5, 0.75, 0.9]) | st.floats(0.05, 0.95))
+    spec = PolicySpec(kind="greedy", alpha=alpha, horizon=10**6)
+    ref, scores = spec.build(), []
+    for kind, length, seed in draw(st.lists(GREEDY_RUNS, min_size=1, max_size=8)):
+        rng = np.random.default_rng(seed)
+        for _ in range(min(length, max_rounds - len(scores))):
+            score = _greedy_score(kind, ref.tau, rng)
+            scores.append(score)
+            reference_round(ref, score)
+    cuts = sorted(set(draw(st.lists(st.integers(1, len(scores)), max_size=6))))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [len(scores)])]
+    starts = [a for a in [0] + cuts if a < len(scores)]
+    # a tau from outside, at some chunk starts: below, at or above the
+    # stream's values, or -0.0
+    taus = st.sampled_from([-0.0, 0.0, 0.5, 5.0]) | st.floats(-1, 2)
+    set_tau = draw(st.dictionaries(st.sampled_from(starts), taus, max_size=2))
+    return spec, scores, sizes, set_tau
+
+
+def assert_play_matches_reference(spec, scores, sizes, set_tau=None):
     """`play` over chunks of the given sizes, and `update` round by round,
-    give the reference's thresholds and final state, floats by repr."""
+    give the reference's thresholds and final state, floats by repr.
+
+    `set_tau` maps a chunk's first round to a tau assigned from outside
+    before it is played.
+    """
+    set_tau = set_tau or {}
     ref = spec.build()
-    expected = [reference_round(ref, s) for s in scores]
+    expected = []
+    for i, s in enumerate(scores):
+        if i in set_tau:
+            ref.tau = set_tau[i]
+        expected.append(reference_round(ref, s))
 
     played, taus, start = spec.build(), [], 0
     for size in sizes:
+        if start in set_tau:
+            played.tau = set_tau[start]
         taus += played.play(scores[start:start + size])
         start += size
     assert repr(taus) == repr(expected)
@@ -489,7 +548,9 @@ def assert_play_matches_reference(spec, scores, sizes):
     # the per-round API: one `play` of one score, a miss passed as None
     stepped = spec.build()
     taus = []
-    for s in scores:
+    for i, s in enumerate(scores):
+        if i in set_tau:
+            stepped.tau = set_tau[i]
         tau = stepped.propose()
         taus.append(tau)
         stepped.update(s if s >= tau else None)
@@ -497,11 +558,46 @@ def assert_play_matches_reference(spec, scores, sizes):
     assert state(stepped) == state(ref)
 
 
+class TestGreedyReference:
+    @settings(max_examples=200, deadline=None)
+    @given(greedy_cases(max_rounds=400))
+    def test_threshold_never_decreases(self, case):
+        # tau is never max-ed with the previous threshold, yet played from
+        # the start it never falls: ties, +-0.0 and NaN included
+        spec, scores, _, _ = case
+        p = spec.build()
+        taus = [reference_round(p, s) for s in scores] + [p.tau]
+        assert all(a <= b for a, b in zip(taus, taus[1:]))
+
+
 class TestPlayMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(play_cases())
     def test_play_in_chunks_and_update(self, case):
         assert_play_matches_reference(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(greedy_cases())
+    def test_greedy_raise_scan(self, case):
+        # long streams cross the scan windows and their growth; a tau set
+        # from outside between chunks is played as it stands
+        assert_play_matches_reference(*case)
+
+    @settings(max_examples=50, deadline=None)
+    @given(greedy_cases())
+    def test_greedy_asks_one_cutoff_per_raise(self, case):
+        # a miss or a tie that the scan failed to count would end a window
+        # at a round that does not raise: tau would come out right, but
+        # after one more cutoff query
+        spec, scores, sizes, _ = case
+        p, taus, start = spec.build(), [], 0
+        with mock.patch.object(TruncatedEcdf, "conformal_cutoff", autospec=True,
+                               side_effect=TruncatedEcdf.conformal_cutoff) as cutoff:
+            for size in sizes:
+                taus += p.play(scores[start:start + size])
+                start += size
+        taus.append(p.tau)
+        assert cutoff.call_count == sum(a < b for a, b in zip(taus, taus[1:]))
 
     @settings(max_examples=150, deadline=None)
     @given(aci_stretch_cases())
