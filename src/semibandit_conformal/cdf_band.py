@@ -51,19 +51,20 @@ def order_index(n: int, level: float) -> int:
 
     The start is floor(n * level) clamped to [0, n-1]: `int` truncates
     toward zero, which is the floor above 0 and lands on the clamp below.
-    The adjustment loops keep the index consistent with exact k/n
-    comparisons, so results agree bit-for-bit with a scan that evaluates
-    the ECDF directly.
+    The adjustment loop moves it up to the last k/n the tolerance admits,
+    so results agree bit-for-bit with a scan that evaluates the ECDF
+    directly.
     """
     m = int(n * level)
     if m < 0:
         m = 0
     elif m >= n:
         m = n - 1
+    # the start needs no move down: m <= n * level * (1 + 2**-53), so m/n
+    # exceeds level by about 1e-16, far inside LEVEL_TOL, and a negative
+    # level starts at m = 0
     while m + 1 < n and (m + 1) / n <= level + LEVEL_TOL:
         m += 1
-    while m > 0 and m / n > level + LEVEL_TOL:
-        m -= 1
     return m
 
 
@@ -72,25 +73,21 @@ def order_index_column(n, level) -> np.ndarray:
 
     `level` is a scalar or an array of n's shape (one level per size).
     Each step is the scalar one on int64 and float64 values: the start
-    truncated toward zero and clamped, then the adjustment loops, run
-    until no index moves.  Both divisions are of integers below 2**53,
+    truncated toward zero and clamped, then the adjustment loop, run
+    until no index moves.  The division is of integers below 2**53,
     which float64 holds exactly, so every comparison sees the quotient
     the scalar form sees and the column agrees with `order_index`
     element for element.
     """
     n = np.asarray(n, dtype=np.int64)
     bound = np.asarray(level, dtype=np.float64) + LEVEL_TOL
+    # as in `order_index`, the start is never above the bound
     m = np.clip((n * level).astype(np.int64), 0, n - 1)
     while True:
         up = (m + 1 < n) & ((m + 1) / n <= bound)
         if not up.any():
             break
         m += up
-    while True:
-        down = (m > 0) & (m / n > bound)
-        if not down.any():
-            break
-        m -= down
     return m
 
 
@@ -203,6 +200,12 @@ class TruncatedEcdf:
             for value in values:
                 insort(self._sorted, value + 0.0)
 
+    def band_level_column(self, alpha: float, n) -> np.ndarray:
+        """The level `conformal_cutoff(alpha)` queries at each sample size in
+        the array `n`, 1 - alpha - epsilon(), bit for bit: numpy's division
+        and square root round as Python's do."""
+        return 1.0 - alpha - np.sqrt(self._half_log / np.asarray(n, dtype=np.int64))
+
     def epsilon(self) -> float:
         """Band half-width at the current count: `band_epsilon(2/T^2, t)` bit
         for bit, since halving is exact and (log(2/delta) / 2) / t rounds the
@@ -271,6 +274,15 @@ class TruncatedEcdf:
                 ties += 1
                 stack += (2 * i + 1, 2 * i + 2)
         return len(low) + ties
+
+    def count_at_most(self, tau: float) -> int:
+        """Number of recorded values <= tau, in one pass over the heaps.
+
+        Unlike `eval_g` it builds no sorted list, which every later insert
+        would then keep sorted.
+        """
+        return (sum(1 for v in self._low if -v <= tau)
+                + sum(1 for v in self._high if v <= tau))
 
     def _require_samples(self) -> None:
         if not (self._low or self._high):

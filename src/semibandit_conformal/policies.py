@@ -23,18 +23,18 @@ Policies:
 Each policy writes its recurrence once, as `play(scores)`: one round per
 score over a block, returning the thresholds it proposed.  A score
 `>= tau` is observed; any other score, NaN included, is a miss that
-records tau.  `update` is the per-round form, one `play` of one score.
-Greedy finds the rounds where its tau rises with an exact scan over the
-block and records the rounds between them with one `TruncatedEcdf.extend`,
-so it asks one cutoff query per raise, not one per round.  ETC and
+records tau.  `update` is the per-round form, one `play` of one score;
+SPS keeps its own per-round `update` body.
+SPS and greedy find the rounds where their tau rises with one exact scan
+over the block, `_first_short`, and record the rounds between them with
+one `TruncatedEcdf.extend`, so each asks one cutoff query per raise, not
+one per round.  SPS plays each raise round through `update`, and so does
+the first round of a block that holds no count for its tau.  ETC and
 Con-ETC record their exploration rounds with one `extend`.  DLR plays its
 block in a local-variable loop.  ACI plays each stretch where its budget
 is clamped at 0 as numpy columns, which is exact because tau stays the
 smallest observed score until the budget is back above 0, and inserts a
-covered score into a sorted list only when it lands near tau.  SPS plays
-through `update` instead, so that each of its rounds is one `update`
-call: a tracer that counts SPS rounds, or wraps the method, sees every
-round.
+covered score into a sorted list only when it lands near tau.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .cdf_band import NEG_INF, POS_INF, TruncatedEcdf, order_index, order_index_column
+from .cdf_band import (LEVEL_TOL, NEG_INF, POS_INF, TruncatedEcdf, order_index,
+                       order_index_column)
 
 POLICY_KINDS = ("sps", "greedy", "aci", "dlr", "etc", "con_etc")
 
@@ -59,8 +60,8 @@ DLR_EXPONENT_OFFSET = 0.1  # step size eta_t = t^(-1/2 - offset)
 # The fewest rounds ACI plays as one clamped stretch (see `AciPolicy`).
 MIN_STRETCH = 32
 
-# The rounds greedy's `play` scans for a raise right after one (see
-# `GreedyPolicy`).
+# The rounds SPS's and greedy's `play` scan in Python for a raise right
+# after one (see `_first_short`).
 SCAN_ROUNDS = 64
 
 # The score `update` plays for a miss: no threshold admits NaN.
@@ -159,11 +160,32 @@ class Policy:
 
 
 class SpsPolicy(Policy):
-    """Banded cutoff on the truncated ECDF; thresholds never decrease."""
+    """Banded cutoff on the truncated ECDF; thresholds never decrease.
+
+    A round's cutoff is the k_t-th smallest recorded value, with
+    k_t = order_index(t, 1 - alpha - eps_t) + 1, or -inf when that level
+    is below -LEVEL_TOL.  The cutoff is above tau exactly when fewer than
+    k_t recorded values are <= tau, so with c values <= tau, tau holds
+    through round t while c + (the block's scores up to round t that are
+    not > tau, NaN included) >= k_t, where a -inf cutoff needs k_t = 0.
+
+    `play` builds the k_t column for the block and finds the first round
+    where that fails with the raise scan greedy uses, `_first_short`.
+    It records the rounds before it with one `TruncatedEcdf.extend`,
+    plays the raise round through `update`, which inserts, asks the
+    cutoff and takes the max, and counts c again with `cutoff_rank`.
+    c is carried from block to block with the tau it counts.  A block
+    that holds no count (on a fresh policy, after tau was set from
+    outside, or after rounds played by `update`) plays its first round
+    through `update` and counts c over the sample.  `update` keeps its
+    per-round body, so a per-round caller sees the ECDF each round.
+    """
 
     def __init__(self, spec: PolicySpec):
         super().__init__(spec)
         self.ecdf = TruncatedEcdf(spec.horizon)
+        # (tau, recorded count, values <= tau) as the last `play` left them
+        self._held: tuple[float, int, int] | None = None
 
     def update(self, observed: float | None) -> None:
         tau = self.tau
@@ -177,15 +199,86 @@ class SpsPolicy(Policy):
             self.tau = cutoff
 
     def play(self, scores: list[float]) -> list[float]:
-        # round by round through `update` (see the module doc)
+        ecdf = self.ecdf
         update = self.update
+        t = self.t
+        tau = self.tau
         taus = []
-        append = taus.append
-        for score in scores:
-            tau = self.tau
-            append(tau)
+        start = 0
+        held = self._held
+        # `is`: a tau assigned from outside is another float object
+        if held is not None and held[0] is tau and held[1] == ecdf.count:
+            below = held[2]
+        elif scores:
+            score = scores[0]
+            taus.append(tau)
             update(score if score >= tau else None)
+            tau = self.tau
+            below = ecdf.count_at_most(tau)
+            start = 1
+        else:
+            return taus
+        # need[j]: the values <= tau that round j needs for tau to hold
+        n = ecdf.count - start
+        sizes = np.arange(n + 1, n + len(scores) + 1)
+        level = ecdf.band_level_column(self.alpha, sizes)
+        need = np.where(level < -LEVEL_TOL, 0, order_index_column(sizes, level) + 1)
+        need_at = need.tolist()
+        block = np.array(scores, dtype=np.float64)
+        while True:
+            j, below = _first_short(scores, block, need, need_at, start, tau, below)
+            taus += repeat(tau, j - start)
+            ecdf.extend([s if s > tau else tau for s in scores[start:j]])
+            if j == len(scores):
+                break
+            score = scores[j]
+            taus.append(tau)
+            update(score if score >= tau else None)
+            tau = self.tau
+            below = ecdf.cutoff_rank()
+            start = j + 1
+        self.t = t + len(scores)
+        self._held = (tau, ecdf.count, below)
         return taus
+
+
+def _first_short(scores: list[float], block, need, need_at: list[int],
+                 start: int, tau: float, below: int) -> tuple[int, int]:
+    """The first round where a held threshold must rise, and the count there.
+
+    `need[j]` (`need_at` as a list) is the number of recorded values <= tau
+    that round j needs for tau to hold, and `below` the number recorded
+    before round `start`.  Returns the first round j >= start where
+    `below` plus the scores from `start` through j that are not > tau
+    (NaN included: a miss records tau) falls short of `need_at[j]`, or
+    len(scores) if none does, with that count through the round.
+
+    The first window is SCAN_ROUNDS rounds, checked one by one in Python:
+    raises that come every few rounds cost less that way than a numpy
+    set-up each.  Each later window is 4x longer and checked as numpy
+    columns over `block`, the scores as an array.  `block` and `need` are
+    read only for a block longer than one window, and may be None when
+    it is not.
+    """
+    window = SCAN_ROUNDS
+    while start < len(scores):
+        end = min(start + window, len(scores))
+        if window == SCAN_ROUNDS:
+            for j in range(start, end):
+                if not scores[j] > tau:
+                    below += 1
+                if below < need_at[j]:
+                    return j, below
+        else:
+            counts = np.cumsum(~(block[start:end] > tau)) + below
+            short = counts < need[start:end]
+            j = int(short.argmax())
+            if short[j]:
+                return start + j, int(counts[j])
+            below = int(counts[-1])
+        start = end
+        window *= 4
+    return len(scores), below
 
 
 class GreedyPolicy(Policy):
@@ -202,15 +295,12 @@ class GreedyPolicy(Policy):
     With c recorded values <= tau, tau holds through round t while
     c + (the block's scores up to round t that are not > tau, NaN
     included) >= order_index(t, 1 - alpha) + 1, the count the order
-    statistic needs.  `play` scans windows of rounds for the first round
-    where that fails, records the rounds up to it with one
+    statistic needs.  `play` finds the first round where that fails with
+    `_first_short`, records the rounds up to it with one
     `TruncatedEcdf.extend`, asks `conformal_cutoff` once for the new tau
-    and counts c again with `cutoff_rank`, in O(ties).  The first window
-    after a raise is SCAN_ROUNDS rounds, checked one by one in Python:
-    raises that come every few rounds cost less that way than a numpy
-    set-up each.  Each later window is 4x longer and checked as numpy
-    columns.  c is carried from block to block with the tau it counts; a
-    tau set from outside is first played one plain round.
+    and counts c again with `cutoff_rank`, in O(ties).  c is carried from
+    block to block with the tau it counts; a tau set from outside is
+    first played one plain round.
     """
 
     def __init__(self, spec: PolicySpec):
@@ -245,46 +335,20 @@ class GreedyPolicy(Policy):
             need = order_index_column(np.arange(n + 1, n + len(scores) + 1),
                                       1.0 - alpha) + 1
             need_at = need.tolist()
+            block = np.array(scores, dtype=np.float64)
         else:
+            need = block = None
             need_at = [order_index(n + j + 1, 1.0 - alpha) + 1 for j in range(len(scores))]
-        block = None
-        # rounds from `recorded` on are played but not yet in the ECDF
-        recorded = start
-        window = SCAN_ROUNDS
-        while start < len(scores):
-            end = min(start + window, len(scores))
-            raised = False
-            if window == SCAN_ROUNDS:
-                # round by round: a raise this close to the last one is
-                # found sooner than numpy sets up a column scan
-                for j in range(start, end):
-                    # a score not > tau, a miss included, records tau
-                    if not scores[j] > tau:
-                        below += 1
-                    if below < need_at[j]:
-                        end, raised = j + 1, True
-                        break
-            else:
-                if block is None:
-                    block = np.array(scores, dtype=np.float64)
-                counts = np.cumsum(~(block[start:end] > tau)) + below
-                short = counts < need[start:end]
-                j = int(short.argmax())
-                if short[j]:
-                    end, raised = start + j + 1, True
-                else:
-                    below = int(counts[-1])
+        while True:
+            j, below = _first_short(scores, block, need, need_at, start, tau, below)
+            end = min(j + 1, len(scores))
             taus += repeat(tau, end - start)
+            ecdf.extend([s if s > tau else tau for s in scores[start:end]])
+            if j == len(scores):
+                break
+            tau = ecdf.conformal_cutoff(alpha, epsilon=0.0)
+            below = ecdf.cutoff_rank()
             start = end
-            if raised:
-                ecdf.extend([s if s > tau else tau for s in scores[recorded:end]])
-                recorded = end
-                tau = ecdf.conformal_cutoff(alpha, epsilon=0.0)
-                below = ecdf.cutoff_rank()
-                window = SCAN_ROUNDS
-            else:
-                window *= 4
-        ecdf.extend([s if s > tau else tau for s in scores[recorded:]])
         self.t += len(scores)
         self.tau = tau
         self._held = (tau, ecdf.count, below)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -362,6 +363,23 @@ class TestSupQuantile:
             if -LEVEL_TOL <= level < 1.0:
                 assert order_index(n, level) == self.floor_form_order_index(n, level)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 2**53 - 1), st.data())
+    def test_start_needs_no_move_down(self, n, data):
+        # `order_index` and its column keep no loop that moves the start
+        # down: in exact arithmetic the start is already within the bound,
+        # and so is the float comparison a down-loop would make
+        k = data.draw(st.integers(0, n))
+        levels = [data.draw(st.floats(-LEVEL_TOL, 1.0, exclude_max=True)), -LEVEL_TOL,
+                  math.nextafter(1.0, 0.0)]
+        for base in (k / n, k / n - LEVEL_TOL, k / n + LEVEL_TOL):
+            levels += [base, math.nextafter(base, -math.inf), math.nextafter(base, math.inf)]
+        for level in levels:
+            if -LEVEL_TOL <= level < 1.0:
+                m = min(max(int(n * level), 0), n - 1)
+                assert Fraction(m, n) <= Fraction(level) + Fraction(LEVEL_TOL)
+                assert not m / n > level + LEVEL_TOL
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 10**7), st.integers(1, 200), st.floats(0.01, 0.99))
     def test_cutoff_band_width_is_epsilon(self, horizon, n, alpha):
@@ -442,6 +460,35 @@ class TestExtend:
                 for alpha, eps in queries:
                     assert (repr(bulk.conformal_cutoff(alpha, epsilon=eps))
                             == repr(single.conformal_cutoff(alpha, epsilon=eps)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([-1.0, -0.0, 0.0]), st.floats(-2, 0)),
+                    max_size=40),
+           st.lists(st.lists(st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(0, 2)),
+                             max_size=40), min_size=1, max_size=4),
+           ALPHAS, st.booleans())
+    def test_values_all_at_or_above_the_low_top(self, before, batches, alpha, ranked):
+        # how the banded and greedy policies record between two cutoffs:
+        # every value >= the low heap's top (here <= 0), zeros of both
+        # signs among them; each heap gets what repeated inserts give it
+        bulk, single = TruncatedEcdf(10000), TruncatedEcdf(10000)
+        for e in (bulk, single):
+            insert_each(e, before)
+            if before:
+                e.conformal_cutoff(alpha, epsilon=0.0)
+                if ranked:
+                    e.samples
+        top = -bulk._low[0] if bulk._low else NEG_INF
+        for values in batches:
+            assert all(v >= top for v in values)
+            bulk.extend(values)
+            insert_each(single, values)
+            for a, b in ((bulk._low, single._low), (bulk._high, single._high)):
+                assert [repr(v) for v in sorted(a)] == [repr(v) for v in sorted(b)]
+        assert [repr(v) for v in bulk.samples] == [repr(v) for v in single.samples]
+        if bulk.count:
+            assert (repr(bulk.conformal_cutoff(alpha, epsilon=0.0))
+                    == repr(single.conformal_cutoff(alpha, epsilon=0.0)))
 
     def test_negative_zero_is_recorded_as_zero(self):
         e = TruncatedEcdf(100)

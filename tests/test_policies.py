@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semibandit_conformal import policies
-from semibandit_conformal.cdf_band import NEG_INF, TruncatedEcdf, band_epsilon, sup_quantile
+from semibandit_conformal.cdf_band import (LEVEL_TOL, NEG_INF, TruncatedEcdf, band_epsilon,
+                                          sup_quantile)
 from semibandit_conformal.environments import EnvironmentSpec, apply_feedback
 from semibandit_conformal.harness import (BLOCK_ROUNDS, ExperimentConfig, PolicyEntry,
                                           run_single)
@@ -188,6 +189,23 @@ class TestSps:
             recorded.append(tau if observed is None else s)
             p.update(observed)
         assert p.ecdf.samples == sorted(recorded)
+
+
+class TestSpsLevelColumn:
+    N = 10**5
+
+    @pytest.mark.parametrize("horizon", [1200, 10**4, 10**5])
+    @pytest.mark.parametrize("alpha", [ALPHA, 0.5, 1 / 3])
+    def test_every_n_matches_epsilon(self, horizon, alpha):
+        # the level `play` builds its need column from is the level the
+        # per-round cutoff queries, bit for bit
+        e = TruncatedEcdf(horizon)
+        expected = []
+        for _ in range(self.N):
+            e.insert(0.0)
+            expected.append(1 - alpha - e.epsilon())
+        column = e.band_level_column(alpha, np.arange(1, self.N + 1))
+        assert column.tobytes() == np.array(expected).tobytes()
 
 
 class TestGreedy:
@@ -494,16 +512,9 @@ def _greedy_score(kind, tau, rng):
     return rng.random()
 
 
-@st.composite
-def greedy_cases(draw, max_rounds=3000):
-    """(spec, scores, chunk sizes, taus set from outside) for greedy.
-
-    Up to max_rounds rounds, so that `play`'s scan windows, 64 rounds
-    after a raise and 4x longer after each window without one, reach
-    4096 rounds within a chunk.
-    """
-    alpha = draw(st.sampled_from([0.1, 0.5, 0.75, 0.9]) | st.floats(0.05, 0.95))
-    spec = PolicySpec(kind="greedy", alpha=alpha, horizon=10**6)
+def _scan_cases(draw, spec, max_rounds):
+    """(spec, scores, chunk sizes, taus set from outside) over a stream of
+    GREEDY_RUNS, resolved against the reference's own thresholds."""
     ref, scores = spec.build(), []
     for kind, length, seed in draw(st.lists(GREEDY_RUNS, min_size=1, max_size=8)):
         rng = np.random.default_rng(seed)
@@ -519,6 +530,35 @@ def greedy_cases(draw, max_rounds=3000):
     taus = st.sampled_from([-0.0, 0.0, 0.5, 5.0]) | st.floats(-1, 2)
     set_tau = draw(st.dictionaries(st.sampled_from(starts), taus, max_size=2))
     return spec, scores, sizes, set_tau
+
+
+@st.composite
+def greedy_cases(draw, max_rounds=3000):
+    """(spec, scores, chunk sizes, taus set from outside) for greedy.
+
+    Up to max_rounds rounds, so that `play`'s scan windows, 64 rounds
+    after a raise and 4x longer after each window without one, reach
+    4096 rounds within a chunk.
+    """
+    alpha = draw(st.sampled_from([0.1, 0.5, 0.75, 0.9]) | st.floats(0.05, 0.95))
+    return _scan_cases(draw, PolicySpec(kind="greedy", alpha=alpha, horizon=10**6),
+                       max_rounds)
+
+
+@st.composite
+def sps_cases(draw, max_rounds=3000):
+    """(spec, scores, chunk sizes, taus set from outside) for SPS.
+
+    As `greedy_cases`, with the horizon drawn too: the band's level
+    1 - alpha - eps_t is below 0, where the cutoff is -inf, until
+    t = log(horizon) / (1 - alpha)**2, which is 709 rounds at
+    (0.9, 1200) and 18 at (0.5, 100), so it often crosses 0 inside a
+    chunk.
+    """
+    alpha = draw(st.sampled_from([0.1, 0.5, 0.75, 0.9]) | st.floats(0.05, 0.95))
+    horizon = draw(st.sampled_from([2, 100, 1200, 10**4, 10**6]) | st.integers(2, 10**6))
+    return _scan_cases(draw, PolicySpec(kind="sps", alpha=alpha, horizon=horizon),
+                       max_rounds)
 
 
 def assert_play_matches_reference(spec, scores, sizes, set_tau=None):
@@ -598,6 +638,75 @@ class TestPlayMatchesReference:
                 start += size
         taus.append(p.tau)
         assert cutoff.call_count == sum(a < b for a, b in zip(taus, taus[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sps_cases())
+    def test_sps_raise_scan(self, case):
+        # as for greedy, with the -inf rounds of a negative level and a
+        # tau from outside below, at or above the recorded values
+        assert_play_matches_reference(*case)
+
+    @settings(max_examples=50, deadline=None)
+    # sps_cases has at most 7 chunks
+    @given(sps_cases(), st.lists(st.booleans(), min_size=7, max_size=7))
+    def test_sps_updates_only_raise_and_entry_rounds(self, case, stepped):
+        # chunks played by `play`, or round by round by `update` where
+        # `stepped` says so.  A `play` that holds a count for tau calls
+        # `update` only for the rounds that raise it; one that does not,
+        # on a fresh policy, after a new tau from outside or after rounds
+        # played by `update`, also for its first round
+        spec, scores, sizes, set_tau = case
+        ref = spec.build()
+        expected = []
+        for i, s in enumerate(scores):
+            if i in set_tau:
+                ref.tau = set_tau[i]
+            expected.append(reference_round(ref, s))
+
+        p, taus, start, calls, entry = spec.build(), [], 0, 0, True
+        with mock.patch.object(SpsPolicy, "update", autospec=True,
+                               side_effect=SpsPolicy.update) as update:
+            for size, by_update in zip(sizes, stepped):
+                if start in set_tau and set_tau[start] is not p.tau:
+                    p.tau = set_tau[start]
+                    entry = True
+                chunk = scores[start:start + size]
+                if by_update:
+                    for s in chunk:
+                        taus.append(p.tau)
+                        p.update(s if s >= p.tau else None)
+                    calls += len(chunk)
+                    entry = True
+                elif chunk:
+                    played = p.play(chunk)
+                    raises = [a < b for a, b in zip(played, played[1:] + [p.tau])]
+                    calls += entry + sum(raises[entry:])
+                    taus += played
+                    entry = False
+                start += size
+        assert repr(taus) == repr(expected)
+        assert state(p) == state(ref)
+        assert update.call_count == calls
+
+    def test_sps_level_crosses_zero_inside_a_block(self):
+        # at (0.9, 1200) the level is below 0 up to t = 709.008, and the
+        # cutoff -inf; one block of 2000 rounds runs across the change
+        spec = PolicySpec(kind="sps", alpha=ALPHA, horizon=1200)
+        scores = np.random.default_rng(11).random(2000).tolist()
+        assert_play_matches_reference(spec, scores, [2000])
+        taus = spec.build().play(scores)
+        assert taus[709] == NEG_INF and math.isfinite(taus[710])
+
+    def test_sps_level_just_below_zero_is_admitted(self):
+        # at t = 16 the level is -5e-10: inside LEVEL_TOL, so the cutoff
+        # is the least value, not -inf, and tau rises from -inf there
+        spec = PolicySpec(kind="sps", alpha=0.4635084939276632, horizon=100)
+        level = spec.build().ecdf.band_level_column(spec.alpha, [15, 16, 17])
+        assert level[0] < -LEVEL_TOL <= level[1] < 0.0 < level[2]
+        scores = np.random.default_rng(12).random(40).tolist()
+        assert_play_matches_reference(spec, scores, [40])
+        taus = spec.build().play(scores)
+        assert taus[15] == NEG_INF and math.isfinite(taus[16])
 
     @settings(max_examples=150, deadline=None)
     @given(aci_stretch_cases())
