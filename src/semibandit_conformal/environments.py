@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from statistics import NormalDist
 
 import numpy as np
@@ -48,7 +50,19 @@ class RunExhaustedError(RuntimeError):
 
 
 class ScoreDistribution:
-    """Sampling plus exact CDF / sup-quantile for one distribution."""
+    """Sampling plus exact CDF / sup-quantile for one distribution.
+
+    Called at a score, a distribution gives its CDF there, so it serves as
+    the oracle G* of `metrics.loss_phi`.  A distribution whose CDF numpy
+    computes bit for bit as a float does has `cdf_column`, which maps a
+    float64 column elementwise to exactly the values `cdf` gives; the
+    others leave it None.
+    """
+
+    cdf_column = None
+
+    def __call__(self, x: float) -> float:
+        return self.cdf(x)
 
     def sample(self, rng: np.random.Generator, size=None):
         """One draw when `size` is None, else an array of that shape.
@@ -59,7 +73,8 @@ class ScoreDistribution:
         raise NotImplementedError
 
     def cdf(self, x: float) -> float:
-        raise NotImplementedError
+        """G(x) at one score: `cdf_column` at x, where there is one."""
+        return float(self.cdf_column(x))
 
     def sup_quantile(self, level: float) -> float:
         """sup{ x : cdf(x) <= level }; -inf / +inf outside [0,1), else the
@@ -90,6 +105,12 @@ class UniformDist(ScoreDistribution):
         if x >= self.b:
             return 1.0
         return (x - self.a) / (self.b - self.a)
+
+    def cdf_column(self, x):
+        # `cdf`'s branches elementwise; a numpy scalar path would slow the
+        # per-round loss loops that call `cdf` a million times
+        return np.where(x <= self.a, 0.0,
+                        np.where(x >= self.b, 1.0, (x - self.a) / (self.b - self.a)))
 
     def _sup(self, level):
         return self.a + level * (self.b - self.a)
@@ -147,7 +168,13 @@ class BetaDist(ScoreDistribution):
 
 
 class PointMixtureDist(ScoreDistribution):
-    """Finite mixture of point masses (a discrete score distribution)."""
+    """Finite mixture of point masses (a discrete score distribution).
+
+    `cumulative[i]` is the mass of the i lowest atoms, summed left to
+    right; `cdf`, `cdf_column` and `sup_quantile` all read it.  (Python
+    3.12's builtin `sum` is compensated, and ten weights of 0.1 sum to
+    1.0 there but to 0.9999999999999999 left to right.)
+    """
 
     def __init__(self, atoms, weights):
         atoms = [float(a) for a in atoms]
@@ -159,20 +186,23 @@ class PointMixtureDist(ScoreDistribution):
         order = sorted(range(len(atoms)), key=lambda i: atoms[i])
         self.atoms = [atoms[i] for i in order]
         self.weights = [weights[i] for i in order]
+        self.cumulative = list(accumulate(self.weights, initial=0.0))
+        self._atoms_column = np.array(self.atoms)
+        self._cumulative_column = np.array(self.cumulative)
 
     def sample(self, rng, size=None):
         return rng.choice(self.atoms, size, p=self.weights)
 
     def cdf(self, x):
-        return sum(w for a, w in zip(self.atoms, self.weights) if a <= x)
+        return self.cumulative[bisect_right(self.atoms, x)]
+
+    def cdf_column(self, x):
+        return self._cumulative_column[np.searchsorted(self._atoms_column, x, side="right")]
 
     def _sup(self, level):
-        cum = 0.0
-        for a, w in zip(self.atoms, self.weights):
-            cum += w
-            if cum > level:
-                return a
-        return POS_INF
+        # the lowest atom whose cumulative mass exceeds the level
+        i = bisect_right(self.cumulative, level)
+        return self.atoms[i - 1] if i < len(self.cumulative) else POS_INF
 
     @property
     def support(self):
@@ -190,8 +220,8 @@ class EmpiricalDist(ScoreDistribution):
     def sample(self, rng, size=None):
         return self.values[rng.integers(len(self.values), size=size)]
 
-    def cdf(self, x):
-        return float(np.searchsorted(self.values, x, side="right")) / len(self.values)
+    def cdf_column(self, x):
+        return np.searchsorted(self.values, x, side="right") / len(self.values)
 
     def sup_quantile(self, level):
         return sup_quantile(self.values, level)
@@ -305,7 +335,8 @@ class SyntheticEnv:
         return float(self.draw(rng, 1)[0][0])
 
     def oracle_cdf(self):
-        return self.dist.cdf
+        """G*, the CDF of a round's score: the distribution, called at a score."""
+        return self.dist
 
     def oracle_tau_star(self, alpha: float) -> float:
         return self.dist.sup_quantile(1.0 - alpha)

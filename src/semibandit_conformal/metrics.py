@@ -5,6 +5,11 @@ G*(tau): a mild slope lambda1 on the overcovering side
 (G*(tau) <= 1 - alpha) and a steep slope lambda2 on the undercovering
 side.  It is nonpositive, zero exactly at the target miscoverage, and
 K-Lipschitz in G* with K = max(lambda1, lambda2).
+
+Regret is computed as columns and rounded at 12 significant digits, the
+CSV precision: `inst_regret` per round (rounded by `round12`), and
+`cum_regret` as the running sum rounded at every step.  Each column is
+bit for bit what the per-value f-string rule gives.
 """
 
 from __future__ import annotations
@@ -63,15 +68,34 @@ def inst_regret(tau, tau_star: float, gstar, params: LossParams) -> np.ndarray:
     """Per-round regret |phi(tau*) - phi(tau_t)| over a column of thresholds.
 
     Nonnegative by construction; equals phi(tau*) - phi(tau_t) whenever
-    the oracle achieves the target miscoverage exactly.  `loss_phi` runs
-    once per distinct threshold, and each value is rounded at 12
-    significant digits, the CSV precision (see `cum_regret`).
+    the oracle achieves the target miscoverage exactly.  Each value is
+    rounded at 12 significant digits, the CSV precision (see `round12`
+    and `cum_regret`).  The loss is taken once per stretch of one repeated
+    threshold: as columns when gstar has a `cdf_column` (a
+    `ScoreDistribution` numpy reproduces bit for bit), else by `loss_phi`
+    once per distinct threshold.  `loss_phi` always gives phi(tau*), and
+    gstar may be any callable G*(x).
     """
-    distinct, where = np.unique(np.asarray(tau, dtype=float), return_inverse=True)
+    tau = np.asarray(tau, dtype=float)
+    first = np.empty(len(tau), dtype=bool)
+    first[:1] = True
+    np.not_equal(tau[1:], tau[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    stretches = tau[starts]
     phi_star = loss_phi(tau_star, gstar, params)
-    regret = [float(f"{abs(phi_star - loss_phi(x, gstar, params)):.12g}")
-              for x in distinct.tolist()]
-    return np.array(regret, dtype=float)[where]
+    column = getattr(gstar, "cdf_column", None)
+    if column is None:
+        distinct, where = np.unique(stretches, return_inverse=True)
+        phi = np.array([loss_phi(x, gstar, params) for x in distinct.tolist()])[where]
+    else:
+        # loss_phi's formula elementwise, bit for bit
+        g = np.where(stretches == NEG_INF, 0.0,
+                     np.where(stretches == POS_INF, 1.0, column(stretches)))
+        gap = g - (1.0 - params.alpha)
+        phi = np.where(gap <= 0.0, -params.lambda1 * np.abs(gap),
+                       -params.lambda2 * np.abs(gap))
+    regret = round12(np.abs(phi_star - phi))
+    return np.repeat(regret, np.diff(starts, append=len(tau)))
 
 
 # Rounds one grid run looks at: 16 times as many as the last run wrote,
@@ -80,13 +104,63 @@ def inst_regret(tau, tau_star: float, gstar, params: LossParams) -> np.ndarray:
 GRID_WINDOW_MIN = 64
 GRID_WINDOW_MAX = 4096
 
-# Grid runs need |x/u - (r + 1/2)| above this: the float error of the sum
-# and of x/u is below 3.4e-4 grid units, so the rounding is then decided.
+# Grid runs and `round12` need |x/u - (r + 1/2)| above this: the float
+# error of the sum and of x/u is below 3.4e-4 grid units, so the rounding
+# is then decided.
 HALF_UNIT_MARGIN = 1e-3
+
+# 10**s for s = 0..22, each exact (10**22 is the largest exact power of ten)
+_POWERS_OF_TEN = 10.0 ** np.arange(23)
+
+
+def round12(y) -> np.ndarray:
+    """float(f"{v:.12g}") for each v of a float64 column, bit for bit.
+
+    With e = floor(log10(v)) and s = 11 - e, q = v * 10**s carries one
+    rounding of at most 1.2e-4 units below 10**12, and the 12-digit value
+    of v is r / 10**s for r = floor(q + 1/2), as `float` of the string and
+    the division round the same exact quotient.  That holds when 10**s is
+    exact (0 <= s <= 22), q >= 10**11 and r < 10**12 (v's first 12 digits
+    are r's, or a q a hair under 10**11 rounds up to it all the same), and
+    q is more than HALF_UNIT_MARGIN from a half unit (the rounding is
+    decided).  Zeros are kept.  Every other value (NaN, inf, negative,
+    below 1e-11, at least 10**12, or near a half unit) takes the f-string,
+    once per distinct value.
+    """
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = 11.0 - np.floor(np.log10(y))
+        exact = (shift >= 0.0) & (shift <= 22.0)
+        scale = _POWERS_OF_TEN[np.where(exact, shift, 0.0).astype(np.intp)]
+        q = y * scale
+        r = np.floor(q + 0.5)
+        exact &= (q >= 1e11) & (r < 1e12) & (np.abs(q - np.floor(q) - 0.5) > HALF_UNIT_MARGIN)
+        out = np.where(exact, r / scale, y)
+    rest = np.flatnonzero(~exact & (y != 0.0))
+    if len(rest):
+        values, where = np.unique(y[rest], return_inverse=True)
+        out[rest] = np.array([float(f"{v:.12g}") for v in values.tolist()])[where]
+    return out
 
 
 def _step(c: float, x: float) -> float:
     return float(f"{c + x:.12g}")
+
+
+def _grid(c: float) -> tuple[int, float] | None:
+    """(N, 10**(11-e)) with c = N / 10**(11-e) exactly, for c in
+    [10**e, 10**(e+1)) of 12 significant digits; None when c is not
+    positive, not finite or not 12-digit rounded, or 11-e is outside
+    [0, 22] (10**22 is the largest exact power of ten)."""
+    if not 0.0 < c < POS_INF:
+        return None
+    digits, _, exponent = f"{c:.11e}".partition("e")
+    shift = 11 - int(exponent)
+    if not 0 <= shift <= 22:
+        return None
+    scale = float(10 ** shift)
+    n = int(digits.replace(".", ""))
+    return (n, scale) if n / scale == c else None
 
 
 def _grid_run(out, inst, k: int, end: int, c: float) -> int:
@@ -104,21 +178,19 @@ def _grid_run(out, inst, k: int, end: int, c: float) -> int:
     edge, or to the first x that is negative, not finite or at least
     10**12 units.  0 means the rule is unproven here and scalar steps
     must be taken: that first x is at k, the first step is a half-unit
-    tie, c is not positive, not finite or not 12-digit rounded, 11-e is
-    outside [0, 22] (10**22 is the largest exact power of ten), or the
-    first step leaves the decade.
+    tie, c has no grid (see `_grid`), or the first step leaves the
+    decade.  A window of one repeated x goes to `_constant_run`, which may
+    write past end.
     """
-    if not 0.0 < c < POS_INF:
+    grid = _grid(c)
+    if grid is None:
         return 0
-    digits, _, exponent = f"{c:.11e}".partition("e")
-    shift = 11 - int(exponent)
-    if not 0 <= shift <= 22:
-        return 0
-    scale = float(10 ** shift)
-    n = int(digits.replace(".", ""))
-    if n / scale != c:
-        return 0
+    n, scale = grid
     x = inst[k:end]
+    if x[0] == x[-1] and (x == x[0]).all():
+        m = _constant_run(out, inst, k, end, c)
+        if m:
+            return m
     q = x * scale
     with np.errstate(invalid="ignore"):
         # NaN fails both comparisons, +inf the second (its inf - inf warns)
@@ -151,6 +223,52 @@ def _grid_run(out, inst, k: int, end: int, c: float) -> int:
     return m
 
 
+def _constant_run(out, inst, k: int, end: int, c: float) -> int:
+    """Steps over the stretch of x = inst[k] that runs through end, in
+    closed form: one `np.arange` of r-unit steps per decade, and one
+    `_step` into the next decade.  Writes out[k:] and returns how many
+    steps were written: to the stretch's end, or to where x is a half-unit
+    tie on c's grid, is negative or not finite, or c has no grid."""
+    x = float(inst[k])
+    end = _stretch_end(inst, k, end)
+    start = k
+    while k < end:
+        grid = _grid(c)
+        if grid is None:
+            break
+        n, scale = grid
+        q = x * scale
+        if not (0.0 <= q < 10.0**12 and abs(q - math.floor(q) - 0.5) > HALF_UNIT_MARGIN):
+            break
+        r = math.floor(q + 0.5)
+        steps = end - k if not r else min(end - k, (10**12 - 1 - n) // r)
+        if steps:
+            np.divide(n + r * np.arange(1, steps + 1, dtype=np.int64), scale,
+                      out=out[k:k + steps])
+            k += steps
+            c = float(out[k - 1])
+        if k < end:
+            # the step that leaves the decade
+            c = out[k] = _step(c, x)
+            k += 1
+    return k - start
+
+
+def _stretch_end(inst, k: int, end: int) -> int:
+    """End of the stretch of values equal to inst[k], which runs through
+    end: scanned in chunks that double, so the scan costs O(stretch)."""
+    x = inst[k]
+    size = max(end - k, 1)
+    while end < len(inst):
+        stop = min(end + size, len(inst))
+        other = np.flatnonzero(inst[end:stop] != x)
+        if len(other):
+            return end + int(other[0])
+        end = stop
+        size *= 2
+    return end
+
+
 def cum_regret(inst) -> np.ndarray:
     """Running sum of a per-round regret column, folded in round order.
 
@@ -160,9 +278,11 @@ def cum_regret(inst) -> np.ndarray:
     fold bit for bit, taken as grid runs (`_grid_run`) of up to
     GRID_WINDOW_MAX rounds: while c stays in the decade [10**e, 10**(e+1))
     of the grid u = 10**(e-11), each step adds r_t = round(x_t/u) grid
-    units, so the sums are integer prefix sums.  Where that is unproven
-    the scalar step is taken: on the first round, at a half-unit tie, at
-    the step that leaves a decade, and wherever x or c rules the grid out.
+    units, so the sums are integer prefix sums, and a stretch of one
+    repeated x adds r units a step in closed form (`_constant_run`).
+    Where that is unproven the scalar step is taken: on the first round,
+    at a half-unit tie, at the step that leaves a decade, and wherever x
+    or c rules the grid out.
     """
     inst = np.asarray(inst, dtype=float)
     out = np.empty(len(inst))

@@ -82,6 +82,29 @@ class TestDistributions:
         rng = np.random.default_rng(1)
         assert all(dist.sample(rng) in (0.2, 0.5, 0.9) for _ in range(50))
 
+    def test_pointmix_ten_tenths_sum_left_to_right(self):
+        # 1.0 under Python 3.12's compensated `sum`; cdf, its column and
+        # sup_quantile must agree on every interpreter
+        dist = make_distribution(
+            "pointmix", {"atoms": [0.1 * i for i in range(10)], "weights": [0.1] * 10})
+        assert dist.cdf(1.0) == dist.cumulative[-1] == 0.9999999999999999
+        assert dist.cdf_column(np.array([1.0])).tolist() == [0.9999999999999999]
+        assert dist.sup_quantile(0.9999999999999999) == POS_INF
+        assert dist.sup_quantile(0.99) == pytest.approx(0.9)
+
+    @given(st.lists(st.floats(0.0, 1.0), max_size=10), st.floats(0.0, 1.0))
+    def test_pointmix_sup_quantile_matches_left_fold(self, levels, level):
+        atoms = [0.3, 0.1, 0.1, 0.7, 0.5, 0.9, 0.2, 0.2, 0.6, 0.4]
+        dist = make_distribution("pointmix", {"atoms": atoms, "weights": [0.1] * 10})
+        for lv in levels + [level] + dist.cumulative:
+            cum, want = 0.0, POS_INF
+            for a in sorted(atoms):
+                cum += 0.1
+                if cum > lv:
+                    want = a
+                    break
+            assert dist.sup_quantile(lv) == (want if lv < 1.0 else POS_INF)
+
     def test_empirical(self):
         dist = EmpiricalDist([0.5, 0.9, 0.2, 0.5])
         assert dist.support == (0.2, 0.9)

@@ -5,7 +5,9 @@ with 2 runs and the trace on.  The digests were recorded before the run
 core moved to numpy columns (the bid-pool auction's before its bids moved
 behind `EmpiricalDist`; the pointmix, beta, gaussian and
 without-replacement configs' before runs drew their scores as one block,
-the negative-zero config's before the trace was rendered by column);
+the negative-zero config's before the trace was rendered by column, the
+ten-tenths pointmix config's on CPython 3.11 before the regret moved to
+columns);
 a change that alters any emitted byte (a threshold, a regret fold, a
 coverage mean, a set size) fails here.  The two score-log configs are the
 only ones whose trace has a non-empty ``set_size`` column.
@@ -172,6 +174,28 @@ kind = dlr
 tau_init = -0
 """
 
+# ten weights of 0.1, whose left-to-right sum is 0.9999999999999999 and
+# not 1.0 (Python 3.12's compensated `sum` gives 1.0); dlr plays a new
+# threshold nearly every round and aci's budget moves it over the atoms
+POINTMIX_TENTHS_CONFIG = """\
+[experiment]
+alpha = 0.9
+seed = 23
+
+[environment]
+kind = synthetic
+distribution = pointmix
+atoms = 0.05, 0.15, 0.25, 0.25, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95
+weights = 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1
+
+[policy:dlr]
+kind = dlr
+
+[policy:aci]
+kind = aci
+gamma_grid = 0.064, 0.5
+"""
+
 # inline configs: (template, package data file it reads or None, horizon)
 INLINE = {
     "score_log": (SCORE_LOG_CONFIG, "example_scores.csv", 2000),
@@ -181,6 +205,7 @@ INLINE = {
     "gaussian": (GAUSSIAN_CONFIG, None, 2000),
     "score_log_without_replacement": (SCORE_LOG_WOR_CONFIG, "example_scores.csv", 400),
     "negative_zero_tau": (NEGATIVE_ZERO_CONFIG, None, 2000),
+    "pointmix_tenths": (POINTMIX_TENTHS_CONFIG, None, 2000),
 }
 
 GOLDEN = {
@@ -223,6 +248,11 @@ GOLDEN = {
     "negative_zero_tau": {
         "summary.csv": "7be3846591edd3db32ca92facbd69a5ce8a9e99d6e0d15caf9ee15de642ceb15",
         "trace.csv": "0642d7f345474447c23e69d0f5fd6e21443345d7027a11e2ab97ef7387343779",
+    },
+    "pointmix_tenths": {
+        "summary.csv": "ea245d5c7f57e34fb5135806e87c9ab9843b8076bea91c21250c8e732bfd80d2",
+        "sweep.csv": "f395f84884a6d0ca96c7945334b048c28d677dfefc4338e001b5f8810c0f59c6",
+        "trace.csv": "18bfb8ecd272e2c2552fa78b6c8c51dae15cc451222411f73a0ddd8bc904421f",
     },
 }
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from semibandit_conformal import metrics
 from semibandit_conformal.cdf_band import NEG_INF, POS_INF
+from semibandit_conformal.environments import (EmpiricalDist, PointMixtureDist, SyntheticEnv,
+                                               UniformDist)
 from semibandit_conformal.metrics import (
     LossParams,
     coverage_rate,
@@ -15,8 +17,10 @@ from semibandit_conformal.metrics import (
     inst_regret,
     loss_phi,
     regret_bound,
+    round12,
     undercoverage_count,
 )
+from semibandit_conformal.policies import PolicySpec
 
 PARAMS = LossParams()  # lambda1=0.1, lambda2=10, alpha=0.9
 
@@ -108,6 +112,145 @@ class TestInstRegret:
         assert got.tolist() == want
 
 
+def reference_inst_regret(taus, tau_star, cdf, params=PARAMS) -> np.ndarray:
+    """loss_phi and the f-string once per distinct threshold, as a column."""
+    distinct, where = np.unique(np.asarray(taus, dtype=float), return_inverse=True)
+    phi_star = loss_phi(tau_star, cdf, params)
+    return np.array([float(f"{abs(phi_star - loss_phi(x, cdf, params)):.12g}")
+                     for x in distinct.tolist()])[where]
+
+
+# The scalar CDFs as they were before the column forms, as references.
+def uniform_reference(a, b):
+    def cdf(x):
+        if x <= a:
+            return 0.0
+        if x >= b:
+            return 1.0
+        return (x - a) / (b - a)
+    return cdf
+
+
+def pointmix_reference(atoms, weights):
+    pairs = sorted(zip(atoms, weights), key=lambda pair: pair[0])
+
+    def cdf(x):
+        cum = 0.0  # left to right, as `sum` adds on Python < 3.12
+        for a, w in pairs:
+            if a <= x:
+                cum += w
+        return cum
+    return cdf
+
+
+def empirical_reference(values):
+    def cdf(x):
+        return sum(v <= x for v in values) / len(values)
+    return cdf
+
+
+def near(values):
+    """Each value and its float neighbours."""
+    return [y for v in values for y in (math.nextafter(v, -math.inf), v,
+                                         math.nextafter(v, math.inf))]
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+class TestColumnRegret:
+    """The column path of `inst_regret` against loss_phi per distinct tau."""
+
+    def check(self, dist, reference, taus, alpha):
+        params = LossParams(alpha=alpha)
+        tau_star = dist.sup_quantile(1.0 - alpha)
+        got = inst_regret(np.array(taus), tau_star, dist, params)
+        want = reference_inst_regret(taus, tau_star, reference, params)
+        assert got.tobytes() == want.tobytes()
+        assert [dist.cdf(x) for x in taus] == [reference(x) for x in taus]
+        assert dist.cdf_column(np.array(taus)).tolist() == [reference(x) for x in taus]
+
+    @settings(max_examples=150, deadline=None)
+    @given(FINITE, st.floats(1e-6, 1e3), st.lists(FINITE, max_size=20),
+           st.sampled_from([0.5, 0.8, 0.9, 0.95]))
+    def test_uniform(self, a, width, extra, alpha):
+        b = a + width
+        taus = near([a, b, a + width / 2]) + [NEG_INF, POS_INF, -0.0, 0.0] + extra
+        self.check(UniformDist(a, b), uniform_reference(a, b), taus, alpha)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from([-1.0, 0.0, 0.1, 0.25, 0.3, 2.5]), min_size=1, max_size=10),
+           st.booleans(), st.lists(FINITE, max_size=10), st.sampled_from([0.5, 0.9]),
+           st.randoms(use_true_random=False))
+    def test_pointmix(self, atoms, tenths, extra, alpha, rnd):
+        # duplicate atoms; ten weights of 0.1, or random ones
+        if tenths:
+            atoms = (atoms * 10)[:10]
+            weights = [0.1] * 10
+        else:
+            raw = [rnd.random() + 0.01 for _ in atoms]
+            weights = [w / sum(raw) for w in raw]
+        taus = near(atoms) + [NEG_INF, POS_INF] + extra
+        self.check(PointMixtureDist(atoms, weights), pointmix_reference(atoms, weights),
+                   taus, alpha)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.2, 0.5, 0.5, 1.0]), FINITE),
+                    min_size=1, max_size=30),
+           st.lists(FINITE, max_size=10), st.sampled_from([0.5, 0.9]))
+    def test_empirical(self, values, extra, alpha):
+        taus = near(values) + [NEG_INF, POS_INF] + extra
+        self.check(EmpiricalDist(values), empirical_reference(values), taus, alpha)
+
+    def test_uniform_dlr_column_calls_loss_phi_once(self, monkeypatch):
+        # a new threshold nearly every round; a silent fall back to the
+        # per-threshold loop would call loss_phi 10^4 times
+        env = SyntheticEnv(UniformDist(0.0, 1.0))
+        policy = PolicySpec(kind="dlr", alpha=0.9, horizon=10_000, tau_init=0.0).build()
+        scores, _ = env.draw(np.random.default_rng(0), 10_000)
+        taus = np.array(policy.play(scores.tolist()))
+        assert len(np.unique(taus)) > 9000
+        tau_star = env.oracle_tau_star(0.9)
+        want = reference_inst_regret(taus, tau_star, uniform_reference(0.0, 1.0))
+        calls = []
+        phi = metrics.loss_phi
+        monkeypatch.setattr(metrics, "loss_phi", lambda *a: calls.append(1) or phi(*a))
+        got = inst_regret(taus, tau_star, env.oracle_cdf(), PARAMS)
+        assert got.tobytes() == want.tobytes()
+        assert len(calls) <= 2
+
+
+# 12 significant digits, in the decades from 1e-30 to 1e15
+DECADES = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-30, 15))
+ROUNDING_VALUES = st.one_of(
+    DECADES,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 1e-300),     # subnormals and the smallest normals
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-11, 1e-12,
+                     5e-12, 1.5e-3, 0.5, 2.5, 1e11, 1e12, 1e13, 99999999999.5,
+                     999999999999.5, 0.09999999999999999, 9.9999999999995,
+                     9.99999999999949, 123456789012.5]),
+)
+
+
+class TestRound12:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ROUNDING_VALUES, max_size=40))
+    def test_matches_f_string(self, values):
+        want = np.array([float(f"{v:.12g}") for v in values], dtype=float)
+        assert round12(np.array(values, dtype=float)).tobytes() == want.tobytes()
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(-30, 15))
+    def test_decade_matches_f_string(self, seed, exponent):
+        values = np.random.default_rng(seed).random(2000) * 10.0**exponent
+        want = np.array([float(f"{v:.12g}") for v in values.tolist()])
+        assert round12(values).tobytes() == want.tobytes()
+
+    def test_zeros_keep_their_sign(self):
+        assert round12(np.array([0.0, -0.0])).tobytes() == np.array([0.0, -0.0]).tobytes()
+
+
 def scalar_cum_regret(inst) -> np.ndarray:
     """Reference fold: round the running sum at 12 digits every round."""
     fold = accumulate(np.asarray(inst, dtype=float).tolist(),
@@ -190,6 +333,27 @@ class TestCumRegret:
             values[rng.integers(0, n, 3)] = rng.choice(
                 [math.nan, math.inf, -0.0, -1e-3, 1e13], 3)
         assert cum_regret(values).tobytes() == scalar_cum_regret(values).tobytes()
+
+    @pytest.mark.parametrize("x", [0.0123, 0.000456, 7.0, 3e-9, 0.5])
+    def test_constant_column_takes_one_grid_run(self, monkeypatch, x):
+        # the closed form runs through every decade; a fall back to the
+        # windowed runs would take several runs per decade
+        calls = []
+        grid_run = metrics._grid_run
+        monkeypatch.setattr(metrics, "_grid_run",
+                            lambda *a: calls.append(1) or grid_run(*a))
+        inst = np.full(10_000, x)
+        assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
+        assert len(calls) <= 1
+
+    def test_constant_stretches_take_one_grid_run_each(self, monkeypatch):
+        calls = []
+        grid_run = metrics._grid_run
+        monkeypatch.setattr(metrics, "_grid_run",
+                            lambda *a: calls.append(1) or grid_run(*a))
+        inst = np.repeat([0.0123, 0.000456, 0.0, 2.0], [10_000, 3000, 500, 20_000])
+        assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
+        assert len(calls) <= 4
 
     def test_varying_column_skips_scalar_steps(self, monkeypatch):
         # the steps left to `_step` are the first round's, those that leave
