@@ -99,16 +99,7 @@ class UniformDist(ScoreDistribution):
     def sample(self, rng, size=None):
         return rng.uniform(self.a, self.b, size)
 
-    def cdf(self, x):
-        if x <= self.a:
-            return 0.0
-        if x >= self.b:
-            return 1.0
-        return (x - self.a) / (self.b - self.a)
-
     def cdf_column(self, x):
-        # `cdf`'s branches elementwise; a numpy scalar path would slow the
-        # per-round loss loops that call `cdf` a million times
         return np.where(x <= self.a, 0.0,
                         np.where(x >= self.b, 1.0, (x - self.a) / (self.b - self.a)))
 
@@ -171,7 +162,7 @@ class PointMixtureDist(ScoreDistribution):
     """Finite mixture of point masses (a discrete score distribution).
 
     `cumulative[i]` is the mass of the i lowest atoms, summed left to
-    right; `cdf`, `cdf_column` and `sup_quantile` all read it.  (Python
+    right; `cdf_column` (and through it `cdf`) and `sup_quantile` read it.  (Python
     3.12's builtin `sum` is compensated, and ten weights of 0.1 sum to
     1.0 there but to 0.9999999999999999 left to right.)
     """
@@ -192,9 +183,6 @@ class PointMixtureDist(ScoreDistribution):
 
     def sample(self, rng, size=None):
         return rng.choice(self.atoms, size, p=self.weights)
-
-    def cdf(self, x):
-        return self.cumulative[bisect_right(self.atoms, x)]
 
     def cdf_column(self, x):
         return self._cumulative_column[np.searchsorted(self._atoms_column, x, side="right")]

@@ -179,8 +179,7 @@ def _grid_run(out, inst, k: int, end: int, c: float) -> int:
     10**12 units.  0 means the rule is unproven here and scalar steps
     must be taken: that first x is at k, the first step is a half-unit
     tie, c has no grid (see `_grid`), or the first step leaves the
-    decade.  A window of one repeated x goes to `_constant_run`, which may
-    write past end.
+    decade.  A window of one repeated x goes to `_constant_run`.
     """
     grid = _grid(c)
     if grid is None:
@@ -224,13 +223,12 @@ def _grid_run(out, inst, k: int, end: int, c: float) -> int:
 
 
 def _constant_run(out, inst, k: int, end: int, c: float) -> int:
-    """Steps over the stretch of x = inst[k] that runs through end, in
-    closed form: one `np.arange` of r-unit steps per decade, and one
-    `_step` into the next decade.  Writes out[k:] and returns how many
-    steps were written: to the stretch's end, or to where x is a half-unit
-    tie on c's grid, is negative or not finite, or c has no grid."""
+    """Steps over inst[k:end], all equal to x = inst[k], in closed form:
+    one `np.arange` of r-unit steps per decade, and one `_step` into the
+    next decade.  Writes out[k:end] and returns how many steps were
+    written: to end, or to where x is a half-unit tie on c's grid, is
+    negative or not finite, or c has no grid."""
     x = float(inst[k])
-    end = _stretch_end(inst, k, end)
     start = k
     while k < end:
         grid = _grid(c)
@@ -254,21 +252,6 @@ def _constant_run(out, inst, k: int, end: int, c: float) -> int:
     return k - start
 
 
-def _stretch_end(inst, k: int, end: int) -> int:
-    """End of the stretch of values equal to inst[k], which runs through
-    end: scanned in chunks that double, so the scan costs O(stretch)."""
-    x = inst[k]
-    size = max(end - k, 1)
-    while end < len(inst):
-        stop = min(end + size, len(inst))
-        other = np.flatnonzero(inst[end:stop] != x)
-        if len(other):
-            return end + int(other[0])
-        end = stop
-        size *= 2
-    return end
-
-
 def cum_regret(inst) -> np.ndarray:
     """Running sum of a per-round regret column, folded in round order.
 
@@ -278,7 +261,7 @@ def cum_regret(inst) -> np.ndarray:
     fold bit for bit, taken as grid runs (`_grid_run`) of up to
     GRID_WINDOW_MAX rounds: while c stays in the decade [10**e, 10**(e+1))
     of the grid u = 10**(e-11), each step adds r_t = round(x_t/u) grid
-    units, so the sums are integer prefix sums, and a stretch of one
+    units, so the sums are integer prefix sums, and a window of one
     repeated x adds r units a step in closed form (`_constant_run`).
     Where that is unproven the scalar step is taken: on the first round,
     at a half-unit tie, at the step that leaves a decade, and wherever x

@@ -334,26 +334,35 @@ class TestCumRegret:
                 [math.nan, math.inf, -0.0, -1e-3, 1e13], 3)
         assert cum_regret(values).tobytes() == scalar_cum_regret(values).tobytes()
 
-    @pytest.mark.parametrize("x", [0.0123, 0.000456, 7.0, 3e-9, 0.5])
-    def test_constant_column_takes_one_grid_run(self, monkeypatch, x):
-        # the closed form runs through every decade; a fall back to the
-        # windowed runs would take several runs per decade
-        calls = []
-        grid_run = metrics._grid_run
+    @staticmethod
+    def _count_runs(monkeypatch):
+        # (grid runs taken, steps `_constant_run` wrote)
+        runs, closed = [], []
+        grid_run, constant_run = metrics._grid_run, metrics._constant_run
         monkeypatch.setattr(metrics, "_grid_run",
-                            lambda *a: calls.append(1) or grid_run(*a))
+                            lambda *a: runs.append(1) or grid_run(*a))
+        monkeypatch.setattr(metrics, "_constant_run",
+                            lambda *a: closed.append(constant_run(*a)) or closed[-1])
+        return runs, closed
+
+    @pytest.mark.parametrize("x", [0.0123, 0.000456, 7.0, 3e-9, 0.5])
+    def test_constant_column_takes_the_closed_form(self, monkeypatch, x):
+        # every step after the first is `_constant_run`'s, through every
+        # decade; a fall back to the windowed runs would write none
+        runs, closed = self._count_runs(monkeypatch)
         inst = np.full(10_000, x)
         assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
-        assert len(calls) <= 1
+        assert sum(closed) == len(inst) - 1
+        decades = math.floor(math.log10(x * len(inst))) - math.floor(math.log10(x)) + 1
+        assert len(runs) <= 2 * decades
 
-    def test_constant_stretches_take_one_grid_run_each(self, monkeypatch):
-        calls = []
-        grid_run = metrics._grid_run
-        monkeypatch.setattr(metrics, "_grid_run",
-                            lambda *a: calls.append(1) or grid_run(*a))
+    def test_constant_stretches_take_the_closed_form(self, monkeypatch):
+        runs, closed = self._count_runs(monkeypatch)
         inst = np.repeat([0.0123, 0.000456, 0.0, 2.0], [10_000, 3000, 500, 20_000])
         assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
-        assert len(calls) <= 4
+        # the windows that straddle a change of value take the general run
+        assert sum(closed) >= 0.8 * len(inst)
+        assert len(runs) <= 16
 
     def test_varying_column_skips_scalar_steps(self, monkeypatch):
         # the steps left to `_step` are the first round's, those that leave
