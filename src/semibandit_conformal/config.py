@@ -31,12 +31,12 @@ parameters: ``gamma`` or ``gamma_grid`` for ACI, ``m`` or ``m_grid`` for
 ETC and Con-ETC, each with a default grid.  DLR's ``tau_init`` defaults
 to the environment's lower score bound when that bound is finite.
 
-A file `configparser` cannot read is a config error, and so is a section
-or key that nothing reads, a number that does not parse or is not
-finite, an empty grid or one whose values print alike, and a policy id
-outside ``[A-Za-z0-9_.-]+``.  A ``[DEFAULT]`` key must be one some
-section reads; where it is spread into a section that does not read it,
-it is ignored.
+A file that is not UTF-8 (a byte-order mark is skipped) or that
+`configparser` cannot read is a config error, and so is a section or
+key that nothing reads, a number that does not parse or is not finite,
+an empty grid or one whose values print alike, and a policy id outside
+``[A-Za-z0-9_.-]+``.  A ``[DEFAULT]`` key must be one some section reads;
+where it is spread into a section that does not read it, it is ignored.
 """
 
 from __future__ import annotations
@@ -291,10 +291,10 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate a config file; `overrides` holds CLI flags (None: unset)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8-sig"):
             raise ConfigError(f"config file not found: {path}")
         cfg = _experiment(parser, os.path.dirname(os.path.abspath(path)), overrides or {})
-    except configparser.Error as exc:  # malformed file, or a bad '%' in a value
+    except (configparser.Error, UnicodeDecodeError) as exc:  # malformed, bad '%', not UTF-8
         raise ConfigError(f"{path}: {exc}") from exc
     cfg.validate()
     return cfg

@@ -11,8 +11,8 @@ Policies:
 * sps      -- banded sup-quantile of the truncated ECDF, thresholds
               constrained to be nondecreasing.  Never undercovers with
               high probability.
-* greedy   -- same truncated ECDF but no band, and tau is not max-ed with
-              the previous one (it still never decreases in play).
+* greedy   -- SPS's cutoff with no band, and tau is not max-ed with the
+              previous one (it still never decreases in play).
 * aci      -- adaptive miscoverage budget; quantile function built from
               observed scores only (biased under semi-bandit feedback).
 * dlr      -- decaying-learning-rate gradient steps directly on tau.
@@ -24,12 +24,14 @@ Each policy writes its recurrence once, as `play(scores)`: one round per
 score over a block, returning the thresholds it proposed.  A score
 `>= tau` is observed; any other score, NaN included, is a miss that
 records tau.  `update` is the per-round form, one `play` of one score;
-SPS keeps its own per-round `update` body.
-SPS and greedy find the rounds where their tau rises with one exact scan
-over the block, `_first_short`, and record the rounds between them with
-one `TruncatedEcdf.extend`, so each asks one cutoff query per raise, not
-one per round.  SPS plays each raise round through `update`, and so does
-the first round of a block that holds no count for its tau.  ETC and
+SPS keeps its own per-round `update` body.  Greedy is SPS without the
+band: SPS, greedy, ETC and Con-ETC pass the class attribute `epsilon` to
+their cutoff, None for the DKW width and 0.0 for no band.  SPS and
+greedy find the rounds where their tau rises with one exact scan over
+the block, `_first_short`, and record the rounds between them with one
+`TruncatedEcdf.extend`, so each asks one cutoff query per raise, not one
+per round.  Both play each raise round through `update`, and so the
+first round of a block that holds no count for its tau.  ETC and
 Con-ETC record their exploration rounds with one `extend`.  DLR plays its
 block in a local-variable loop.  ACI plays each stretch where its budget
 is clamped at 0 as numpy columns, which is exact because tau stays the
@@ -102,6 +104,8 @@ class PolicySpec:
             raise PolicyConfigError(f"unknown policy kind {self.kind!r}")
         if not 0.0 < self.alpha < 1.0:
             raise PolicyConfigError(f"alpha must be in (0,1), got {self.alpha}")
+        if 1.0 - self.alpha == 1.0:
+            raise PolicyConfigError(f"alpha = {self.alpha!r} is too small: 1 - alpha rounds to 1")
         if self.horizon < 2:
             raise PolicyConfigError(f"horizon must be >= 2, got {self.horizon}")
         if self.kind == "aci":
@@ -164,22 +168,26 @@ class SpsPolicy(Policy):
 
     A round's cutoff is the k_t-th smallest recorded value, with
     k_t = order_index(t, 1 - alpha - eps_t) + 1, or -inf when that level
-    is below -LEVEL_TOL.  The cutoff is above tau exactly when fewer than
-    k_t recorded values are <= tau, so with c values <= tau, tau holds
-    through round t while c + (the block's scores up to round t that are
-    not > tau, NaN included) >= k_t, where a -inf cutoff needs k_t = 0.
+    is below -LEVEL_TOL.  eps_t is `epsilon`: None for the DKW width, and
+    0.0, no band, for greedy.  The cutoff is above tau exactly when fewer
+    than k_t recorded values are <= tau, so with c values <= tau, tau
+    holds through round t while c + (the block's scores up to round t
+    that are not > tau, NaN included) >= k_t, where a -inf cutoff needs
+    k_t = 0.
 
     `play` builds the k_t column for the block and finds the first round
-    where that fails with the raise scan greedy uses, `_first_short`.
-    It records the rounds before it with one `TruncatedEcdf.extend`,
-    plays the raise round through `update`, which inserts, asks the
-    cutoff and takes the max, and counts c again with `cutoff_rank`.
+    where that fails with `_first_short`.  It records the rounds before
+    it with one `TruncatedEcdf.extend`, plays the raise round through
+    `update`, which inserts, asks the cutoff and takes the max (with no
+    band, the cutoff as it is), and counts c again with `cutoff_rank`.
     c is carried from block to block with the tau it counts.  A block
     that holds no count (on a fresh policy, after tau was set from
     outside, or after rounds played by `update`) plays its first round
     through `update` and counts c over the sample.  `update` keeps its
     per-round body, so a per-round caller sees the ECDF each round.
     """
+
+    epsilon: float | None = None
 
     def __init__(self, spec: PolicySpec):
         super().__init__(spec)
@@ -194,8 +202,10 @@ class SpsPolicy(Policy):
         self.t += 1
         ecdf = self.ecdf
         ecdf.insert(tau if observed is None else observed)
-        cutoff = ecdf.conformal_cutoff(self.alpha)
-        if cutoff > tau:
+        epsilon = self.epsilon
+        cutoff = ecdf.conformal_cutoff(self.alpha, epsilon)
+        # with no band the cutoff is taken as it is, never max-ed
+        if cutoff > tau or epsilon == 0.0:
             self.tau = cutoff
 
     def play(self, scores: list[float]) -> list[float]:
@@ -221,7 +231,8 @@ class SpsPolicy(Policy):
         # need[j]: the values <= tau that round j needs for tau to hold
         n = ecdf.count - start
         sizes = np.arange(n + 1, n + len(scores) + 1)
-        level = ecdf.band_level_column(self.alpha, sizes)
+        level = (ecdf.band_level_column(self.alpha, sizes) if self.epsilon is None
+                 else 1.0 - self.alpha - self.epsilon)
         need = np.where(level < -LEVEL_TOL, 0, order_index_column(sizes, level) + 1)
         need_at = need.tolist()
         block = np.array(scores, dtype=np.float64)
@@ -256,9 +267,7 @@ def _first_short(scores: list[float], block, need, need_at: list[int],
     The first window is SCAN_ROUNDS rounds, checked one by one in Python:
     raises that come every few rounds cost less that way than a numpy
     set-up each.  Each later window is 4x longer and checked as numpy
-    columns over `block`, the scores as an array.  `block` and `need` are
-    read only for a block longer than one window, and may be None when
-    it is not.
+    columns over `block`, the scores as an array.
     """
     window = SCAN_ROUNDS
     while start < len(scores):
@@ -281,78 +290,19 @@ def _first_short(scores: list[float], block, need, need_at: list[int],
     return len(scores), below
 
 
-class GreedyPolicy(Policy):
-    """Plain empirical sup-quantile of the truncated ECDF, no band.
+class GreedyPolicy(SpsPolicy):
+    """Plain empirical sup-quantile of the truncated ECDF: SPS with no band.
 
     tau is never max-ed with the previous threshold, yet in play it never
     decreases: tau is the order statistic at m = order_index(t, 1 - alpha)
     of the t recorded values, m never decreases in t, and every value
     recorded from then on is >= tau, so the order statistic at m stays
-    tau and the one at the next m is at least tau.  The policy may
-    undercover; it is included as the natural but unsafe baseline.
-
-    `play` finds the rounds where tau rises instead of playing each one.
-    With c recorded values <= tau, tau holds through round t while
-    c + (the block's scores up to round t that are not > tau, NaN
-    included) >= order_index(t, 1 - alpha) + 1, the count the order
-    statistic needs.  `play` finds the first round where that fails with
-    `_first_short`, records the rounds up to it with one
-    `TruncatedEcdf.extend`, asks `conformal_cutoff` once for the new tau
-    and counts c again with `cutoff_rank`, in O(ties).  c is carried from
-    block to block with the tau it counts; a tau set from outside is
-    first played one plain round.
+    tau and the one at the next m is at least tau.  So SPS's raise scan
+    holds on the constant level 1 - alpha.  The policy may undercover; it
+    is included as the natural but unsafe baseline.
     """
 
-    def __init__(self, spec: PolicySpec):
-        super().__init__(spec)
-        self.ecdf = TruncatedEcdf(spec.horizon)
-        # (tau, recorded count, values <= tau) as the last `play` left them
-        self._held: tuple[float, int, int] | None = None
-
-    def play(self, scores: list[float]) -> list[float]:
-        ecdf = self.ecdf
-        alpha = self.alpha
-        tau = self.tau
-        taus = []
-        start = 0
-        held = self._held
-        # `is`: a tau assigned from outside is another float object
-        if held is not None and held[0] is tau and held[1] == ecdf.count:
-            below = held[2]
-        elif scores:
-            score = scores[0]
-            taus.append(tau)
-            ecdf.insert(score if score >= tau else tau)
-            tau = ecdf.conformal_cutoff(alpha, epsilon=0.0)
-            below = ecdf.cutoff_rank()
-            start = 1
-        else:
-            return taus
-        # need[j]: the values <= tau that round j needs for tau to hold; a
-        # block that one scan in Python covers takes it round by round
-        n = ecdf.count - start
-        if len(scores) - start > SCAN_ROUNDS:
-            need = order_index_column(np.arange(n + 1, n + len(scores) + 1),
-                                      1.0 - alpha) + 1
-            need_at = need.tolist()
-            block = np.array(scores, dtype=np.float64)
-        else:
-            need = block = None
-            need_at = [order_index(n + j + 1, 1.0 - alpha) + 1 for j in range(len(scores))]
-        while True:
-            j, below = _first_short(scores, block, need, need_at, start, tau, below)
-            end = min(j + 1, len(scores))
-            taus += repeat(tau, end - start)
-            ecdf.extend([s if s > tau else tau for s in scores[start:end]])
-            if j == len(scores):
-                break
-            tau = ecdf.conformal_cutoff(alpha, epsilon=0.0)
-            below = ecdf.cutoff_rank()
-            start = end
-        self.t += len(scores)
-        self.tau = tau
-        self._held = (tau, ecdf.count, below)
-        return taus
+    epsilon = 0.0
 
 
 class AciPolicy(Policy):
@@ -532,8 +482,11 @@ class EtcPolicy(Policy):
     """Explore for m rounds at tau = -inf, then commit once.
 
     During exploration every score is observed, so the ECDF holds raw
-    scores.  The commit is the plain empirical sup-quantile.
+    scores.  The commit is the cutoff with band width `epsilon`, as in
+    `SpsPolicy`: here 0.0, the plain empirical sup-quantile.
     """
+
+    epsilon: float | None = 0.0
 
     def __init__(self, spec: PolicySpec):
         super().__init__(spec)
@@ -546,19 +499,15 @@ class EtcPolicy(Policy):
         tau = self.tau
         self.ecdf.extend([score if score >= tau else tau for score in scores[:explore]])
         if explore and self.t + explore == m:
-            self.tau = self._commit()
+            self.tau = self.ecdf.conformal_cutoff(self.alpha, self.epsilon)
         self.t += len(scores)
         return [tau] * explore + [self.tau] * (len(scores) - explore)
-
-    def _commit(self) -> float:
-        return self.ecdf.conformal_cutoff(self.alpha, epsilon=0.0)
 
 
 class ConEtcPolicy(EtcPolicy):
     """ETC committing to the banded (conservative) sup-quantile."""
 
-    def _commit(self) -> float:
-        return self.ecdf.conformal_cutoff(self.alpha)
+    epsilon = None
 
 
 _BUILDERS = {

@@ -246,6 +246,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/exp.ini")
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        body = BASE_CONFIG.format(out="res", trace="false")
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        assert load_config(str(path)) == load_config(write_config(tmp_path, body))
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(BASE_CONFIG.format(out="res", trace="false").encode()
+                         + "; caf\xe9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="can't decode"):
+            load_config(str(path))
+
     def test_missing_environment_section(self, tmp_path):
         path = write_config(tmp_path, "[experiment]\nhorizon = 10\n")
         with pytest.raises(ConfigError):
@@ -838,6 +851,12 @@ class TestCli:
         path = write_config(tmp_path, "[experiment]\nhorizon = 10\n")
         assert main(["validate", "--config", path]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_alpha_that_rounds_away_is_a_config_error(self, tmp_path, capsys):
+        # 1 - 1e-17 is 1.0: the cutoff of greedy and ETC would fail mid-run
+        path = write_config(tmp_path, BASE_CONFIG.format(out="res", trace="false"))
+        assert main(["validate", "--config", path, "--alpha", "1e-17"]) == 1
+        assert "1 - alpha rounds to 1" in capsys.readouterr().err
 
     def test_run_writes_results(self, tmp_path, capsys):
         out = tmp_path / "res"

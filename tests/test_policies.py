@@ -647,14 +647,16 @@ class TestPlayMatchesReference:
         assert_play_matches_reference(*case)
 
     @settings(max_examples=50, deadline=None)
-    # sps_cases has at most 7 chunks
-    @given(sps_cases(), st.lists(st.booleans(), min_size=7, max_size=7))
+    # sps_cases and greedy_cases have at most 7 chunks
+    @given(st.one_of(sps_cases(), greedy_cases()),
+           st.lists(st.booleans(), min_size=7, max_size=7))
     def test_sps_updates_only_raise_and_entry_rounds(self, case, stepped):
         # chunks played by `play`, or round by round by `update` where
         # `stepped` says so.  A `play` that holds a count for tau calls
         # `update` only for the rounds that raise it; one that does not,
         # on a fresh policy, after a new tau from outside or after rounds
-        # played by `update`, also for its first round
+        # played by `update`, also for its first round.  Greedy, SPS with
+        # no band, plays its rounds through the same `update`
         spec, scores, sizes, set_tau = case
         ref = spec.build()
         expected = []
