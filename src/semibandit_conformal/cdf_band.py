@@ -9,10 +9,14 @@ step-function CDF it answers the banded cutoff query
 
 which is the quantity the threshold policies need each round.  The answer
 is an order statistic whose index `order_index` fixes (`order_index_column`
-gives the index for a column of sample sizes at once); `TruncatedEcdf`
-keeps the sample split across two heaps at that index, so a round that
-moves the index by at most one costs O(log t) rather than the O(t) of a
-sorted insert.
+gives the index for a column of sample sizes at once).  `TruncatedEcdf`
+keeps the sample in three tiers: two heaps split at that index, so a
+round that moves the index by at most one costs O(log t) rather than the
+O(t) of a sorted insert, and above a fence an unordered far tier of
+numpy slices that no cutoff query reads until the heaps run out.  The
+query sits near the (1 - alpha)-quantile, so at the alpha = 0.9 of the
+shipped configs most values are recorded above it, in the far tier, and
+are never pushed onto a heap.
 """
 
 from __future__ import annotations
@@ -31,6 +35,12 @@ POS_INF = float("inf")
 # representable (1 - 0.9 != 0.1 in binary).  Comparisons admit k/t whenever
 # k/t <= level + LEVEL_TOL so decimal-stated levels behave as written.
 LEVEL_TOL = 1e-9
+
+# A refill of the high heap takes about 1/REFILL_SHARE of the far tier, and
+# at least REFILL_FLOOR values (see `TruncatedEcdf`).  A larger floor puts
+# the first fence near the top of a small sample, above most later values.
+REFILL_SHARE = 16
+REFILL_FLOOR = 64
 
 
 def band_epsilon(delta: float, t: int) -> float:
@@ -110,22 +120,34 @@ def sup_quantile(sorted_values, level: float) -> float:
 
 
 class TruncatedEcdf:
-    """Multiset of recorded scores, split in two heaps, plus the DKW band.
+    """Multiset of recorded scores in three tiers, plus the DKW band.
 
     `_low` is a max-heap (stored negated) of the k smallest values and
-    `_high` a min-heap of the rest; every value in `_low` is <= every value
-    in `_high`.  `insert` pushes onto the side the value belongs to, and
+    `_high` a min-heap of the rest up to `fence`.  The far tier holds every
+    value above the fence, unordered: numpy slices in `_far` and single
+    floats in `_far_values`.  Every value in `_low` is <= every value in
+    `_high`, which is <= the fence, which is below every far value.
+    `insert` puts a value in the tier it belongs to, and
     `conformal_cutoff` moves heap tops across until k = m + 1 for the
     query's `order_index` m, then reads the answer off the top of `_low`.
     The banded and greedy policies move m by at most one per round, so
-    both operations cost O(log t).  `extend` inserts a batch of values
-    in order, and `cutoff_rank` counts the values at or below the last
-    finite answer.
+    both operations cost O(log t), apart from refills.
+
+    The fence starts at -inf, with every value far.  A query that needs
+    more values than `_high` holds refills it: the far tier's smallest
+    values, about 1/REFILL_SHARE of it but at least REFILL_FLOOR and what
+    the query needs, go onto `_high`, and the fence rises to the largest
+    of them, so that every tie of it comes too.  The rest stays far.  A
+    refill is O(far) numpy work, and the cutoff must climb through the
+    values it moved before the next one.  `extend` inserts a batch of
+    values in order, `extend_far` records a numpy slice of values above
+    the fence as it is, and `cutoff_rank` counts the values at or below
+    the last finite answer.
 
     The rank queries (`samples`, `eval_g`, `eval_upper`) need the sorted
-    sample: the first of them sorts the heaps into a list, and every later
-    insert keeps that list sorted.  A run that never asks a rank query
-    never builds it.
+    sample: the first of them sorts the three tiers into a list, and every
+    later insert keeps that list sorted.  A run that never asks a rank
+    query never builds it.
 
     Values are canonicalized with `value + 0.0`, which turns -0.0 into
     0.0: among tied zeros a heap returns whichever it holds on top, so
@@ -145,19 +167,29 @@ class TruncatedEcdf:
         # log(2/delta) / 2 for delta = 2/T^2, so that epsilon() is one
         # division and a square root
         self._half_log = math.log(2.0 / (2.0 / (horizon * horizon))) / 2.0
+        self._count = 0
         self._low: list[float] = []
         self._high: list[float] = []
+        self._fence = NEG_INF
+        self._far: list[np.ndarray] = []
+        self._far_values: list[float] = []
         self._sorted: list[float] | None = None
 
     @property
     def count(self) -> int:
-        return len(self._low) + len(self._high)
+        return self._count
+
+    @property
+    def fence(self) -> float:
+        """The largest value the heaps may hold; every value above it is far."""
+        return self._fence
 
     @property
     def samples(self) -> list[float]:
         """The recorded values in nondecreasing order (do not mutate)."""
         if self._sorted is None:
-            self._sorted = sorted([-v for v in self._low] + self._high)
+            self._sorted = sorted([-v for v in self._low] + self._high
+                                  + self._far_array().tolist())
         return self._sorted
 
     def insert(self, value: float) -> None:
@@ -167,8 +199,11 @@ class TruncatedEcdf:
         low = self._low
         if low and value < -low[0]:
             heappush(low, -value)
-        else:
+        elif value <= self._fence:
             heappush(self._high, value)
+        else:
+            self._far_values.append(value)
+        self._count += 1
         if self._sorted is not None:
             insort(self._sorted, value)
 
@@ -176,10 +211,10 @@ class TruncatedEcdf:
         """`insert` each of `values` in order, as one operation.
 
         A non-finite value raises the ValueError `insert` raises, with the
-        values before it recorded.  A value goes to the heap `insert`
-        would push it onto: a value below the low heap's top goes to the
-        low heap, which leaves that top, and so the side of every later
-        value, as it was.
+        values before it recorded.  A value goes to the tier `insert` would
+        put it in: a value below the low heap's top goes to the low heap,
+        which leaves that top, and so the tier of every later value, as it
+        was.
         """
         # a sum is finite only if every term is; one that overflows is
         # checked term by term
@@ -188,17 +223,35 @@ class TruncatedEcdf:
                 if not math.isfinite(value):
                     self.extend(values[:i])
                     raise ValueError(f"recorded score must be finite, got {value + 0.0}")
-        low, high = self._low, self._high
+        low, high, far = self._low, self._high, self._far_values
         top = -low[0] if low else NEG_INF
+        fence = self._fence
         for value in values:
             value += 0.0
             if value < top:
                 heappush(low, -value)
-            else:
+            elif value <= fence:
                 heappush(high, value)
+            else:
+                far.append(value)
+        self._count += len(values)
         if self._sorted is not None:
             for value in values:
                 insort(self._sorted, value + 0.0)
+
+    def extend_far(self, values: np.ndarray) -> None:
+        """Record a float64 array of finite values, all above `fence`.
+
+        The array joins the far tier as one slice, with no push: the
+        multiset `extend` records for the same values.  The caller vouches
+        for both conditions; neither is checked.
+        """
+        values = values + 0.0
+        self._far.append(values)
+        self._count += len(values)
+        if self._sorted is not None:
+            for value in values.tolist():
+                insort(self._sorted, value)
 
     def band_level_column(self, alpha: float, n) -> np.ndarray:
         """The level `conformal_cutoff(alpha)` queries at each sample size in
@@ -231,7 +284,7 @@ class TruncatedEcdf:
         The value is `sup_quantile(self.samples, 1 - alpha - eps)`.
         """
         low, high = self._low, self._high
-        n = len(low) + len(high)
+        n = self._count
         if not n:
             raise ValueError("CDF query on an empty sample")
         if not 0.0 < alpha < 1.0:
@@ -245,11 +298,15 @@ class TruncatedEcdf:
             return NEG_INF
         if level >= 1.0:
             raise ValueError(f"alpha = {alpha!r} is too small: 1 - alpha rounds to 1")
-        k = order_index(n, level) + 1
-        while len(low) < k:
-            heappush(low, -heappop(high))
-        while len(low) > k:
-            heappush(high, -heappop(low))
+        moves = order_index(n, level) + 1 - len(low)
+        if moves > 0:
+            if len(high) < moves:
+                self._refill(moves - len(high))
+            for _ in range(moves):
+                heappush(low, -heappop(high))
+        else:
+            for _ in range(-moves):
+                heappush(high, -heappop(low))
         return -low[0]
 
     def cutoff_rank(self) -> int:
@@ -258,7 +315,8 @@ class TruncatedEcdf:
         The answer is the low heap's top.  Only a query that answers a
         finite value moves values between the heaps, and an insert below
         the top goes to the low heap, so the low heap holds the answer and
-        every value below it, and the high heap any ties of it.  Those
+        every value below it, and the high heap any ties of it: far values
+        are above the fence, which is at or above the answer.  Those
         ties sit at the high heap's root, and a walk down the heap that
         turns back at larger values counts them in O(ties).
         """
@@ -276,14 +334,45 @@ class TruncatedEcdf:
         return len(low) + ties
 
     def count_at_most(self, tau: float) -> int:
-        """Number of recorded values <= tau, in one pass over the heaps.
+        """Number of recorded values <= tau, in one pass over the tiers.
 
         Unlike `eval_g` it builds no sorted list, which every later insert
         would then keep sorted.
         """
         return (sum(1 for v in self._low if -v <= tau)
-                + sum(1 for v in self._high if v <= tau))
+                + sum(1 for v in self._high if v <= tau)
+                + int(np.count_nonzero(self._far_array() <= tau)))
+
+    def _far_array(self) -> np.ndarray:
+        """The far tier as one array, which it is kept as from then on."""
+        far = self._far
+        if self._far_values or len(far) != 1:
+            far[:] = [np.concatenate(far + [np.array(self._far_values, dtype=np.float64)])]
+            self._far_values.clear()
+        return far[0]
+
+    def _refill(self, need: int) -> None:
+        """Move the smallest far values onto the high heap.
+
+        It takes about 1/REFILL_SHARE of the far tier, but at least
+        REFILL_FLOOR values and `need`, and every tie of the largest of
+        them, which becomes the fence.  Appended in sorted order, each is
+        at least its parent in the heap: the heap's own values are at or
+        below the old fence.
+        """
+        far = self._far_array()
+        take = max(REFILL_FLOOR, len(far) // REFILL_SHARE, need)
+        if take < len(far):
+            far = np.partition(far, take - 1)
+            near = far <= far[take - 1]
+            self._far[:] = [far[~near]]
+            far = far[near]
+        else:
+            self._far.clear()
+        far.sort()
+        self._high += far.tolist()
+        self._fence = self._high[-1]
 
     def _require_samples(self) -> None:
-        if not (self._low or self._high):
+        if not self._count:
             raise ValueError("CDF query on an empty sample")

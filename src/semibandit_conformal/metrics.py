@@ -265,14 +265,20 @@ def cum_regret(inst) -> np.ndarray:
     repeated x adds r units a step in closed form (`_constant_run`).
     Where that is unproven the scalar step is taken: on the first round,
     at a half-unit tie, at the step that leaves a decade, and wherever x
-    or c rules the grid out.
+    or c rules the grid out.  A leading stretch of zeros, where c has no
+    grid, is one IEEE running sum: each step adds two zeros, which gives
+    -0.0 only while every term is -0.0, and the 12-digit rounding keeps it.
     """
     inst = np.asarray(inst, dtype=float)
     out = np.empty(len(inst))
     if not len(inst):
         return out
-    c = out[0] = float(inst[0])
     k = 1
+    if inst[0] == 0.0:
+        nonzero = inst != 0.0
+        k = int(nonzero.argmax()) if nonzero.any() else len(inst)
+    np.add.accumulate(inst[:k], out=out[:k])
+    c = float(out[k - 1])
     window = GRID_WINDOW_MIN
     # scalar steps after a grid run that stopped short: one, or twice as
     # many as last time when the run could not start

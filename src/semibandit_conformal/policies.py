@@ -29,10 +29,11 @@ band: SPS, greedy, ETC and Con-ETC pass the class attribute `epsilon` to
 their cutoff, None for the DKW width and 0.0 for no band.  SPS and
 greedy find the rounds where their tau rises with one exact scan over
 the block, `_first_short`, and record the rounds between them with one
-`TruncatedEcdf.extend`, so each asks one cutoff query per raise, not one
-per round.  Both play each raise round through `update`, and so the
-first round of a block that holds no count for its tau.  ETC and
-Con-ETC record their exploration rounds with one `extend`.  DLR plays its
+`TruncatedEcdf.extend` of the values at or below the ECDF's fence and
+one numpy slice of those above it, so each asks one cutoff query per
+raise, not one per round.  Both play each raise round through `update`,
+and so the first round of a block that holds no count for its tau.  ETC
+and Con-ETC record their exploration rounds with one `extend`.  DLR plays its
 block in a local-variable loop.  ACI plays each stretch where its budget
 is clamped at 0 as numpy columns, which is exact because tau stays the
 smallest observed score until the budget is back above 0, and inserts a
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 
 import numpy as np
 
@@ -177,7 +178,14 @@ class SpsPolicy(Policy):
 
     `play` builds the k_t column for the block and finds the first round
     where that fails with `_first_short`.  It records the rounds before
-    it with one `TruncatedEcdf.extend`, plays the raise round through
+    it in two parts: the values above the ECDF's fence as one numpy slice
+    (`TruncatedEcdf.extend_far`), and the rest with one `extend`, which
+    pushes each onto a heap.  With tau at or below the fence a recorded
+    value is above it exactly when its score is, so the block's scores
+    are classified against the fence once, and again only after a refill
+    moves the fence.  While tau is above the fence (set from outside),
+    and in a block that holds +inf, which `extend` rejects, every value
+    goes through `extend`.  It plays the raise round through
     `update`, which inserts, asks the cutoff and takes the max (with no
     band, the cutoff as it is), and counts c again with `cutoff_rank`.
     c is carried from block to block with the tau it counts.  A block
@@ -236,10 +244,25 @@ class SpsPolicy(Policy):
         need = np.where(level < -LEVEL_TOL, 0, order_index_column(sizes, level) + 1)
         need_at = need.tolist()
         block = np.array(scores, dtype=np.float64)
+        # a recorded value, the score or a miss's tau, is far when above
+        # the fence; with tau at or below the fence, exactly the scores
+        # above it are.  Otherwise, and for a block that holds +inf, which
+        # `extend` rejects, every value goes through `extend`
+        split = not (block == POS_INF).any()
+        fence = None
         while True:
             j, below = _first_short(scores, block, need, need_at, start, tau, below)
             taus += repeat(tau, j - start)
-            ecdf.extend([s if s > tau else tau for s in scores[start:j]])
+            if split and tau <= ecdf.fence:
+                if fence != ecdf.fence:
+                    fence = ecdf.fence
+                    far = block > fence
+                    near = (~far).tolist()
+                ecdf.extend([s if s > tau else tau
+                             for s in compress(scores[start:j], near[start:j])])
+                ecdf.extend_far(block[start:j][far[start:j]])
+            else:
+                ecdf.extend([s if s > tau else tau for s in scores[start:j]])
             if j == len(scores):
                 break
             score = scores[j]

@@ -424,6 +424,11 @@ def insert_each(e, values):
         e.insert(v)
 
 
+def far_tier(e):
+    """The values of the far tier, in no order."""
+    return e._far_values + [v for a in e._far for v in a.tolist()]
+
+
 # values that tie, zeros of both signs, and the non-finite ones `insert`
 # rejects
 EXTEND_VALUES = st.one_of(TIED, st.floats(-2, 2),
@@ -470,7 +475,7 @@ class TestExtend:
     def test_values_all_at_or_above_the_low_top(self, before, batches, alpha, ranked):
         # how the banded and greedy policies record between two cutoffs:
         # every value >= the low heap's top (here <= 0), zeros of both
-        # signs among them; each heap gets what repeated inserts give it
+        # signs among them; each tier gets what repeated inserts give it
         bulk, single = TruncatedEcdf(10000), TruncatedEcdf(10000)
         for e in (bulk, single):
             insert_each(e, before)
@@ -483,7 +488,8 @@ class TestExtend:
             assert all(v >= top for v in values)
             bulk.extend(values)
             insert_each(single, values)
-            for a, b in ((bulk._low, single._low), (bulk._high, single._high)):
+            for a, b in ((bulk._low, single._low), (bulk._high, single._high),
+                         (far_tier(bulk), far_tier(single))):
                 assert [repr(v) for v in sorted(a)] == [repr(v) for v in sorted(b)]
         assert [repr(v) for v in bulk.samples] == [repr(v) for v in single.samples]
         if bulk.count:
@@ -541,6 +547,107 @@ class TestCutoffRank:
         assert e.conformal_cutoff(0.9, epsilon=0.5) == NEG_INF
         with pytest.raises(ValueError):
             e.cutoff_rank()
+
+
+def assert_tiers(e):
+    """low <= high <= fence < far, over the three tiers as stored."""
+    low = [-v for v in e._low]
+    far = far_tier(e)
+    assert len(low) + len(e._high) + len(far) == e.count
+    if low and e._high:
+        assert max(low) <= min(e._high)
+    assert all(v <= e.fence for v in low + e._high)
+    assert all(v > e.fence for v in far)
+
+
+# tied values, zeros of both signs, and a few far apart
+FAR_VALUES = st.one_of(TIED, st.sampled_from([0.5, 0.5, 0.75, 2.0]), st.floats(-2, 2))
+
+
+class TestFarTierMatchesSortedList:
+    """Every query of the three-tier store against a plain sorted list.
+
+    A refill floor of 1 or 2 refills on nearly every query that moves the
+    split up, so that small samples cross many fences; 64 is the module's.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("insert"), FAR_VALUES),
+        st.tuples(st.just("extend"), st.lists(FAR_VALUES, max_size=12)),
+        st.tuples(st.just("extend_far"), st.lists(FAR_VALUES, max_size=12)),
+        # the fence itself, a tie of the largest value a refill moved
+        st.tuples(st.just("fence_tie"), st.none()),
+        st.tuples(st.just("cutoff"), st.tuples(ALPHAS, st.floats(0.0, 1.2))),
+        st.tuples(st.just("rank"), st.none()),
+        st.tuples(st.just("count_at_most"), FAR_VALUES),
+        st.tuples(st.just("eval_g"), FAR_VALUES),
+        st.tuples(st.just("samples"), st.none()),
+    ), max_size=80), st.sampled_from([1, 2, 64]), st.sampled_from([2, 16]))
+    def test_operations(self, ops, floor, share):
+        e = TruncatedEcdf(10000)
+        values, answer = [], None
+        with mock.patch.object(cdf_band, "REFILL_FLOOR", floor), \
+                mock.patch.object(cdf_band, "REFILL_SHARE", share):
+            for op, arg in ops:
+                if op == "insert":
+                    e.insert(arg)
+                    values.append(arg + 0.0)
+                elif op == "extend":
+                    e.extend(arg)
+                    values += [v + 0.0 for v in arg]
+                elif op == "extend_far":
+                    far = [v for v in arg if v > e.fence]
+                    e.extend_far(np.array(far, dtype=np.float64))
+                    values += [v + 0.0 for v in far]
+                elif op == "fence_tie":
+                    if math.isfinite(e.fence):
+                        e.insert(e.fence)
+                        values.append(e.fence)
+                elif not values:
+                    continue
+                elif op == "cutoff":
+                    cut = e.conformal_cutoff(*arg)
+                    assert repr(cut) == repr(sorted_reference(values, *arg))
+                    if math.isfinite(cut):
+                        answer = cut
+                elif op == "rank":
+                    if answer is not None:
+                        assert e.cutoff_rank() == sum(1 for v in values if v <= answer)
+                elif op == "count_at_most":
+                    assert e.count_at_most(arg) == sum(1 for v in values if v <= arg)
+                elif op == "eval_g":
+                    assert e.eval_g(arg) == sum(1 for v in values if v <= arg) / len(values)
+                else:
+                    assert [repr(v) for v in e.samples] == [repr(v) for v in sorted(values)]
+                assert e.count == len(values)
+                assert_tiers(e)
+        assert [repr(v) for v in e.samples] == [repr(v) for v in sorted(values)]
+
+    def test_refill_takes_every_tie_of_the_fence(self):
+        # the 64 smallest far values end in a run of ties: all of it moves,
+        # and the next value up stays far
+        e = TruncatedEcdf(10000)
+        e.extend_far(np.array([1.0] * 40 + [2.0] * 60 + [3.0] * 100))
+        assert e.conformal_cutoff(0.99, epsilon=0.0) == 1.0
+        assert e.fence == 2.0 and len(e._low) + len(e._high) == 100
+        assert e.cutoff_rank() == 40
+        e.insert(2.0)
+        assert e.conformal_cutoff(0.5, epsilon=0.0) == 2.0
+        assert e.cutoff_rank() == 101
+        assert e.conformal_cutoff(0.01, epsilon=0.0) == 3.0
+        assert e.fence == 3.0 and e.count_at_most(2.5) == 101
+        assert_tiers(e)
+
+    def test_far_zeros_are_recorded_as_zero(self):
+        e = TruncatedEcdf(100)
+        e.insert(-1.0)
+        e.conformal_cutoff(0.5, epsilon=0.0)
+        assert e.fence == -1.0
+        e.extend_far(np.array([-0.0, 0.5, -0.0]))
+        e.insert(-0.0)
+        assert [repr(v) for v in e.samples] == ["-1.0", "0.0", "0.0", "0.0", "0.5"]
+        assert repr(e.conformal_cutoff(0.5, epsilon=0.0)) == "0.0"
 
 
 class TestRetruncationEquivalence:

@@ -375,6 +375,25 @@ class TestCumRegret:
         assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
         assert len(calls) < 100
 
+    def test_zero_column_skips_scalar_steps(self, monkeypatch):
+        # c = 0 has no grid, so each grid run stops at once; the leading
+        # zeros are one running sum, not a scalar step per round
+        calls = []
+        step = metrics._step
+        monkeypatch.setattr(metrics, "_step", lambda c, x: calls.append(1) or step(c, x))
+        inst = np.zeros(10_000)
+        assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
+        assert len(calls) < 100
+
+    @pytest.mark.parametrize("zeros", [
+        [0.0] * 300, [-0.0] * 300, [-0.0, 0.0] * 150, [0.0, -0.0] * 150,
+        [-0.0] * 299 + [0.0], [0.0] + [-0.0] * 299, [-0.0],
+    ])
+    @pytest.mark.parametrize("then", [[], [0.0123] * 200, [math.nan, 1.0], [-0.0, 5e-12]])
+    def test_leading_zeros_match_scalar_fold(self, zeros, then):
+        inst = np.array(zeros + then)
+        assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
+
 
 class TestTraceAggregates:
     def test_coverage_rate(self):

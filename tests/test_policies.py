@@ -190,6 +190,16 @@ class TestSps:
             p.update(observed)
         assert p.ecdf.samples == sorted(recorded)
 
+    @pytest.mark.parametrize("kind", ["sps", "greedy"])
+    @pytest.mark.parametrize("before", [30, 3000])
+    def test_play_rejects_an_infinite_score_after_the_rounds_before_it(self, kind, before):
+        # +inf is above any fence, yet must not join the far tier unchecked
+        p = spec(kind).build()
+        scores = np.random.default_rng(before).random(before).tolist()
+        with pytest.raises(ValueError, match="got inf"):
+            p.play(scores + [math.inf, 0.2])
+        assert p.ecdf.count == before
+
 
 class TestSpsLevelColumn:
     N = 10**5
@@ -834,3 +844,45 @@ class TestPlayMatchesReference:
         expected = [reference_round(ref, s) for s in scores]
         assert repr(played.play(scores)) == repr(expected)
         assert state(played) == state(ref)
+
+
+def large_horizon_scores(kind: str, horizon: int) -> list[float]:
+    """U(0, 1) scores; the top of three Gaussian bids as the shipped
+    auction config draws them (mu = 25, sigma = 8); or U(0, 1) scores
+    rising by 1 per 10**4 rounds, on which greedy's threshold rises too."""
+    rng = np.random.default_rng(horizon)
+    if kind == "uniform":
+        return rng.random(horizon).tolist()
+    if kind == "rising":
+        return (rng.random(horizon) + np.arange(horizon) / 10**4).tolist()
+    return rng.normal(25.0, 8.0, (horizon, 3)).max(axis=1).tolist()
+
+
+def assert_play_matches_update(kind: str, scores: list[float]) -> None:
+    """`play` over BLOCK_ROUNDS-round blocks, as `run_single` plays them,
+    and `update` round by round propose the same thresholds and leave the
+    same sample, bytes for bytes."""
+    spec = PolicySpec(kind=kind, alpha=ALPHA, horizon=len(scores))
+    played, stepped = spec.build(), spec.build()
+    taus = []
+    for start in range(0, len(scores), BLOCK_ROUNDS):
+        taus += played.play(scores[start:start + BLOCK_ROUNDS])
+    stepped_taus = []
+    for s in scores:
+        tau = stepped.tau
+        stepped_taus.append(tau)
+        stepped.update(s if s >= tau else None)
+    assert np.array(taus).tobytes() == np.array(stepped_taus).tobytes()
+    assert (np.array(played.ecdf.samples).tobytes()
+            == np.array(stepped.ecdf.samples).tobytes())
+
+
+class TestLargeHorizon:
+    @pytest.mark.parametrize("scores", ["uniform", "auction", "rising"])
+    @pytest.mark.parametrize("kind", ["sps", "greedy"])
+    def test_play_matches_update(self, kind, scores):
+        # 2 * 10**5 rounds: the far tier is refilled at sample sizes that
+        # the golden digests never reach, by `play`'s far slices and by
+        # `update`'s single inserts alike (greedy's threshold holds on
+        # stationary scores, and rises on the rising ones)
+        assert_play_matches_update(kind, large_horizon_scores(scores, 2 * 10**5))
