@@ -12,12 +12,14 @@ derived from them.  Outputs (floats at 12 significant digits,
     meta.json    timestamp sidecar (the only nondeterministic output)
 
 Output is rendered from columns, not from per-round objects.  Summary
-rows reduce one (checkpoint x run) matrix per metric.  trace.csv is one
-string per run: each column becomes a list of field strings and the
-lists are interleaved, with the cum_regret floats, into one `%` of a row
-template.  A column that repeats (tau, inst_regret, the flags, set_size)
-is formatted once per distinct bit pattern, so -0.0 still prints ``-0``;
-cum_regret is formatted per round.
+rows reduce one (checkpoint x run) matrix per metric.  trace.csv is
+rendered as bytes and written one run at a time: each field of a run is
+an S column of NUL-padded strings, the fields are the members of one
+record per round, and the run's bytes are the records' bytes without
+the NULs.  A column that repeats (tau, inst_regret, the flags,
+set_size) is formatted once per distinct bit pattern, so -0.0 still
+prints ``-0``; cum_regret, on its 12-digit grid, is put together from
+its digits.
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, PolicyEntry, load_config  # noqa: F401
 from .environments import set_size
-from .metrics import RunColumns, coverage_rate, undercoverage_count
+from .metrics import _POWERS_OF_TEN, RunColumns, coverage_rate, undercoverage_count
 from .policies import PolicySpec
 
 
@@ -188,9 +189,6 @@ FLOAT_FORMAT = "%.12g"
 # a trace field and the comma after it
 FLOAT_FIELD = FLOAT_FORMAT + ","
 INT_FIELD = "%d,"
-# one trace row: cum_regret is formatted here, every other field is a
-# string made beforehand
-TRACE_ROW = "%s" * 5 + FLOAT_FIELD + "%s" * 2
 
 
 def _render_rows(header: str, rows) -> str:
@@ -200,52 +198,114 @@ def _render_rows(header: str, rows) -> str:
     return "\n".join([header] + [line % row for row in rows]) + "\n"
 
 
-def _distinct_strings(col: np.ndarray, fmt) -> list[str]:
-    """`fmt(x)` for every entry x, called once per distinct entry.
+def _field(col: np.ndarray, fmt) -> np.ndarray:
+    """`fmt(x)` for every entry x, as bytes in an S array.
 
-    Floats are told apart by bits, not value: -0.0 and 0.0 are equal but
-    print apart.
+    fmt is called once per distinct entry, and entries are compared once
+    per stretch of equal ones (the trace columns repeat in long
+    stretches).  Floats are told apart by bits, not value: -0.0 and 0.0
+    are equal but print apart.
     """
-    keys, inverse = np.unique(col.view(np.int64) if col.dtype.kind == "f" else col,
-                              return_inverse=True)
-    strings = np.array([fmt(x) for x in keys.view(col.dtype).tolist()], dtype=object)
-    return strings[inverse].tolist()
+    bits = col.view(np.int64) if col.dtype.kind == "f" else col
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    keys, inverse = np.unique(bits[starts], return_inverse=True)
+    strings = np.array([fmt(x).encode() for x in keys.view(col.dtype).tolist()])
+    return strings[np.repeat(inverse, np.diff(starts, append=len(bits)))]
 
 
 def _size_field(n: int) -> str:
     return "\n" if n < 0 else f"{n}\n"
 
 
-def _render_trace(traces) -> str:
-    """One string per run, built column by column (see the module doc).
+# ASCII digits of 0..999, three to an entry
+_DIGITS3 = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10
+            + ord("0")).astype(np.uint8).view("S3").ravel()
 
-    Each field string carries the separator after it; the t strings are
-    made once for all runs of one length.  A run is one `%` of its row
-    template repeated n times, so the cum_regret floats are formatted
-    there.
+
+def _cum_templates() -> np.ndarray:
+    """FLOAT_FIELD of r / 10**s at [12 * s + z], for 0 <= s <= 15 and a
+    12-digit integer r with z trailing zeros, in 29 bytes: '0.' and up to
+    three zeros, r's digits each with a slot for the point after it (the
+    last without), the comma.  0xFF marks each printed digit of r, NUL
+    each unused byte.  With e = 11 - s, '%.12g' puts the point after
+    digit e, or '0.' and -e-1 zeros before r when e < 0, and strips
+    trailing zeros and a bare point.
     """
-    chunks = ["run_id,policy,t,tau,covered,inst_regret,cum_regret,undercover,set_size\n"]
-    rounds: dict[int, list[str]] = {}
+    e = 11 - np.arange(16)[:, None, None]
+    z = np.arange(12)[:, None]
+    j = np.arange(12)
+    p = np.arange(5)
+    out = np.zeros((16, 12, 29), np.uint8)
+    out[..., :5] = np.where(e >= 0, 0, np.where(p == 1, ord("."), np.where(p <= -e, ord("0"), 0)))
+    out[..., 5::2] = np.where((j <= e) | (j < 12 - z), 0xFF, 0)
+    out[..., 6:-1:2] = np.where((j[:-1] == e) & (j[:-1] < 11 - z), ord("."), 0)
+    out[..., -1] = ord(",")
+    return out.view("S29").ravel()
+
+
+_CUM_TEMPLATES = _cum_templates()
+
+
+def _cum_field(c: np.ndarray) -> np.ndarray:
+    """`_field(c, FLOAT_FIELD.__mod__)` for a cum_regret column, up to NULs
+    inside each entry.
+
+    `metrics.cum_regret` puts c on a 12-significant-digit grid.  With
+    s = 11 - floor(log10(x)), an x with 0 <= s <= 15 whose
+    r = rint(x * 10**s) has 12 digits and gives r / 10**s == x exactly
+    is within 1.2e-4 units of r, so '%.12g' prints r's digits in fixed
+    notation: r's 3-digit groups fill a `_cum_templates` entry.  Every
+    other value (0, -0.0, inf, NaN, negative, exponent form or off the
+    grid) takes `_field`.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = 11.0 - np.floor(np.log10(c))
+        fast = (shift >= 0.0) & (shift <= 15.0)
+        s = np.where(fast, shift, 0.0).astype(np.intp)
+        r = np.rint(c * _POWERS_OF_TEN[s])
+        fast &= (r >= 1e11) & (r < 1e12) & (r / _POWERS_OF_TEN[s] == c)
+    # r's two 6-digit halves are exact in float64
+    r = np.where(fast, r, 1e11)
+    high = np.floor(r / 1e6)
+    halves = np.stack([high, r - 1e6 * high], axis=1).astype(np.intp)
+    digits = _DIGITS3[np.stack(np.divmod(halves, 1000), axis=2)].view(np.uint8).reshape(-1, 12)
+    zeros = (digits[:, ::-1] != ord("0")).argmax(axis=1)
+    field = _CUM_TEMPLATES[12 * s + zeros]
+    field.view(np.uint8).reshape(-1, 29)[:, 5::2] &= digits
+    rest = np.flatnonzero(~fast)
+    if len(rest):
+        field[rest] = _field(c[rest], FLOAT_FIELD.__mod__)
+    return field
+
+
+def _render_trace(traces):
+    """trace.csv as bytes: the header, then one bytes object per run (see
+    the module doc).  A run's t strings are made once for all runs of its
+    length.  CSV text holds no NUL, so a policy id with one is refused.
+    """
+    yield b"run_id,policy,t,tau,covered,inst_regret,cum_regret,undercover,set_size\n"
+    rounds: dict[int, np.ndarray] = {}
     for run_id, policy, run in traces:
+        if "\0" in policy:
+            raise ValueError(f"policy id {policy!r} holds a NUL character")
         n = len(run.tau)
         if n not in rounds:
-            rounds[n] = [INT_FIELD % t for t in range(1, n + 1)]
-        fields = (
-            repeat(f"{run_id},{policy},", n),
+            rounds[n] = _field(np.arange(1, n + 1), INT_FIELD.__mod__)
+        fields = [
+            np.asarray(f"{run_id},{policy},".encode()),
             rounds[n],
-            _distinct_strings(run.tau, FLOAT_FIELD.__mod__),
-            _distinct_strings(run.covered, INT_FIELD.__mod__),
-            _distinct_strings(run.inst_regret, FLOAT_FIELD.__mod__),
-            run.cum_regret.tolist(),
-            _distinct_strings(run.undercover, INT_FIELD.__mod__),
-            repeat("\n", n) if run.set_size is None
-            else _distinct_strings(run.set_size, _size_field),
-        )
-        values = [None] * (len(fields) * n)
-        for i, column in enumerate(fields):
-            values[i::len(fields)] = column
-        chunks.append(TRACE_ROW * n % tuple(values))
-    return "".join(chunks)
+            _field(run.tau, FLOAT_FIELD.__mod__),
+            _field(run.covered, INT_FIELD.__mod__),
+            _field(run.inst_regret, FLOAT_FIELD.__mod__),
+            _cum_field(run.cum_regret),
+            _field(run.undercover, INT_FIELD.__mod__),
+            np.asarray(b"\n") if run.set_size is None else _field(run.set_size, _size_field),
+        ]
+        records = np.empty(n, ",".join(field.dtype.str for field in fields))
+        for name, field in zip(records.dtype.names, fields):
+            records[name] = field
+        data = records.view(np.uint8)
+        yield data[data != 0].tobytes()
 
 
 # every file `emit_csv` may write
@@ -255,20 +315,21 @@ RESULT_FILES = ("summary.csv", "sweep.csv", "trace.csv", "meta.json")
 def emit_csv(result: BatchResult, cfg: ExperimentConfig) -> dict[str, str]:
     """Write summary/sweep/trace CSVs plus the timestamp sidecar.
 
-    Every body is rendered and written to a temporary file in the output
-    directory before any is moved into place with `os.replace`, so a
-    failure leaves the earlier result files whole, never a truncated one.
-    Once all are in place, result files this run did not write (an
-    earlier run's trace.csv or sweep.csv) are removed, so every result
-    file in the directory comes from this run.
+    Every body is written as bytes to a temporary file in the output
+    directory, trace.csv run by run as it is rendered, before any is
+    moved into place with `os.replace`, so a failure leaves the earlier
+    result files whole, never a truncated one, and removes the temporary
+    files.  Once all are in place, result files this run did not write
+    (an earlier run's trace.csv or sweep.csv) are removed, so every
+    result file in the directory comes from this run.
     """
     if not result.summary_rows:
         raise ValueError("nothing to emit: empty batch result")
-    bodies = {"summary.csv": _render_rows("policy,t,metric,mean,ci_lo,ci_hi",
-                                           result.summary_rows)}
+    bodies = {"summary.csv": [_render_rows("policy,t,metric,mean,ci_lo,ci_hi",
+                                            result.summary_rows).encode()]}
     if result.sweep_rows:
-        bodies["sweep.csv"] = _render_rows("policy,param,value,mean_final_regret,selected",
-                                          result.sweep_rows)
+        bodies["sweep.csv"] = [_render_rows("policy,param,value,mean_final_regret,selected",
+                                           result.sweep_rows).encode()]
     if cfg.trace:
         bodies["trace.csv"] = _render_trace(result.traces)
     meta = {
@@ -279,14 +340,15 @@ def emit_csv(result: BatchResult, cfg: ExperimentConfig) -> dict[str, str]:
         "runs": cfg.runs,
         "seed": cfg.seed,
     }
-    bodies["meta.json"] = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    bodies["meta.json"] = [(json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()]
     temps: dict[str, str] = {}
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        for name, body in bodies.items():
+        for name, chunks in bodies.items():
             temps[name] = os.path.join(cfg.out_dir, f".{name}.{os.getpid()}.tmp")
-            with open(temps[name], "w", encoding="utf-8", newline="") as fh:
-                fh.write(body)
+            with open(temps[name], "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
         written = {name: os.path.join(cfg.out_dir, name) for name in bodies}
         for name, temp in temps.items():
             os.replace(temp, written[name])
@@ -295,8 +357,11 @@ def emit_csv(result: BatchResult, cfg: ExperimentConfig) -> dict[str, str]:
                 with contextlib.suppress(FileNotFoundError):
                     os.remove(os.path.join(cfg.out_dir, name))
     except OSError as exc:
+        raise OutputError(f"cannot write results to {cfg.out_dir!r}: {exc}") from exc
+    finally:
+        # after a write error or a render error (a NUL in a policy id); the
+        # replaces leave none behind
         for temp in temps.values():
             with contextlib.suppress(OSError):
                 os.remove(temp)
-        raise OutputError(f"cannot write results to {cfg.out_dir!r}: {exc}") from exc
     return written

@@ -609,8 +609,8 @@ class TestEmitCsv:
             result = run_batch(cfg)
         written = emit_csv(result, cfg)
         first_row = open(written["trace.csv"]).read().splitlines()[1]
-        assert first_row.split(",")[3] == "-inf"
-        assert float("-inf") == float("-inf".strip())
+        token = first_row.split(",")[3]
+        assert token == "-inf" and float(token) == NEG_INF
 
     def test_plus_infinity_token(self, tmp_path):
         # ACI's budget passes 1 after a few covered rounds at alpha = 0.1;
@@ -816,12 +816,130 @@ def zero_signs_run():
                       undercover=~flags)
 
 
+def render_trace(traces) -> bytes:
+    return b"".join(harness._render_trace(traces))
+
+
+def leading_zeros_run(n=5000):
+    """A cum_regret column of n - 3 zeros, then three grid values."""
+    cum = np.zeros(n)
+    cum[-3:] = [0.25, 0.5, 12.5]
+    flags = np.zeros(n, dtype=bool)
+    return RunColumns(tau=np.full(n, 0.5), covered=flags, set_size=None,
+                      inst_regret=np.diff(cum, prepend=0.0), cum_regret=cum,
+                      undercover=flags)
+
+
+def wide_fallback_run():
+    """cum_regret fields that take the formatted path, one longer (20
+    bytes) than any fixed-notation field (at most 18)."""
+    run = zero_signs_run()
+    return dataclasses.replace(run, cum_regret=np.array(
+        [0.5, -1.34078079299e+154, 1.5, 1e-300, 123456.789012, 5e-324]))
+
+
 class TestTraceRender:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 200), POLICY_ID, trace_run()), max_size=3))
     @example([(0, "dlr", zero_signs_run()), (1, "a.b-c_d", zero_signs_run())])
+    @example([(0, "sps", leading_zeros_run()), (1, "sps", leading_zeros_run())])
+    @example([(3, "etc", wide_fallback_run())])
     def test_matches_row_by_row_renderer(self, traces):
-        assert harness._render_trace(traces) == reference_render_trace(traces)
+        assert render_trace(traces) == reference_render_trace(traces).encode()
+
+    @pytest.mark.parametrize("kind", ["auction", "uniform"])
+    def test_batch_traces_match_row_by_row_renderer(self, kind):
+        if kind == "auction":
+            env = EnvironmentSpec(kind="auction", distribution="gaussian",
+                                  dist_params={"mu": 25.0, "sigma": 8.0}, bidders=3)
+            cfg = ExperimentConfig(environment=env, policies=LOOP_POLICIES[:2], alpha=0.9,
+                                   horizon=3000, runs=2, seed=1, trace=True)
+        else:
+            cfg = small_cfg(policies=LOOP_POLICIES, horizon=2000, runs=2, trace=True)
+        cfg.validate()
+        traces = run_batch(cfg).traces
+        assert render_trace(traces) == reference_render_trace(traces).encode()
+
+    def test_leading_zeros_are_formatted_once(self, monkeypatch):
+        formatted = []
+
+        class CountingFormat(str):
+            def __mod__(self, value):
+                formatted.append(value)
+                return str.__mod__(self, value)
+
+        monkeypatch.setattr(harness, "FLOAT_FIELD", CountingFormat(harness.FLOAT_FIELD))
+        run = leading_zeros_run(10**4)
+        assert render_trace([(0, "sps", run)]) == reference_render_trace(
+            [(0, "sps", run)]).encode()
+        # one tau, three inst_regret values (0, 0.25, 12) and cum_regret's
+        # zero, each once
+        assert sorted(formatted) == [0.0, 0.0, 0.25, 0.5, 12.0]
+
+    def test_nul_in_policy_id_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="NUL"):
+            render_trace([(0, "sps", zero_signs_run()), (1, "s\x00ps", zero_signs_run())])
+        # a hand-built config skips validate; emit_csv leaves nothing behind
+        cfg = ExperimentConfig(environment=UNIFORM_ENV, policies=[
+            PolicyEntry(policy_id="a\x00b", kind="sps")], alpha=0.9, horizon=50, runs=2,
+            out_dir=str(tmp_path / "res"), trace=True)
+        with pytest.raises(ValueError, match="NUL"):
+            emit_csv(run_batch(cfg), cfg)
+        assert list((tmp_path / "res").iterdir()) == []
+
+    def test_non_ascii_policy_id_is_utf8(self, tmp_path):
+        policy = "s\u00e9ries-\u03c4-\U0001f600"
+        traces = [(0, policy, zero_signs_run())]
+        assert render_trace(traces) == reference_render_trace(traces).encode("utf-8")
+        # `validate` would refuse this id; a hand-built config is written as is
+        cfg = ExperimentConfig(environment=UNIFORM_ENV, policies=[
+            PolicyEntry(policy_id=policy, kind="sps")], alpha=0.9, horizon=40, runs=2,
+            out_dir=str(tmp_path / "res"), trace=True)
+        result = run_batch(cfg)
+        written = emit_csv(result, cfg)
+        assert (Path(written["trace.csv"]).read_bytes()
+                == reference_render_trace(result.traces).encode("utf-8"))
+
+
+def cum_field_strings(values) -> list[bytes]:
+    """`_cum_field` of a column, row by row without the NUL padding."""
+    return [row.replace(b"\0", b"")
+            for row in harness._cum_field(np.array(values, dtype=float)).tolist()]
+
+
+def printed(values) -> list[bytes]:
+    return [("%.12g," % x).encode() for x in values]
+
+
+# every power of ten a double holds, with the doubles on either side
+POWERS_OF_TEN = [float(f"1e{k}") for k in range(-12, 17)]
+NEAR_POWERS = [np.nextafter(p, side) for p in POWERS_OF_TEN for side in (0.0, math.inf)]
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, -1.5, -1e-5, 5e-324, 2.2250738585072014e-308,
+         1e-5, 1e-4, 9.99999999999e-05, 9.99999999999e-06, 0.000099999999999995,
+         1e12, 999999999999.5, 999999999999.0, 99999999999.95, 9.999999999995,
+         123456789012.5, -1.34078079299e+154]
+
+
+@st.composite
+def grid_value(draw, digits=12):
+    """A value rounded at `digits` significant digits, in a decade from 1e-7 to 1e14."""
+    mantissa = draw(st.floats(1.0, 10.0, exclude_max=True))
+    return float(f"{mantissa * 10.0 ** draw(st.integers(-7, 14)):.{digits}g}")
+
+
+CUM_VALUE = st.one_of(grid_value(), grid_value(3), st.floats(), st.floats(1e-6, 1e13),
+                      st.sampled_from(EDGES + POWERS_OF_TEN + NEAR_POWERS))
+
+
+class TestCumField:
+    def test_edges(self):
+        values = EDGES + POWERS_OF_TEN + NEAR_POWERS
+        assert cum_field_strings(values) == printed(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CUM_VALUE, min_size=1, max_size=40))
+    def test_matches_printf(self, values):
+        assert cum_field_strings(values) == printed(values)
 
 
 class TestAggregate:

@@ -1,16 +1,17 @@
 import math
 from bisect import insort
+from heapq import heappop, heappush
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semibandit_conformal import policies
+from semibandit_conformal import cdf_band, policies
 from semibandit_conformal.cdf_band import (LEVEL_TOL, NEG_INF, TruncatedEcdf, band_epsilon,
-                                          sup_quantile)
-from semibandit_conformal.environments import EnvironmentSpec, apply_feedback
+                                          order_index, sup_quantile)
+from semibandit_conformal.environments import EnvironmentSpec, SyntheticEnv, apply_feedback
 from semibandit_conformal.harness import (BLOCK_ROUNDS, ExperimentConfig, PolicyEntry,
                                           run_single)
 from semibandit_conformal.policies import (
@@ -858,15 +859,21 @@ def large_horizon_scores(kind: str, horizon: int) -> list[float]:
     return rng.normal(25.0, 8.0, (horizon, 3)).max(axis=1).tolist()
 
 
-def assert_play_matches_update(kind: str, scores: list[float]) -> None:
-    """`play` over BLOCK_ROUNDS-round blocks, as `run_single` plays them,
-    and `update` round by round propose the same thresholds and leave the
-    same sample, bytes for bytes."""
-    spec = PolicySpec(kind=kind, alpha=ALPHA, horizon=len(scores))
-    played, stepped = spec.build(), spec.build()
+def play_in_blocks(policy, scores: list[float]) -> list[float]:
+    """`policy.play` over BLOCK_ROUNDS-round blocks, as `run_single` plays them."""
     taus = []
     for start in range(0, len(scores), BLOCK_ROUNDS):
-        taus += played.play(scores[start:start + BLOCK_ROUNDS])
+        taus += policy.play(scores[start:start + BLOCK_ROUNDS])
+    return taus
+
+
+def assert_play_matches_update(kind: str, scores: list[float]) -> None:
+    """`play` over BLOCK_ROUNDS-round blocks and `update` round by round
+    propose the same thresholds and leave the same sample, bytes for
+    bytes."""
+    spec = PolicySpec(kind=kind, alpha=ALPHA, horizon=len(scores))
+    played, stepped = spec.build(), spec.build()
+    taus = play_in_blocks(played, scores)
     stepped_taus = []
     for s in scores:
         tau = stepped.tau
@@ -886,3 +893,97 @@ class TestLargeHorizon:
         # `update`'s single inserts alike (greedy's threshold holds on
         # stationary scores, and rises on the rising ones)
         assert_play_matches_update(kind, large_horizon_scores(scores, 2 * 10**5))
+
+
+def truncation_identity_taus(kind: str, scores: list[float], alpha: float = ALPHA) -> list[float]:
+    """SPS's (kind "sps") or greedy's thresholds over a stream, from the
+    untruncated scores and sharing no code with `TruncatedEcdf`.
+
+    The truncation identity: played from round 1, tau never decreases, so
+    the values recorded above tau_t are the scores above it, and as many
+    recorded values as scores are <= tau_t, a NaN (a miss, recorded as
+    tau) counted as -inf.  Hence tau_{t+1} = max(tau_t, Q_t), with Q_t
+    the k_t-th smallest of s_1..s_t, k_t = order_index(t, 1 - alpha -
+    eps_t) + 1 (eps_t = 0 for greedy), and Q_t = -inf where that level is
+    below -LEVEL_TOL.  It holds only for a policy played from round 1: a
+    tau assigned from outside may fall, and then the recorded values are
+    no longer the scores.
+
+    Each score is canonicalized by + 0.0, as `TruncatedEcdf` records it.
+    A NaN while tau = -inf, which the policy would record as -inf and
+    refuse, raises ValueError.
+    """
+    delta = 2.0 / len(scores) ** 2
+    # a max-heap (negated) of the k smallest scores and a min-heap of the rest
+    low: list[float] = []
+    high: list[float] = []
+    tau, taus = NEG_INF, []
+    for t, score in enumerate(scores, start=1):
+        taus.append(tau)
+        if math.isnan(score):
+            if tau == NEG_INF:
+                raise ValueError(f"round {t}: a miss at tau = -inf records -inf")
+            score = NEG_INF
+        score += 0.0
+        if low and score < -low[0]:
+            heappush(low, -score)
+        else:
+            heappush(high, score)
+        level = 1.0 - alpha - (band_epsilon(delta, t) if kind == "sps" else 0.0)
+        if level < -LEVEL_TOL:
+            continue
+        k = order_index(t, level) + 1
+        while len(low) < k:
+            heappush(low, -heappop(high))
+        while len(low) > k:
+            heappush(high, -heappop(low))
+        tau = max(tau, -low[0])
+    return taus
+
+
+def assert_play_matches_identity(kind: str, scores: list[float]) -> None:
+    """`play` in blocks gives `truncation_identity_taus`, bytes for bytes."""
+    played = play_in_blocks(PolicySpec(kind=kind, alpha=ALPHA, horizon=len(scores)).build(),
+                            scores)
+    assert (np.array(played).tobytes()
+            == np.array(truncation_identity_taus(kind, scores)).tobytes())
+
+
+# mostly a few values, so that the ECDF's tiers hold many ties; signed
+# zeros and misses (NaN)
+TIED_SCORE = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, math.nan])
+IDENTITY_SCORES = st.lists(st.one_of(TIED_SCORE, TIED_SCORE, TIED_SCORE, st.floats(-1, 1)),
+                           min_size=2, max_size=300)
+
+
+class TestTruncationIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["sps", "greedy"]), IDENTITY_SCORES,
+           st.sampled_from([0.05, 0.5, 0.9, 0.97]) | st.floats(0.05, 0.97),
+           st.sampled_from([1, 2, 64]), st.sampled_from([2, 16]))
+    @example("sps", [0.75, 0.25, 0.25, 0.0, 0.5, 0.5, 0.75, 0.75, 0.75, 0.0], 0.05, 1, 2)
+    def test_run_single_matches_the_identity(self, kind, scores, alpha, floor, share):
+        # a small refill floor and share make short streams refill the
+        # ECDF's high heap often, ties of the fence among the values (the
+        # example fails a refill that loses the fence's ties)
+        entry = PolicyEntry(policy_id=kind, kind=kind)
+        cfg = ExperimentConfig(
+            environment=EnvironmentSpec(kind="synthetic", distribution="uniform",
+                                        dist_params={"a": 0.0, "b": 1.0}),
+            policies=[entry], alpha=alpha, horizon=len(scores), runs=1)
+        with mock.patch.object(SyntheticEnv, "draw", return_value=(np.array(scores), None)), \
+                mock.patch.object(cdf_band, "REFILL_FLOOR", floor), \
+                mock.patch.object(cdf_band, "REFILL_SHARE", share):
+            try:
+                expected = truncation_identity_taus(kind, scores, alpha)
+            except ValueError:
+                with pytest.raises(ValueError, match="finite"):
+                    run_single(cfg, cfg.policy_spec(entry, {}), seed=0)
+                return
+            run = run_single(cfg, cfg.policy_spec(entry, {}), seed=0)
+        assert run.tau.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("kind", ["sps", "greedy"])
+    def test_large_horizon(self, kind):
+        # a block edge and many raises, on the auction's top bids
+        assert_play_matches_identity(kind, large_horizon_scores("auction", 3 * BLOCK_ROUNDS))
