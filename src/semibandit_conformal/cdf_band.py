@@ -10,20 +10,21 @@ step-function CDF it answers the banded cutoff query
 which is the quantity the threshold policies need each round.  The answer
 is an order statistic whose index `order_index` fixes (`order_index_column`
 gives the index for a column of sample sizes at once).  `TruncatedEcdf`
-keeps the sample in three tiers: two heaps split at that index, so a
-round that moves the index by at most one costs O(log t) rather than the
-O(t) of a sorted insert, and above a fence an unordered far tier of
-numpy slices that no cutoff query reads until the heaps run out.  The
-query sits near the (1 - alpha)-quantile, so at the alpha = 0.9 of the
-shipped configs most values are recorded above it, in the far tier, and
-are never pushed onto a heap.
+keeps the sample in three tiers: at or below the last answer an
+unordered pile, the answer's own copies only counted; above it a heap up
+to a fence, so a round that moves the index by at most one costs
+O(log t) rather than the O(t) of a sorted insert; and above the fence an
+unordered far tier of numpy slices that no query reads until the heap
+runs out.  The query sits near the (1 - alpha)-quantile, so at the
+alpha = 0.9 of the shipped configs most values land in the far tier,
+and the misses of a policy whose threshold never falls are a count.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -122,16 +123,23 @@ def sup_quantile(sorted_values, level: float) -> float:
 class TruncatedEcdf:
     """Multiset of recorded scores in three tiers, plus the DKW band.
 
-    `_low` is a max-heap (stored negated) of the k smallest values and
-    `_high` a min-heap of the rest up to `fence`.  The far tier holds every
-    value above the fence, unordered: numpy slices in `_far` and single
-    floats in `_far_values`.  Every value in `_low` is <= every value in
-    `_high`, which is <= the fence, which is below every far value.
-    `insert` puts a value in the tier it belongs to, and
-    `conformal_cutoff` moves heap tops across until k = m + 1 for the
-    query's `order_index` m, then reads the answer off the top of `_low`.
-    The banded and greedy policies move m by at most one per round, so
-    both operations cost O(log t), apart from refills.
+    `top` is the last finite cutoff answer, -inf before the first.  The
+    low tier holds every value <= top, unordered: the values below it in
+    the list `_pile`, and the number of copies of top in `_ties`.  `_high`
+    is a min-heap of the values in (top, fence], and the far tier holds
+    every value above the fence, unordered: numpy slices in `_far` and
+    single floats in `_far_values`.  `insert` puts a value in the tier it
+    belongs to; a value equal to top is only counted.
+
+    A cutoff query answers the k-th smallest value, k = m + 1 for its
+    `order_index` m.  When k is above the low tier's size it pops heap
+    tops into the pile until k values are at or below the last one, which
+    becomes top, and counts the heap's ties of it: O(log t) per value
+    moved, and the banded and greedy policies move k by at most one per
+    round.  When k lands among top's copies nothing moves.  Below them
+    (which neither policy asks in play) the low tier goes back onto the
+    heap and the answer climbs to k from nothing, so any sequence of
+    levels gets the exact answer.  `cutoff_rank` is the low tier's size.
 
     The fence starts at -inf, with every value far.  A query that needs
     more values than `_high` holds refills it: the far tier's smallest
@@ -140,9 +148,8 @@ class TruncatedEcdf:
     of them, so that every tie of it comes too.  The rest stays far.  A
     refill is O(far) numpy work, and the cutoff must climb through the
     values it moved before the next one.  `extend` inserts a batch of
-    values in order, `extend_far` records a numpy slice of values above
-    the fence as it is, and `cutoff_rank` counts the values at or below
-    the last finite answer.
+    values in order, and `extend_far` records a numpy slice of values
+    above the fence as it is.
 
     The rank queries (`samples`, `eval_g`, `eval_upper`) need the sorted
     sample: the first of them sorts the three tiers into a list, and every
@@ -150,8 +157,8 @@ class TruncatedEcdf:
     query never builds it.
 
     Values are canonicalized with `value + 0.0`, which turns -0.0 into
-    0.0: among tied zeros a heap returns whichever it holds on top, so
-    without this the cutoff's sign could differ from the sorted order's.
+    0.0, so that top's copies are one value and the cutoff's sign is the
+    sorted order's.
 
     Values are truncated at recording time (a missed round records the
     round's threshold); queries never re-truncate.  For the nondecreasing
@@ -168,7 +175,9 @@ class TruncatedEcdf:
         # division and a square root
         self._half_log = math.log(2.0 / (2.0 / (horizon * horizon))) / 2.0
         self._count = 0
-        self._low: list[float] = []
+        self._top = NEG_INF
+        self._pile: list[float] = []
+        self._ties = 0
         self._high: list[float] = []
         self._fence = NEG_INF
         self._far: list[np.ndarray] = []
@@ -180,15 +189,20 @@ class TruncatedEcdf:
         return self._count
 
     @property
+    def top(self) -> float:
+        """The last finite cutoff answer, -inf before the first."""
+        return self._top
+
+    @property
     def fence(self) -> float:
-        """The largest value the heaps may hold; every value above it is far."""
+        """The largest value the heap may hold; every value above it is far."""
         return self._fence
 
     @property
     def samples(self) -> list[float]:
         """The recorded values in nondecreasing order (do not mutate)."""
         if self._sorted is None:
-            self._sorted = sorted([-v for v in self._low] + self._high
+            self._sorted = sorted(self._pile + [self._top] * self._ties + self._high
                                   + self._far_array().tolist())
         return self._sorted
 
@@ -196,13 +210,15 @@ class TruncatedEcdf:
         value = float(value) + 0.0
         if not math.isfinite(value):
             raise ValueError(f"recorded score must be finite, got {value}")
-        low = self._low
-        if low and value < -low[0]:
-            heappush(low, -value)
-        elif value <= self._fence:
-            heappush(self._high, value)
-        else:
+        top = self._top
+        if value > self._fence:
             self._far_values.append(value)
+        elif value > top:
+            heappush(self._high, value)
+        elif value < top:
+            self._pile.append(value)
+        else:
+            self._ties += 1
         self._count += 1
         if self._sorted is not None:
             insort(self._sorted, value)
@@ -211,10 +227,8 @@ class TruncatedEcdf:
         """`insert` each of `values` in order, as one operation.
 
         A non-finite value raises the ValueError `insert` raises, with the
-        values before it recorded.  A value goes to the tier `insert` would
-        put it in: a value below the low heap's top goes to the low heap,
-        which leaves that top, and so the tier of every later value, as it
-        was.
+        values before it recorded.  No insert moves top or the fence, so
+        each value goes to the tier `insert` would put it in.
         """
         # a sum is finite only if every term is; one that overflows is
         # checked term by term
@@ -223,21 +237,41 @@ class TruncatedEcdf:
                 if not math.isfinite(value):
                     self.extend(values[:i])
                     raise ValueError(f"recorded score must be finite, got {value + 0.0}")
-        low, high, far = self._low, self._high, self._far_values
-        top = -low[0] if low else NEG_INF
-        fence = self._fence
+        pile, high, far = self._pile, self._high, self._far_values
+        top, fence = self._top, self._fence
+        ties = 0
         for value in values:
             value += 0.0
-            if value < top:
-                heappush(low, -value)
-            elif value <= fence:
-                heappush(high, value)
-            else:
+            if value > fence:
                 far.append(value)
+            elif value > top:
+                heappush(high, value)
+            elif value < top:
+                pile.append(value)
+            else:
+                ties += 1
+        self._ties += ties
         self._count += len(values)
         if self._sorted is not None:
             for value in values:
                 insort(self._sorted, value + 0.0)
+
+    def extend_top(self, k: int) -> None:
+        """Record k copies of `top`, as a count.
+
+        Before the first finite answer top is -inf, which `insert` refuses,
+        and so does this when k > 0.
+        """
+        if not k:
+            return
+        top = self._top
+        if top == NEG_INF:
+            raise ValueError(f"recorded score must be finite, got {top}")
+        self._ties += k
+        self._count += k
+        if self._sorted is not None:
+            at = bisect_right(self._sorted, top)
+            self._sorted[at:at] = [top] * k
 
     def extend_far(self, values: np.ndarray) -> None:
         """Record a float64 array of finite values, all above `fence`.
@@ -283,7 +317,6 @@ class TruncatedEcdf:
         remaining budget; the sentinels never enter the sample multiset.
         The value is `sup_quantile(self.samples, 1 - alpha - eps)`.
         """
-        low, high = self._low, self._high
         n = self._count
         if not n:
             raise ValueError("CDF query on an empty sample")
@@ -298,40 +331,45 @@ class TruncatedEcdf:
             return NEG_INF
         if level >= 1.0:
             raise ValueError(f"alpha = {alpha!r} is too small: 1 - alpha rounds to 1")
-        moves = order_index(n, level) + 1 - len(low)
-        if moves > 0:
-            if len(high) < moves:
-                self._refill(moves - len(high))
-            for _ in range(moves):
-                heappush(low, -heappop(high))
-        else:
-            for _ in range(-moves):
-                heappush(high, -heappop(low))
-        return -low[0]
+        k = order_index(n, level) + 1
+        pile = self._pile
+        if k <= len(pile):
+            # below top's copies: the low tier goes back to the heap, and
+            # the answer climbs to k from nothing
+            self._high += pile + [self._top] * self._ties
+            heapify(self._high)
+            pile.clear()
+            self._top, self._ties = NEG_INF, 0
+        if k > len(pile) + self._ties:
+            self._raise_top(k - len(pile) - self._ties)
+        return self._top
+
+    def _raise_top(self, moves: int) -> None:
+        """Pop `moves` heap tops into the low tier; the last is the new top,
+        and its copies, popped or left on the heap, are counted."""
+        high, pile = self._high, self._pile
+        if len(high) < moves:
+            self._refill(moves - len(high))
+        # top's copies are below the new top
+        pile += [self._top] * self._ties
+        for _ in range(moves - 1):
+            pile.append(heappop(high))
+        top = heappop(high)
+        ties = 1
+        while pile and pile[-1] == top:
+            pile.pop()
+            ties += 1
+        while high and high[0] == top:
+            heappop(high)
+            ties += 1
+        self._top, self._ties = top, ties
 
     def cutoff_rank(self) -> int:
-        """Number of recorded values <= the last finite cutoff answer.
-
-        The answer is the low heap's top.  Only a query that answers a
-        finite value moves values between the heaps, and an insert below
-        the top goes to the low heap, so the low heap holds the answer and
-        every value below it, and the high heap any ties of it: far values
-        are above the fence, which is at or above the answer.  Those
-        ties sit at the high heap's root, and a walk down the heap that
-        turns back at larger values counts them in O(ties).
-        """
-        low, high = self._low, self._high
-        if not low:
+        """Number of recorded values <= the last finite cutoff answer: the
+        low tier's size."""
+        if self._top == NEG_INF:
             raise ValueError("no finite cutoff has been answered")
-        top = -low[0]
-        ties = 0
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            if i < len(high) and high[i] == top:
-                ties += 1
-                stack += (2 * i + 1, 2 * i + 2)
-        return len(low) + ties
+        return len(self._pile) + self._ties
 
     def count_at_most(self, tau: float) -> int:
         """Number of recorded values <= tau, in one pass over the tiers.
@@ -339,7 +377,8 @@ class TruncatedEcdf:
         Unlike `eval_g` it builds no sorted list, which every later insert
         would then keep sorted.
         """
-        return (sum(1 for v in self._low if -v <= tau)
+        return (sum(1 for v in self._pile if v <= tau)
+                + (self._ties if self._top <= tau else 0)
                 + sum(1 for v in self._high if v <= tau)
                 + int(np.count_nonzero(self._far_array() <= tau)))
 

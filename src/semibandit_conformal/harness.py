@@ -68,8 +68,9 @@ def checkpoint_grid(horizon: int) -> list[int]:
     return sorted(points)
 
 
-# Rounds per Python list taken from the score column: a list of the whole
-# column would hold T float objects at once.
+# Rounds per `play` call, a view of the score column: the per-round Python
+# floats and ints some policies make of a block (ACI's and DLR's loops,
+# SPS's need column) are made one block at a time, never T at once.
 BLOCK_ROUNDS = 4096
 
 
@@ -87,7 +88,7 @@ def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int) -> RunColumns
     taus = np.empty(cfg.horizon)
     for start in range(0, cfg.horizon, BLOCK_ROUNDS):
         block = slice(start, start + BLOCK_ROUNDS)
-        taus[block] = play(scores[block].tolist())
+        taus[block] = play(scores[block])
     return RunColumns.derive(taus, scores >= taus, set_size(candidates, taus),
                              env.oracle_tau_star(cfg.alpha), env.oracle_cdf(), cfg.loss)
 
@@ -222,6 +223,27 @@ _DIGITS3 = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10
             + ord("0")).astype(np.uint8).view("S3").ravel()
 
 
+def _t_field(n: int) -> np.ndarray:
+    """`_field(np.arange(1, n + 1), INT_FIELD.__mod__)`, the t column,
+    from `_DIGITS3`.  The k-th 3-digit group of t = 0, 1, ... runs
+    through the 1000 entries of the table, each repeated 1000**k times;
+    the t with d digits are one slice of rows, d digits and a comma, taken
+    from the right end of their groups."""
+    width = len(str(n))
+    groups = -(-width // 3)
+    digits = np.empty((n + 1, groups), "S3")
+    for k in range(groups):
+        run = 1000 ** k
+        digits[:, groups - 1 - k] = np.repeat(np.resize(_DIGITS3, n // run + 1), run)[:n + 1]
+    digits = digits[1:].view(np.uint8).reshape(n, 3 * groups)
+    out = np.zeros((n, width + 1), np.uint8)
+    for d in range(1, width + 1):
+        rows = slice(10 ** (d - 1) - 1, min(10 ** d - 1, n))
+        out[rows, :d] = digits[rows, 3 * groups - d:]
+        out[rows, d] = ord(",")
+    return out.view(f"S{width + 1}").ravel()
+
+
 def _cum_templates() -> np.ndarray:
     """FLOAT_FIELD of r / 10**s at [12 * s + z], for 0 <= s <= 15 and a
     12-digit integer r with z trailing zeros, in 29 bytes: '0.' and up to
@@ -290,7 +312,7 @@ def _render_trace(traces):
             raise ValueError(f"policy id {policy!r} holds a NUL character")
         n = len(run.tau)
         if n not in rounds:
-            rounds[n] = _field(np.arange(1, n + 1), INT_FIELD.__mod__)
+            rounds[n] = _t_field(n)
         fields = [
             np.asarray(f"{run_id},{policy},".encode()),
             rounds[n],

@@ -21,23 +21,24 @@ Policies:
 * con_etc  -- explore-then-commit using the banded sup-quantile.
 
 Each policy writes its recurrence once, as `play(scores)`: one round per
-score over a block, returning the thresholds it proposed.  A score
-`>= tau` is observed; any other score, NaN included, is a miss that
-records tau.  `update` is the per-round form, one `play` of one score;
-SPS keeps its own per-round `update` body.  Greedy is SPS without the
-band: SPS, greedy, ETC and Con-ETC pass the class attribute `epsilon` to
-their cutoff, None for the DKW width and 0.0 for no band.  SPS and
-greedy find the rounds where their tau rises with one exact scan over
-the block, `_first_short`, and record the rounds between them with one
-`TruncatedEcdf.extend` of the values at or below the ECDF's fence and
-one numpy slice of those above it, so each asks one cutoff query per
-raise, not one per round.  Both play each raise round through `update`,
-and so the first round of a block that holds no count for its tau.  ETC
-and Con-ETC record their exploration rounds with one `extend`.  DLR plays its
-block in a local-variable loop.  ACI plays each stretch where its budget
-is clamped at 0 as numpy columns, which is exact because tau stays the
-smallest observed score until the budget is back above 0, and inserts a
-covered score into a sorted list only when it lands near tau.
+score of a float64 array, returning the thresholds it proposed as one
+array of the same length.  A score `>= tau` is observed; any other score,
+NaN included, is a miss that records tau.  `update` is the per-round
+form, one `play` of one score; SPS keeps its own per-round `update` body.
+Greedy is SPS without the band: SPS, greedy, ETC and Con-ETC pass the
+class attribute `epsilon` to their cutoff, None for the DKW width and 0.0
+for no band.  SPS and greedy find the rounds where their tau rises with
+one exact scan over the block, `_first_short`, and record each stretch
+between them as a count of the rounds that record tau, one `extend` and
+one numpy slice, so each asks one cutoff query per raise, not one per
+round.  Both play each raise round through `update`, and so the first
+round of a block that holds no count for its tau.  ETC and Con-ETC
+record their exploration rounds with one `extend`.  DLR, and ACI between
+its stretches, play the block as a Python list in a local-variable loop.
+ACI plays each stretch where its budget is clamped at 0 as numpy
+columns, which is exact because tau stays the smallest observed score
+until the budget is back above 0, and inserts a covered score into a
+sorted list only when it lands near tau.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -153,10 +154,11 @@ class Policy:
         # `not >=` so that a NaN score fails too
         if observed is not None and not observed >= self.tau:
             raise _contract_error(observed, self.tau)
-        self.play([MISS if observed is None else observed])
+        self.play(np.array([MISS if observed is None else observed], dtype=np.float64))
 
-    def play(self, scores: list[float]) -> list[float]:
-        """Play one round per score; return the thresholds proposed.
+    def play(self, scores: np.ndarray) -> np.ndarray:
+        """Play one round per score of a float64 array; return the
+        thresholds proposed, as one.
 
         A score `>= tau` is observed; any other score is a miss.  A block
         that raises leaves the policy part-way through it.
@@ -176,18 +178,18 @@ class SpsPolicy(Policy):
     that are not > tau, NaN included) >= k_t, where a -inf cutoff needs
     k_t = 0.
 
-    `play` builds the k_t column for the block and finds the first round
-    where that fails with `_first_short`.  It records the rounds before
-    it in two parts: the values above the ECDF's fence as one numpy slice
-    (`TruncatedEcdf.extend_far`), and the rest with one `extend`, which
-    pushes each onto a heap.  With tau at or below the fence a recorded
-    value is above it exactly when its score is, so the block's scores
-    are classified against the fence once, and again only after a refill
-    moves the fence.  While tau is above the fence (set from outside),
-    and in a block that holds +inf, which `extend` rejects, every value
-    goes through `extend`.  It plays the raise round through
-    `update`, which inserts, asks the cutoff and takes the max (with no
-    band, the cutoff as it is), and counts c again with `cutoff_rank`.
+    `play` builds the k_t column for the block, finds the first round
+    where that fails with `_first_short` and fills the tau column up to
+    it by one slice.  It records those rounds in three parts: the scores
+    above the ECDF's fence as one numpy slice (`extend_far`), those in
+    (tau, fence] with one `extend`, which pushes each onto the heap, and
+    the rest, which record tau, as a count of copies of the ECDF's `top`
+    (`extend_top`), which tau is after a raise.  The block's scores are
+    classified against the fence (or a tau above it, set from outside)
+    once, and again only when that moves.  It plays the raise round
+    through `update`, which inserts, asks the cutoff and takes the max
+    (with no band, the cutoff as it is), and counts c again with
+    `cutoff_rank`.
     c is carried from block to block with the tau it counts.  A block
     that holds no count (on a fresh policy, after tau was set from
     outside, or after rounds played by `update`) plays its first round
@@ -216,20 +218,26 @@ class SpsPolicy(Policy):
         if cutoff > tau or epsilon == 0.0:
             self.tau = cutoff
 
-    def play(self, scores: list[float]) -> list[float]:
+    def play(self, scores: np.ndarray) -> np.ndarray:
         ecdf = self.ecdf
         update = self.update
         t = self.t
         tau = self.tau
-        taus = []
+        taus = np.empty(len(scores))
+        infinite = scores == POS_INF
+        if infinite.any():
+            # +inf must not reach `extend_far`, which does not check: play
+            # the rounds before it, and let `update` refuse it
+            self.play(scores[:infinite.argmax()])
+            update(POS_INF)
         start = 0
         held = self._held
         # `is`: a tau assigned from outside is another float object
         if held is not None and held[0] is tau and held[1] == ecdf.count:
             below = held[2]
-        elif scores:
-            score = scores[0]
-            taus.append(tau)
+        elif len(scores):
+            score = scores[0].item()
+            taus[0] = tau
             update(score if score >= tau else None)
             tau = self.tau
             below = ecdf.count_at_most(tau)
@@ -242,31 +250,35 @@ class SpsPolicy(Policy):
         level = (ecdf.band_level_column(self.alpha, sizes) if self.epsilon is None
                  else 1.0 - self.alpha - self.epsilon)
         need = np.where(level < -LEVEL_TOL, 0, order_index_column(sizes, level) + 1)
-        need_at = need.tolist()
-        block = np.array(scores, dtype=np.float64)
-        # a recorded value, the score or a miss's tau, is far when above
-        # the fence; with tau at or below the fence, exactly the scores
-        # above it are.  Otherwise, and for a block that holds +inf, which
-        # `extend` rejects, every value goes through `extend`
-        split = not (block == POS_INF).any()
-        fence = None
+        bound = None
         while True:
-            j, below = _first_short(scores, block, need, need_at, start, tau, below)
-            taus += repeat(tau, j - start)
-            if split and tau <= ecdf.fence:
-                if fence != ecdf.fence:
-                    fence = ecdf.fence
-                    far = block > fence
-                    near = (~far).tolist()
-                ecdf.extend([s if s > tau else tau
-                             for s in compress(scores[start:j], near[start:j])])
-                ecdf.extend_far(block[start:j][far[start:j]])
-            else:
-                ecdf.extend([s if s > tau else tau for s in scores[start:j]])
+            j, below = _first_short(scores, need, start, tau, below)
+            taus[start:j] = tau
+            if j > start:
+                # the scores above both tau and the fence are recorded as
+                # they are, far; the block is split there once per bound,
+                # which moves only with a refill (or a tau from outside
+                # above the fence)
+                if bound != max(tau, ecdf.fence):
+                    bound = max(tau, ecdf.fence)
+                    far = scores > bound
+                    far_values = scores[far]
+                    near_values = scores[~far].tolist()
+                    far_before = np.concatenate(([0], np.cumsum(far))).tolist()
+                lo, hi = far_before[start], far_before[j]
+                ecdf.extend_far(far_values[lo:hi])
+                observed = [s for s in near_values[start - lo:j - hi] if s > tau]
+                ecdf.extend(observed)
+                # the other rounds record tau
+                misses = j - start - (hi - lo) - len(observed)
+                if tau == ecdf.top:
+                    ecdf.extend_top(misses)
+                else:
+                    ecdf.extend([tau] * misses)
             if j == len(scores):
                 break
-            score = scores[j]
-            taus.append(tau)
+            score = scores[j].item()
+            taus[j] = tau
             update(score if score >= tau else None)
             tau = self.tau
             below = ecdf.cutoff_rank()
@@ -276,33 +288,34 @@ class SpsPolicy(Policy):
         return taus
 
 
-def _first_short(scores: list[float], block, need, need_at: list[int],
-                 start: int, tau: float, below: int) -> tuple[int, int]:
+def _first_short(scores: np.ndarray, need: np.ndarray, start: int, tau: float,
+                 below: int) -> tuple[int, int]:
     """The first round where a held threshold must rise, and the count there.
 
-    `need[j]` (`need_at` as a list) is the number of recorded values <= tau
-    that round j needs for tau to hold, and `below` the number recorded
-    before round `start`.  Returns the first round j >= start where
-    `below` plus the scores from `start` through j that are not > tau
-    (NaN included: a miss records tau) falls short of `need_at[j]`, or
-    len(scores) if none does, with that count through the round.
+    `need[j]` is the number of recorded values <= tau that round j needs
+    for tau to hold, and `below` the number recorded before round `start`.
+    Returns the first round j >= start where `below` plus the scores from
+    `start` through j that are not > tau (NaN included: a miss records
+    tau) falls short of `need[j]`, or len(scores) if none does, with that
+    count through the round.
 
     The first window is SCAN_ROUNDS rounds, checked one by one in Python:
     raises that come every few rounds cost less that way than a numpy
     set-up each.  Each later window is 4x longer and checked as numpy
-    columns over `block`, the scores as an array.
+    columns.
     """
     window = SCAN_ROUNDS
     while start < len(scores):
         end = min(start + window, len(scores))
         if window == SCAN_ROUNDS:
-            for j in range(start, end):
-                if not scores[j] > tau:
+            for j, score, k in zip(range(start, end), scores[start:end].tolist(),
+                                   need[start:end].tolist()):
+                if not score > tau:
                     below += 1
-                if below < need_at[j]:
+                if below < k:
                     return j, below
         else:
-            counts = np.cumsum(~(block[start:end] > tau)) + below
+            counts = np.cumsum(~(scores[start:end] > tau)) + below
             short = counts < need[start:end]
             j = int(short.argmax())
             if short[j]:
@@ -360,7 +373,9 @@ class AciPolicy(Policy):
         self.beta = 1.0 - spec.alpha
         self.observed_scores: list[float] = []
 
-    def play(self, scores: list[float]) -> list[float]:
+    def play(self, scores: np.ndarray) -> np.ndarray:
+        block = scores
+        scores = block.tolist()
         gamma = self.spec.gamma
         covered_step = gamma * ((1.0 - self.alpha) - 0.0)
         missed_step = gamma * ((1.0 - self.alpha) - 1.0)
@@ -382,7 +397,6 @@ class AciPolicy(Policy):
         tau = self.tau
         taus = []
         append = taus.append
-        block = None
         rounds = iter(scores)
         try:
             for score in rounds:
@@ -391,8 +405,6 @@ class AciPolicy(Policy):
                     # order_index(n, 0.0) is 0 for n < 1/LEVEL_TOL, and every
                     # covered score is >= tau and goes after it.  So tau holds
                     # until beta > 0; play those rounds as columns.
-                    if block is None:
-                        block = np.array(scores, dtype=np.float64)
                     seg = block[len(taus):]
                     covered = seg >= tau
                     # a left fold: the loop's own additions, in its order
@@ -448,7 +460,7 @@ class AciPolicy(Policy):
         self.t += len(scores)
         self.beta = beta
         self.tau = tau
-        return taus
+        return np.array(taus, dtype=np.float64)
 
 
 def _split(low: list[float], high: list[float], m: int) -> tuple[float, int]:
@@ -483,7 +495,7 @@ class DlrPolicy(Policy):
         super().__init__(spec)
         self.tau = spec.tau_init
 
-    def play(self, scores: list[float]) -> list[float]:
+    def play(self, scores: np.ndarray) -> np.ndarray:
         exponent = -(0.5 + DLR_EXPONENT_OFFSET)
         covered_step = (1.0 - self.alpha) - 0.0
         missed_step = (1.0 - self.alpha) - 1.0
@@ -491,14 +503,14 @@ class DlrPolicy(Policy):
         tau = self.tau
         taus = []
         append = taus.append
-        for score in scores:
+        for score in scores.tolist():
             append(tau)
             t += 1
             eta = t ** exponent
             tau += eta * (covered_step if score >= tau else missed_step)
         self.t = t
         self.tau = tau
-        return taus
+        return np.array(taus, dtype=np.float64)
 
 
 class EtcPolicy(Policy):
@@ -516,15 +528,19 @@ class EtcPolicy(Policy):
         self.explore_rounds = spec.explore_rounds
         self.ecdf = TruncatedEcdf(spec.horizon)
 
-    def play(self, scores: list[float]) -> list[float]:
+    def play(self, scores: np.ndarray) -> np.ndarray:
         m = self.explore_rounds
         explore = min(max(m - self.t, 0), len(scores))
         tau = self.tau
-        self.ecdf.extend([score if score >= tau else tau for score in scores[:explore]])
+        self.ecdf.extend([score if score >= tau else tau
+                          for score in scores[:explore].tolist()])
         if explore and self.t + explore == m:
             self.tau = self.ecdf.conformal_cutoff(self.alpha, self.epsilon)
         self.t += len(scores)
-        return [tau] * explore + [self.tau] * (len(scores) - explore)
+        taus = np.empty(len(scores))
+        taus[:explore] = tau
+        taus[explore:] = self.tau
+        return taus
 
 
 class ConEtcPolicy(EtcPolicy):

@@ -474,7 +474,7 @@ class TestExtend:
            ALPHAS, st.booleans())
     def test_values_all_at_or_above_the_low_top(self, before, batches, alpha, ranked):
         # how the banded and greedy policies record between two cutoffs:
-        # every value >= the low heap's top (here <= 0), zeros of both
+        # every value >= the low tier's top (here <= 0), zeros of both
         # signs among them; each tier gets what repeated inserts give it
         bulk, single = TruncatedEcdf(10000), TruncatedEcdf(10000)
         for e in (bulk, single):
@@ -483,12 +483,13 @@ class TestExtend:
                 e.conformal_cutoff(alpha, epsilon=0.0)
                 if ranked:
                     e.samples
-        top = -bulk._low[0] if bulk._low else NEG_INF
+        top = bulk.top
         for values in batches:
             assert all(v >= top for v in values)
             bulk.extend(values)
             insert_each(single, values)
-            for a, b in ((bulk._low, single._low), (bulk._high, single._high),
+            assert repr(bulk.top) == repr(single.top) and bulk._ties == single._ties
+            for a, b in ((bulk._pile, single._pile), (bulk._high, single._high),
                          (far_tier(bulk), far_tier(single))):
                 assert [repr(v) for v in sorted(a)] == [repr(v) for v in sorted(b)]
         assert [repr(v) for v in bulk.samples] == [repr(v) for v in single.samples]
@@ -550,13 +551,14 @@ class TestCutoffRank:
 
 
 def assert_tiers(e):
-    """low <= high <= fence < far, over the three tiers as stored."""
-    low = [-v for v in e._low]
+    """pile < top < high <= fence < far, over the three tiers as stored,
+    with top's copies counted: at least one once a finite answer is in."""
     far = far_tier(e)
-    assert len(low) + len(e._high) + len(far) == e.count
-    if low and e._high:
-        assert max(low) <= min(e._high)
-    assert all(v <= e.fence for v in low + e._high)
+    assert len(e._pile) + e._ties + len(e._high) + len(far) == e.count
+    assert (e._ties > 0) == (e.top != NEG_INF)
+    assert all(v < e.top for v in e._pile)
+    assert all(e.top < v <= e.fence for v in e._high)
+    assert e.top <= e.fence
     assert all(v > e.fence for v in far)
 
 
@@ -630,7 +632,7 @@ class TestFarTierMatchesSortedList:
         e = TruncatedEcdf(10000)
         e.extend_far(np.array([1.0] * 40 + [2.0] * 60 + [3.0] * 100))
         assert e.conformal_cutoff(0.99, epsilon=0.0) == 1.0
-        assert e.fence == 2.0 and len(e._low) + len(e._high) == 100
+        assert e.fence == 2.0 and len(e._pile) + e._ties + len(e._high) == 100
         assert e.cutoff_rank() == 40
         e.insert(2.0)
         assert e.conformal_cutoff(0.5, epsilon=0.0) == 2.0
@@ -648,6 +650,112 @@ class TestFarTierMatchesSortedList:
         e.insert(-0.0)
         assert [repr(v) for v in e.samples] == ["-1.0", "0.0", "0.0", "0.0", "0.5"]
         assert repr(e.conformal_cutoff(0.5, epsilon=0.0)) == "0.0"
+
+
+# a value placed against the current top: below it, at it or above it
+PLACED = st.tuples(st.sampled_from(["below", "at", "above"]),
+                   st.sampled_from([0.0, 0.25, 0.25, 1.0]) | st.floats(0.0, 2.0))
+# a query level: alpha with an explicit width, or None for the DKW width
+QUERIES = st.lists(st.tuples(ALPHAS, st.none() | st.sampled_from([0.0, 0.1])
+                             | st.floats(0.0, 1.0)), min_size=1, max_size=5)
+
+
+def placed(e, where, offset):
+    """A value `offset` below, at or above `e.top`; the offset itself while
+    top is -inf.  Zeros come out as -0.0 or 0.0."""
+    top = e.top
+    if top == NEG_INF:
+        return -offset if where == "below" else offset
+    if where == "at":
+        return -top if top == 0.0 else top
+    return top - offset - 0.5 if where == "below" else top + offset + 0.5
+
+
+class TestLowTierMatchesSortedList:
+    """Every query of the store against a plain sorted list, with the
+    levels made to fall as well as rise.
+
+    Each query op asks a few levels in falling order, so the answer moves
+    down into the low pile as well as up through the heap; inserts land
+    below, at and above top, `extend_top` adds copies of top, and a small
+    refill floor and share make refills frequent.  After every op the
+    answer, `cutoff_rank`, `count_at_most` at and around top, `count` and
+    the tier invariants are checked, and with `ranked` the sorted sample
+    too, which every later insert then keeps sorted.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("insert"), PLACED),
+        st.tuples(st.just("extend"), st.lists(PLACED, max_size=10)),
+        st.tuples(st.just("extend_top"), st.integers(0, 6)),
+        st.tuples(st.just("extend_far"), st.lists(FAR_VALUES, max_size=10)),
+        st.tuples(st.just("falling"), QUERIES),
+    ), max_size=60), st.sampled_from([2, 3, 100]), st.sampled_from([1, 2, 64]),
+           st.sampled_from([2, 16]), st.booleans())
+    def test_operations(self, ops, horizon, floor, share, ranked):
+        e = TruncatedEcdf(horizon)
+        values, answer = [], None
+        with mock.patch.object(cdf_band, "REFILL_FLOOR", floor), \
+                mock.patch.object(cdf_band, "REFILL_SHARE", share):
+            for op, arg in ops:
+                if op == "insert":
+                    v = placed(e, *arg)
+                    e.insert(v)
+                    values.append(v + 0.0)
+                elif op == "extend":
+                    batch = [placed(e, *a) for a in arg]
+                    e.extend(batch)
+                    values += [v + 0.0 for v in batch]
+                elif op == "extend_top":
+                    if e.top == NEG_INF and arg:
+                        with pytest.raises(ValueError, match="finite"):
+                            e.extend_top(arg)
+                    else:
+                        e.extend_top(arg)
+                        values += [e.top] * arg
+                elif op == "extend_far":
+                    far = [v for v in arg if v > e.fence]
+                    e.extend_far(np.array(far, dtype=np.float64))
+                    values += [v + 0.0 for v in far]
+                elif values:
+                    levels = sorted(arg, key=lambda q: 1 - q[0] - (
+                        e.epsilon() if q[1] is None else q[1]), reverse=True)
+                    for alpha, eps in levels:
+                        width = e.epsilon() if eps is None else eps
+                        cut = e.conformal_cutoff(alpha, eps)
+                        assert repr(cut) == repr(sorted_reference(values, alpha, width))
+                        if math.isfinite(cut):
+                            answer = cut
+                assert e.count == len(values)
+                assert_tiers(e)
+                if answer is not None:
+                    assert e.top == answer
+                    assert e.cutoff_rank() == sum(1 for v in values if v <= answer)
+                    for tau in (answer - 0.25, answer, answer + 0.25):
+                        assert e.count_at_most(tau) == sum(1 for v in values if v <= tau)
+                if ranked and values:
+                    assert [repr(v) for v in e.samples] == [repr(v) for v in sorted(values)]
+        assert [repr(v) for v in e.samples] == [repr(v) for v in sorted(values)]
+
+    def test_answer_among_top_copies_moves_nothing(self):
+        # a query whose index lands among top's copies answers top and
+        # moves nothing; one below them hands the low tier back to the
+        # heap and climbs from nothing, keeping what is below the new top
+        e = TruncatedEcdf(100)
+        e.extend([5.0, 1.0, 3.0, 2.0, 4.0])
+        assert e.conformal_cutoff(0.1, epsilon=0.0) == 5.0
+        assert e.fence == 5.0 and e._ties == 1 and sorted(e._pile) == [1.0, 2.0, 3.0, 4.0]
+        e.insert(0.5)
+        e.extend_top(3)
+        pile = list(e._pile)
+        # 9 values: the 6th to the 9th are top's copies; k = 7, then 3
+        assert e.conformal_cutoff(1 / 3, epsilon=0.0) == 5.0
+        assert e._pile == pile and e.cutoff_rank() == 9
+        assert e.conformal_cutoff(7 / 9, epsilon=0.0) == 2.0
+        assert e._pile == [0.5, 1.0] and e._ties == 1 and e.cutoff_rank() == 3
+        assert sorted(e._high) == [3.0, 4.0, 5.0, 5.0, 5.0, 5.0]
+        assert_tiers(e)
 
 
 class TestRetruncationEquivalence:

@@ -595,12 +595,12 @@ class TestEmitCsv:
         cfg = small_cfg(horizon=100, runs=2, trace=True, out=str(tmp_path / "res"))
         written = emit_csv(run_batch(cfg), cfg)
         assert set(written) == {"summary.csv", "trace.csv", "meta.json"}
-        summary = open(written["summary.csv"]).read().splitlines()
+        summary = Path(written["summary.csv"]).read_text().splitlines()
         assert summary[0] == "policy,t,metric,mean,ci_lo,ci_hi"
-        trace = open(written["trace.csv"]).read().splitlines()
+        trace = Path(written["trace.csv"]).read_text().splitlines()
         assert trace[0] == ("run_id,policy,t,tau,covered,inst_regret,"
                             "cum_regret,undercover,set_size")
-        meta = json.load(open(written["meta.json"]))
+        meta = json.loads(Path(written["meta.json"]).read_text())
         assert meta["horizon"] == 100 and "timestamp" in meta
 
     def test_minus_infinity_token(self, tmp_path):
@@ -608,7 +608,7 @@ class TestEmitCsv:
         with warns_single_run():
             result = run_batch(cfg)
         written = emit_csv(result, cfg)
-        first_row = open(written["trace.csv"]).read().splitlines()[1]
+        first_row = Path(written["trace.csv"]).read_text().splitlines()[1]
         token = first_row.split(",")[3]
         assert token == "-inf" and float(token) == NEG_INF
 
@@ -624,7 +624,7 @@ class TestEmitCsv:
         cfg = load_config(write_config(tmp_path, body))
         written = emit_csv(run_batch(cfg), cfg)
         rows = [line.split(",") for line in
-                open(written["trace.csv"]).read().splitlines()[1:]]
+                Path(written["trace.csv"]).read_text().splitlines()[1:]]
         env = cfg.environment.build()
         phi_star = loss_phi(env.oracle_tau_star(cfg.alpha), env.oracle_cdf(), cfg.loss)
         phi_inf = -cfg.loss.lambda2 * cfg.alpha
@@ -697,7 +697,7 @@ class TestEmitCsv:
         cfg = load_config(write_config(tmp_path, body))
         written = emit_csv(run_batch(cfg), cfg)
         rows = [line.split(",") for line in
-                open(written["trace.csv"]).read().splitlines()[1:]]
+                Path(written["trace.csv"]).read_text().splitlines()[1:]]
         # at tau = -inf both candidates of row 0 are in the set
         assert {row[8] for row in rows if row[3] == "-inf"} == {"2", ""}
 
@@ -707,7 +707,7 @@ class TestEmitCsv:
             result = run_batch(cfg)
         written = emit_csv(result, cfg)
         rows = [line.split(",") for line in
-                open(written["trace.csv"]).read().splitlines()[1:]]
+                Path(written["trace.csv"]).read_text().splitlines()[1:]]
         # re-sum at the documented 12-significant-digit precision
         cum = 0.0
         for row in rows:
@@ -718,7 +718,7 @@ class TestEmitCsv:
         cfg = small_cfg(horizon=80, runs=2, out=str(tmp_path / "res"))
         result = run_batch(cfg)
         written = emit_csv(result, cfg)
-        lines = open(written["summary.csv"]).read().splitlines()[1:]
+        lines = Path(written["summary.csv"]).read_text().splitlines()[1:]
         assert len(lines) == len(result.summary_rows)
 
     def test_sweep_file_only_when_sweeping(self, tmp_path):
@@ -729,7 +729,7 @@ class TestEmitCsv:
             result = run_batch(cfg)
         written = emit_csv(result, cfg)
         assert "sweep.csv" in written
-        lines = open(written["sweep.csv"]).read().splitlines()
+        lines = Path(written["sweep.csv"]).read_text().splitlines()
         assert lines[0] == "policy,param,value,mean_final_regret,selected"
         assert len(lines) == 3
 
@@ -942,6 +942,17 @@ class TestCumField:
         assert cum_field_strings(values) == printed(values)
 
 
+class TestTField:
+    @pytest.mark.parametrize("n", [1, 9, 10, 99, 100, 999, 1000, 9999, 10**4, 10**6])
+    def test_matches_printf(self, n):
+        # each entry is '%d,' % t, NUL-padded to the widest, which is the
+        # S array `_field` gives
+        expected = np.array([b"%d," % t for t in range(1, n + 1)])
+        field = harness._t_field(n)
+        assert field.dtype == expected.dtype
+        assert field.tobytes() == expected.tobytes()
+
+
 class TestAggregate:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([1, 2, 8, 9, 17, 129]), st.integers(1, 400),
@@ -1017,9 +1028,9 @@ class TestCli:
         with warns_single_run():
             assert main(["sweep", "--config", path, "--horizon", "100",
                          "--runs", "1"]) == 0
-        sweep = open(out / "sweep.csv").read().splitlines()
+        sweep = Path(out / "sweep.csv").read_text().splitlines()
         assert len(sweep) == 3
-        summary = open(out / "summary.csv").read()
+        summary = Path(out / "summary.csv").read_text()
         assert "sps," not in summary  # fixed policy skipped by sweep
 
     def test_run_failure_exit_2(self, tmp_path, capsys, monkeypatch):
@@ -1109,7 +1120,7 @@ class TestReproducibility:
             cfg = small_cfg(horizon=150, runs=2, trace=True, out=str(out))
             written = emit_csv(run_batch(cfg), cfg)
             outputs.append({
-                k: open(p, "rb").read() for k, p in written.items()
+                k: Path(p).read_bytes() for k, p in written.items()
                 if k != "meta.json"
             })
         assert outputs[0] == outputs[1]

@@ -208,7 +208,7 @@ class TestColumnRegret:
         env = SyntheticEnv(UniformDist(0.0, 1.0))
         policy = PolicySpec(kind="dlr", alpha=0.9, horizon=10_000, tau_init=0.0).build()
         scores, _ = env.draw(np.random.default_rng(0), 10_000)
-        taus = np.array(policy.play(scores.tolist()))
+        taus = policy.play(scores)
         assert len(np.unique(taus)) > 9000
         tau_star = env.oracle_tau_star(0.9)
         want = reference_inst_regret(taus, tau_star, uniform_reference(0.0, 1.0))

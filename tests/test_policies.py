@@ -198,7 +198,7 @@ class TestSps:
         p = spec(kind).build()
         scores = np.random.default_rng(before).random(before).tolist()
         with pytest.raises(ValueError, match="got inf"):
-            p.play(scores + [math.inf, 0.2])
+            p.play(np.array(scores + [math.inf, 0.2]))
         assert p.ecdf.count == before
 
 
@@ -591,7 +591,7 @@ def assert_play_matches_reference(spec, scores, sizes, set_tau=None):
     for size in sizes:
         if start in set_tau:
             played.tau = set_tau[start]
-        taus += played.play(scores[start:start + size])
+        taus += played.play(np.array(scores[start:start + size], dtype=np.float64)).tolist()
         start += size
     assert repr(taus) == repr(expected)
     assert state(played) == state(ref)
@@ -645,7 +645,7 @@ class TestPlayMatchesReference:
         with mock.patch.object(TruncatedEcdf, "conformal_cutoff", autospec=True,
                                side_effect=TruncatedEcdf.conformal_cutoff) as cutoff:
             for size in sizes:
-                taus += p.play(scores[start:start + size])
+                taus += p.play(np.array(scores[start:start + size], dtype=np.float64)).tolist()
                 start += size
         taus.append(p.tau)
         assert cutoff.call_count == sum(a < b for a, b in zip(taus, taus[1:]))
@@ -691,7 +691,7 @@ class TestPlayMatchesReference:
                     calls += len(chunk)
                     entry = True
                 elif chunk:
-                    played = p.play(chunk)
+                    played = p.play(np.array(chunk)).tolist()
                     raises = [a < b for a, b in zip(played, played[1:] + [p.tau])]
                     calls += entry + sum(raises[entry:])
                     taus += played
@@ -707,7 +707,7 @@ class TestPlayMatchesReference:
         spec = PolicySpec(kind="sps", alpha=ALPHA, horizon=1200)
         scores = np.random.default_rng(11).random(2000).tolist()
         assert_play_matches_reference(spec, scores, [2000])
-        taus = spec.build().play(scores)
+        taus = spec.build().play(np.array(scores))
         assert taus[709] == NEG_INF and math.isfinite(taus[710])
 
     def test_sps_level_just_below_zero_is_admitted(self):
@@ -718,7 +718,7 @@ class TestPlayMatchesReference:
         assert level[0] < -LEVEL_TOL <= level[1] < 0.0 < level[2]
         scores = np.random.default_rng(12).random(40).tolist()
         assert_play_matches_reference(spec, scores, [40])
-        taus = spec.build().play(scores)
+        taus = spec.build().play(np.array(scores))
         assert taus[15] == NEG_INF and math.isfinite(taus[16])
 
     @settings(max_examples=150, deadline=None)
@@ -843,31 +843,30 @@ class TestPlayMatchesReference:
         ref, played = start(), start()
         scores = [0.7] * (MIN_STRETCH + 1) + [-0.0] * 8
         expected = [reference_round(ref, s) for s in scores]
-        assert repr(played.play(scores)) == repr(expected)
+        assert repr(played.play(np.array(scores)).tolist()) == repr(expected)
         assert state(played) == state(ref)
 
 
-def large_horizon_scores(kind: str, horizon: int) -> list[float]:
+def large_horizon_scores(kind: str, horizon: int) -> np.ndarray:
     """U(0, 1) scores; the top of three Gaussian bids as the shipped
     auction config draws them (mu = 25, sigma = 8); or U(0, 1) scores
     rising by 1 per 10**4 rounds, on which greedy's threshold rises too."""
     rng = np.random.default_rng(horizon)
     if kind == "uniform":
-        return rng.random(horizon).tolist()
+        return rng.random(horizon)
     if kind == "rising":
-        return (rng.random(horizon) + np.arange(horizon) / 10**4).tolist()
-    return rng.normal(25.0, 8.0, (horizon, 3)).max(axis=1).tolist()
+        return rng.random(horizon) + np.arange(horizon) / 10**4
+    return rng.normal(25.0, 8.0, (horizon, 3)).max(axis=1)
 
 
-def play_in_blocks(policy, scores: list[float]) -> list[float]:
-    """`policy.play` over BLOCK_ROUNDS-round blocks, as `run_single` plays them."""
-    taus = []
-    for start in range(0, len(scores), BLOCK_ROUNDS):
-        taus += policy.play(scores[start:start + BLOCK_ROUNDS])
-    return taus
+def play_in_blocks(policy, scores: np.ndarray) -> np.ndarray:
+    """`policy.play` over BLOCK_ROUNDS-round views of the score array, as
+    `run_single` plays them."""
+    return np.concatenate([policy.play(scores[start:start + BLOCK_ROUNDS])
+                           for start in range(0, len(scores), BLOCK_ROUNDS)])
 
 
-def assert_play_matches_update(kind: str, scores: list[float]) -> None:
+def assert_play_matches_update(kind: str, scores: np.ndarray) -> None:
     """`play` over BLOCK_ROUNDS-round blocks and `update` round by round
     propose the same thresholds and leave the same sample, bytes for
     bytes."""
@@ -875,11 +874,11 @@ def assert_play_matches_update(kind: str, scores: list[float]) -> None:
     played, stepped = spec.build(), spec.build()
     taus = play_in_blocks(played, scores)
     stepped_taus = []
-    for s in scores:
+    for s in scores.tolist():
         tau = stepped.tau
         stepped_taus.append(tau)
         stepped.update(s if s >= tau else None)
-    assert np.array(taus).tobytes() == np.array(stepped_taus).tobytes()
+    assert taus.tobytes() == np.array(stepped_taus).tobytes()
     assert (np.array(played.ecdf.samples).tobytes()
             == np.array(stepped.ecdf.samples).tobytes())
 
@@ -941,12 +940,12 @@ def truncation_identity_taus(kind: str, scores: list[float], alpha: float = ALPH
     return taus
 
 
-def assert_play_matches_identity(kind: str, scores: list[float]) -> None:
+def assert_play_matches_identity(kind: str, scores: np.ndarray) -> None:
     """`play` in blocks gives `truncation_identity_taus`, bytes for bytes."""
     played = play_in_blocks(PolicySpec(kind=kind, alpha=ALPHA, horizon=len(scores)).build(),
                             scores)
-    assert (np.array(played).tobytes()
-            == np.array(truncation_identity_taus(kind, scores)).tobytes())
+    assert (played.tobytes()
+            == np.array(truncation_identity_taus(kind, scores.tolist())).tobytes())
 
 
 # mostly a few values, so that the ECDF's tiers hold many ties; signed
