@@ -15,11 +15,11 @@ Output is rendered from columns, not from per-round objects.  Summary
 rows reduce one (checkpoint x run) matrix per metric.  trace.csv is
 rendered as bytes and written one run at a time: each field of a run is
 an S column of NUL-padded strings, the fields are the members of one
-record per round, and the run's bytes are the records' bytes without
-the NULs.  A column that repeats (tau, inst_regret, the flags,
-set_size) is formatted once per distinct bit pattern, so -0.0 still
-prints ``-0``; cum_regret, on its 12-digit grid, is put together from
-its digits.
+record per round, and the run's bytes are the records' bytes with the
+NULs deleted by one `bytes.translate`.  A column that repeats (tau,
+inst_regret, the flags, set_size) is formatted once per distinct bit
+pattern, so -0.0 still prints ``-0``; cum_regret, on its 12-digit grid,
+is put together from its digits.
 """
 
 from __future__ import annotations
@@ -326,8 +326,7 @@ def _render_trace(traces):
         records = np.empty(n, ",".join(field.dtype.str for field in fields))
         for name, field in zip(records.dtype.names, fields):
             records[name] = field
-        data = records.view(np.uint8)
-        yield data[data != 0].tobytes()
+        yield records.tobytes().translate(None, b"\0")
 
 
 # every file `emit_csv` may write

@@ -27,12 +27,12 @@ NaN included, is a miss that records tau.  `update` is the per-round
 form, one `play` of one score; SPS keeps its own per-round `update` body.
 Greedy is SPS without the band: SPS, greedy, ETC and Con-ETC pass the
 class attribute `epsilon` to their cutoff, None for the DKW width and 0.0
-for no band.  SPS and greedy find the rounds where their tau rises with
-one exact scan over the block, `_first_short`, and record each stretch
-between them as a count of the rounds that record tau, one `extend` and
-one numpy slice, so each asks one cutoff query per raise, not one per
-round.  Both play each raise round through `update`, and so the first
-round of a block that holds no count for its tau.  ETC and Con-ETC
+for no band.  SPS and greedy walk a block in Python only at the rounds
+that can raise tau or reach the ECDF's heap, and record each stretch
+between raises as a count of the rounds that record tau, one `extend`
+and one numpy slice, so each asks one cutoff query per raise, not one
+per round.  Both play each raise round through `update`, and so the
+first round of a block that holds no count for its tau.  ETC and Con-ETC
 record their exploration rounds with one `extend`.  DLR, and ACI between
 its stretches, play the block as a Python list in a local-variable loop.
 ACI plays each stretch where its budget is clamped at 0 as numpy
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -63,10 +63,6 @@ DLR_EXPONENT_OFFSET = 0.1  # step size eta_t = t^(-1/2 - offset)
 
 # The fewest rounds ACI plays as one clamped stretch (see `AciPolicy`).
 MIN_STRETCH = 32
-
-# The rounds SPS's and greedy's `play` scan in Python for a raise right
-# after one (see `_first_short`).
-SCAN_ROUNDS = 64
 
 # The score `update` plays for a miss: no threshold admits NaN.
 MISS = math.nan
@@ -178,18 +174,25 @@ class SpsPolicy(Policy):
     that are not > tau, NaN included) >= k_t, where a -inf cutoff needs
     k_t = 0.
 
-    `play` builds the k_t column for the block, finds the first round
-    where that fails with `_first_short` and fills the tau column up to
-    it by one slice.  It records those rounds in three parts: the scores
-    above the ECDF's fence as one numpy slice (`extend_far`), those in
-    (tau, fence] with one `extend`, which pushes each onto the heap, and
-    the rest, which record tau, as a count of copies of the ECDF's `top`
-    (`extend_top`), which tau is after a raise.  The block's scores are
-    classified against the fence (or a tau above it, set from outside)
-    once, and again only when that moves.  It plays the raise round
-    through `update`, which inserts, asks the cutoff and takes the max
-    (with no band, the cutoff as it is), and counts c again with
-    `cutoff_rank`.
+    `play` builds the k_t column for the block, `need_column`.  It never
+    decreases and c never falls, so tau can first fall short at a round
+    where need rises.  The rest of the block is split once per fence
+    epoch (from the block's start, and again after a raise whose refill
+    moved the ECDF's fence) against tau0, tau at the epoch's start, and
+    bound = max(tau, fence): far, the scores above bound; low, the scores
+    not above tau0, NaN included, which record tau and are counted by one
+    cumsum; and near, the rest.  Python visits only the near rounds and
+    the rounds where need rises and falls short of c at the epoch's start
+    plus the low count, a superset of the rounds that raise.  A near
+    score above tau is kept as it is, and one at or below tau counts
+    towards c.  At a round that falls short, the rounds before it are
+    recorded in three parts: the far scores as one numpy slice
+    (`extend_far`), the kept near scores with one `extend`, which pushes
+    each onto the heap, and the rest, which record tau, as a count of
+    copies of the ECDF's `top` (`extend_top`), which tau is after a
+    raise.  The round itself is played through `update`, which inserts,
+    asks the cutoff and takes the max (with no band, the cutoff as it
+    is), and c is counted again with `cutoff_rank`.
     c is carried from block to block with the tau it counts.  A block
     that holds no count (on a fresh policy, after tau was set from
     outside, or after rounds played by `update`) plays its first round
@@ -218,12 +221,22 @@ class SpsPolicy(Policy):
         if cutoff > tau or epsilon == 0.0:
             self.tau = cutoff
 
+    def need_column(self, sizes: np.ndarray) -> np.ndarray:
+        """k_t at each sample size in the array `sizes`: the values <= tau
+        that the round whose value is the sizes-th recorded needs for tau
+        to hold, 0 where the cutoff is -inf.  It never decreases in the
+        size, which `play` relies on."""
+        level = (self.ecdf.band_level_column(self.alpha, sizes) if self.epsilon is None
+                 else 1.0 - self.alpha - self.epsilon)
+        return np.where(level < -LEVEL_TOL, 0, order_index_column(sizes, level) + 1)
+
     def play(self, scores: np.ndarray) -> np.ndarray:
         ecdf = self.ecdf
         update = self.update
         t = self.t
         tau = self.tau
-        taus = np.empty(len(scores))
+        end = len(scores)
+        taus = np.empty(end)
         infinite = scores == POS_INF
         if infinite.any():
             # +inf must not reach `extend_far`, which does not check: play
@@ -235,7 +248,7 @@ class SpsPolicy(Policy):
         # `is`: a tau assigned from outside is another float object
         if held is not None and held[0] is tau and held[1] == ecdf.count:
             below = held[2]
-        elif len(scores):
+        elif end:
             score = scores[0].item()
             taus[0] = tau
             update(score if score >= tau else None)
@@ -246,84 +259,70 @@ class SpsPolicy(Policy):
             return taus
         # need[j]: the values <= tau that round j needs for tau to hold
         n = ecdf.count - start
-        sizes = np.arange(n + 1, n + len(scores) + 1)
-        level = (ecdf.band_level_column(self.alpha, sizes) if self.epsilon is None
-                 else 1.0 - self.alpha - self.epsilon)
-        need = np.where(level < -LEVEL_TOL, 0, order_index_column(sizes, level) + 1)
-        bound = None
-        while True:
-            j, below = _first_short(scores, need, start, tau, below)
-            taus[start:j] = tau
-            if j > start:
-                # the scores above both tau and the fence are recorded as
-                # they are, far; the block is split there once per bound,
-                # which moves only with a refill (or a tau from outside
-                # above the fence)
-                if bound != max(tau, ecdf.fence):
-                    bound = max(tau, ecdf.fence)
-                    far = scores > bound
-                    far_values = scores[far]
-                    near_values = scores[~far].tolist()
-                    far_before = np.concatenate(([0], np.cumsum(far))).tolist()
-                lo, hi = far_before[start], far_before[j]
+        need = self.need_column(np.arange(n + 1, n + end + 1))
+        # below never falls and need never decreases, so tau can first
+        # fall short where need rises (or at the block's first round)
+        rises = np.empty(end, dtype=bool)
+        rises[:1] = True
+        np.greater(need[1:], need[:-1], out=rises[1:])
+        while start < end:
+            # one fence epoch: the rest of the block split once against
+            # tau0 and bound, until a raise moves the fence
+            rest = scores[start:]
+            tau0, fence = tau, ecdf.fence
+            bound = max(tau, fence)
+            far = rest > bound
+            low = ~(rest > tau0)
+            # cref[i]: the rounds through i that record tau for certain
+            cref = np.cumsum(low)
+            far_before = np.zeros(len(rest) + 1, dtype=np.int64)
+            np.cumsum(far, out=far_before[1:])
+            far_values = rest[far]
+            visit = ~(far | low)
+            visit |= rises[start:] & (cref + below < need[start:])
+            rounds = np.flatnonzero(visit)
+            walk = zip(rounds.tolist(), rest[rounds].tolist(),
+                       need[start:][rounds].tolist(), cref[rounds].tolist())
+            # the block's end closes the walk as a round that falls short
+            last = (len(rest), MISS, POS_INF, int(cref[-1]))
+            # off + cref[i]: the values <= tau through round i
+            off, seg, observed = below, 0, []
+            for i, score, k, c in chain(walk, (last,)):
+                if tau0 < score <= bound:
+                    if score > tau:
+                        observed.append(score)
+                    else:
+                        off += 1
+                if off + c >= k:
+                    continue
+                if tau < score <= bound:
+                    # round i is played through `update`
+                    observed.pop()
+                # record the rounds seg..i-1 in three parts
+                lo, hi = int(far_before[seg]), int(far_before[i])
                 ecdf.extend_far(far_values[lo:hi])
-                observed = [s for s in near_values[start - lo:j - hi] if s > tau]
                 ecdf.extend(observed)
-                # the other rounds record tau
-                misses = j - start - (hi - lo) - len(observed)
+                misses = i - seg - (hi - lo) - len(observed)
                 if tau == ecdf.top:
                     ecdf.extend_top(misses)
                 else:
                     ecdf.extend([tau] * misses)
-            if j == len(scores):
-                break
-            score = scores[j].item()
-            taus[j] = tau
-            update(score if score >= tau else None)
-            tau = self.tau
-            below = ecdf.cutoff_rank()
-            start = j + 1
-        self.t = t + len(scores)
+                taus[start + seg:start + i + 1] = tau
+                if i == len(rest):
+                    below = off + c
+                    start = end
+                    break
+                update(score if score >= tau else None)
+                tau = self.tau
+                below = ecdf.cutoff_rank()
+                seg, observed = i + 1, []
+                if ecdf.fence != fence:
+                    start += seg
+                    break
+                off = below - c
+        self.t = t + end
         self._held = (tau, ecdf.count, below)
         return taus
-
-
-def _first_short(scores: np.ndarray, need: np.ndarray, start: int, tau: float,
-                 below: int) -> tuple[int, int]:
-    """The first round where a held threshold must rise, and the count there.
-
-    `need[j]` is the number of recorded values <= tau that round j needs
-    for tau to hold, and `below` the number recorded before round `start`.
-    Returns the first round j >= start where `below` plus the scores from
-    `start` through j that are not > tau (NaN included: a miss records
-    tau) falls short of `need[j]`, or len(scores) if none does, with that
-    count through the round.
-
-    The first window is SCAN_ROUNDS rounds, checked one by one in Python:
-    raises that come every few rounds cost less that way than a numpy
-    set-up each.  Each later window is 4x longer and checked as numpy
-    columns.
-    """
-    window = SCAN_ROUNDS
-    while start < len(scores):
-        end = min(start + window, len(scores))
-        if window == SCAN_ROUNDS:
-            for j, score, k in zip(range(start, end), scores[start:end].tolist(),
-                                   need[start:end].tolist()):
-                if not score > tau:
-                    below += 1
-                if below < k:
-                    return j, below
-        else:
-            counts = np.cumsum(~(scores[start:end] > tau)) + below
-            short = counts < need[start:end]
-            j = int(short.argmax())
-            if short[j]:
-                return start + j, int(counts[j])
-            below = int(counts[-1])
-        start = end
-        window *= 4
-    return len(scores), below
 
 
 class GreedyPolicy(SpsPolicy):
@@ -333,9 +332,10 @@ class GreedyPolicy(SpsPolicy):
     decreases: tau is the order statistic at m = order_index(t, 1 - alpha)
     of the t recorded values, m never decreases in t, and every value
     recorded from then on is >= tau, so the order statistic at m stays
-    tau and the one at the next m is at least tau.  So SPS's raise scan
-    holds on the constant level 1 - alpha.  The policy may undercover; it
-    is included as the natural but unsafe baseline.
+    tau and the one at the next m is at least tau.  So SPS's walk, which
+    needs k_t never to decrease, holds on the constant level 1 - alpha.
+    The policy may undercover; it is included as the natural but unsafe
+    baseline.
     """
 
     epsilon = 0.0

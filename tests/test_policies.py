@@ -218,6 +218,19 @@ class TestSpsLevelColumn:
         column = e.band_level_column(alpha, np.arange(1, self.N + 1))
         assert column.tobytes() == np.array(expected).tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["sps", "greedy"]),
+           st.sampled_from([0.05, 0.1, 0.5, 0.9, 0.97, 1 / 3]) | st.floats(0.01, 0.99),
+           st.sampled_from([2, 100, 1200, 10**6]) | st.integers(2, 10**7),
+           st.integers(1, 10**7))
+    def test_need_never_decreases(self, kind, alpha, horizon, first):
+        # `play` looks for a raise only where need rises: a need that fell
+        # would hide a round that falls short after it.  From the first
+        # sample, where SPS's level crosses 0, and from a size far on
+        policy = PolicySpec(kind=kind, alpha=alpha, horizon=horizon).build()
+        for sizes in (np.arange(1, 5001), np.arange(first, first + 5000)):
+            assert (np.diff(policy.need_column(sizes)) >= 0).all()
+
 
 class TestGreedy:
     def test_ten_sample_quantile(self):
@@ -547,9 +560,9 @@ def _scan_cases(draw, spec, max_rounds):
 def greedy_cases(draw, max_rounds=3000):
     """(spec, scores, chunk sizes, taus set from outside) for greedy.
 
-    Up to max_rounds rounds, so that `play`'s scan windows, 64 rounds
-    after a raise and 4x longer after each window without one, reach
-    4096 rounds within a chunk.
+    Up to max_rounds rounds, so that a chunk holds long stretches between
+    raises, runs of raises every few rounds, and refills of the ECDF's
+    heap that move its fence part-way through `play`'s walk.
     """
     alpha = draw(st.sampled_from([0.1, 0.5, 0.75, 0.9]) | st.floats(0.05, 0.95))
     return _scan_cases(draw, PolicySpec(kind="greedy", alpha=alpha, horizon=10**6),
@@ -630,16 +643,17 @@ class TestPlayMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(greedy_cases())
     def test_greedy_raise_scan(self, case):
-        # long streams cross the scan windows and their growth; a tau set
-        # from outside between chunks is played as it stands
+        # long streams with long stretches between raises and runs of
+        # raises close together; a tau set from outside between chunks is
+        # played as it stands
         assert_play_matches_reference(*case)
 
     @settings(max_examples=50, deadline=None)
     @given(greedy_cases())
     def test_greedy_asks_one_cutoff_per_raise(self, case):
-        # a miss or a tie that the scan failed to count would end a window
-        # at a round that does not raise: tau would come out right, but
-        # after one more cutoff query
+        # a miss or a tie that the walk failed to count would play a round
+        # that does not raise through `update`: tau would come out right,
+        # but after one more cutoff query
         spec, scores, sizes, _ = case
         p, taus, start = spec.build(), [], 0
         with mock.patch.object(TruncatedEcdf, "conformal_cutoff", autospec=True,
@@ -700,6 +714,18 @@ class TestPlayMatchesReference:
         assert repr(taus) == repr(expected)
         assert state(p) == state(ref)
         assert update.call_count == calls
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(sps_cases(), greedy_cases()), st.sampled_from([1, 2, 64]),
+           st.sampled_from([2, 16]))
+    def test_fence_moves_inside_a_block(self, case, floor, share):
+        # a small refill floor and share move the ECDF's fence at many
+        # raises, so `play` splits the rest of a chunk again part-way
+        # through it; a tau set from outside may sit above the fence, and
+        # the scores between them record tau
+        with mock.patch.object(cdf_band, "REFILL_FLOOR", floor), \
+                mock.patch.object(cdf_band, "REFILL_SHARE", share):
+            assert_play_matches_reference(*case)
 
     def test_sps_level_crosses_zero_inside_a_block(self):
         # at (0.9, 1200) the level is below 0 up to t = 709.008, and the
@@ -849,13 +875,20 @@ class TestPlayMatchesReference:
 
 def large_horizon_scores(kind: str, horizon: int) -> np.ndarray:
     """U(0, 1) scores; the top of three Gaussian bids as the shipped
-    auction config draws them (mu = 25, sigma = 8); or U(0, 1) scores
-    rising by 1 per 10**4 rounds, on which greedy's threshold rises too."""
+    auction config draws them (mu = 25, sigma = 8); U(0, 1) scores
+    rising by 1 per 10**4 rounds, on which greedy's threshold rises too;
+    or "tied": a handful of values, zeros of both signs among them, with
+    one round in twenty a miss (NaN) after round 10**4, by when both
+    policies' thresholds are finite, so that no miss records -inf."""
     rng = np.random.default_rng(horizon)
     if kind == "uniform":
         return rng.random(horizon)
     if kind == "rising":
         return rng.random(horizon) + np.arange(horizon) / 10**4
+    if kind == "tied":
+        scores = rng.choice([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0], horizon)
+        scores[10**4:][rng.random(horizon - 10**4) < 0.05] = math.nan
+        return scores
     return rng.normal(25.0, 8.0, (horizon, 3)).max(axis=1)
 
 
@@ -884,13 +917,14 @@ def assert_play_matches_update(kind: str, scores: np.ndarray) -> None:
 
 
 class TestLargeHorizon:
-    @pytest.mark.parametrize("scores", ["uniform", "auction", "rising"])
+    @pytest.mark.parametrize("scores", ["uniform", "auction", "rising", "tied"])
     @pytest.mark.parametrize("kind", ["sps", "greedy"])
     def test_play_matches_update(self, kind, scores):
         # 2 * 10**5 rounds: the far tier is refilled at sample sizes that
         # the golden digests never reach, by `play`'s far slices and by
         # `update`'s single inserts alike (greedy's threshold holds on
-        # stationary scores, and rises on the rising ones)
+        # stationary scores, and rises on the rising ones); the tied
+        # scores put ties of -0.0 and 0.0 and misses on the fence and tau
         assert_play_matches_update(kind, large_horizon_scores(scores, 2 * 10**5))
 
 
