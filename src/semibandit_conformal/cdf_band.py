@@ -23,7 +23,6 @@ and the misses of a policy whose threshold never falls are a count.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -139,7 +138,7 @@ class TruncatedEcdf:
     round.  When k lands among top's copies nothing moves.  Below them
     (which neither policy asks in play) the low tier goes back onto the
     heap and the answer climbs to k from nothing, so any sequence of
-    levels gets the exact answer.  `cutoff_rank` is the low tier's size.
+    levels gets the exact answer.
 
     The fence starts at -inf, with every value far.  A query that needs
     more values than `_high` holds refills it: the far tier's smallest
@@ -151,10 +150,10 @@ class TruncatedEcdf:
     values in order, and `extend_far` records a numpy slice of values
     above the fence as it is.
 
-    The rank queries (`samples`, `eval_g`, `eval_upper`) need the sorted
-    sample: the first of them sorts the three tiers into a list, and every
-    later insert keeps that list sorted.  A run that never asks a rank
-    query never builds it.
+    The tiers are the only copy of the sample.  `count_at_most(tau)`
+    counts the values <= tau in one pass over them, except at top, where
+    it is the low tier's size; `eval_g` and `eval_upper` are that count
+    over `count`, and `samples` sorts the tiers into a new list.
 
     Values are canonicalized with `value + 0.0`, which turns -0.0 into
     0.0, so that top's copies are one value and the cutoff's sign is the
@@ -182,7 +181,6 @@ class TruncatedEcdf:
         self._fence = NEG_INF
         self._far: list[np.ndarray] = []
         self._far_values: list[float] = []
-        self._sorted: list[float] | None = None
 
     @property
     def count(self) -> int:
@@ -200,11 +198,9 @@ class TruncatedEcdf:
 
     @property
     def samples(self) -> list[float]:
-        """The recorded values in nondecreasing order (do not mutate)."""
-        if self._sorted is None:
-            self._sorted = sorted(self._pile + [self._top] * self._ties + self._high
-                                  + self._far_array().tolist())
-        return self._sorted
+        """The recorded values in nondecreasing order, as a new list."""
+        return sorted(self._pile + [self._top] * self._ties + self._high
+                      + self._far_array().tolist())
 
     def insert(self, value: float) -> None:
         value = float(value) + 0.0
@@ -220,8 +216,6 @@ class TruncatedEcdf:
         else:
             self._ties += 1
         self._count += 1
-        if self._sorted is not None:
-            insort(self._sorted, value)
 
     def extend(self, values: list[float]) -> None:
         """`insert` each of `values` in order, as one operation.
@@ -252,9 +246,6 @@ class TruncatedEcdf:
                 ties += 1
         self._ties += ties
         self._count += len(values)
-        if self._sorted is not None:
-            for value in values:
-                insort(self._sorted, value + 0.0)
 
     def extend_top(self, k: int) -> None:
         """Record k copies of `top`, as a count.
@@ -269,9 +260,6 @@ class TruncatedEcdf:
             raise ValueError(f"recorded score must be finite, got {top}")
         self._ties += k
         self._count += k
-        if self._sorted is not None:
-            at = bisect_right(self._sorted, top)
-            self._sorted[at:at] = [top] * k
 
     def extend_far(self, values: np.ndarray) -> None:
         """Record a float64 array of finite values, all above `fence`.
@@ -283,9 +271,6 @@ class TruncatedEcdf:
         values = values + 0.0
         self._far.append(values)
         self._count += len(values)
-        if self._sorted is not None:
-            for value in values.tolist():
-                insort(self._sorted, value)
 
     def band_level_column(self, alpha: float, n) -> np.ndarray:
         """The level `conformal_cutoff(alpha)` queries at each sample size in
@@ -303,7 +288,7 @@ class TruncatedEcdf:
     def eval_g(self, tau: float) -> float:
         """Fraction of recorded values <= tau (right-continuous step)."""
         self._require_samples()
-        return bisect_right(self.samples, tau) / self.count
+        return self.count_at_most(tau) / self._count
 
     def eval_upper(self, tau: float) -> float:
         """eval_g(tau) + eps_t; may exceed 1."""
@@ -324,7 +309,8 @@ class TruncatedEcdf:
             raise ValueError(f"alpha must be in (0,1), got {alpha}")
         # the width epsilon() gives, without its second emptiness check
         eps = math.sqrt(self._half_log / n) if epsilon is None else float(epsilon)
-        if eps < 0.0:
+        # `not >=` so that a NaN width fails too
+        if not eps >= 0.0:
             raise ValueError(f"epsilon must be >= 0, got {eps}")
         level = 1.0 - alpha - eps
         if level < -LEVEL_TOL:
@@ -364,19 +350,11 @@ class TruncatedEcdf:
             ties += 1
         self._top, self._ties = top, ties
 
-    def cutoff_rank(self) -> int:
-        """Number of recorded values <= the last finite cutoff answer: the
-        low tier's size."""
-        if self._top == NEG_INF:
-            raise ValueError("no finite cutoff has been answered")
-        return len(self._pile) + self._ties
-
     def count_at_most(self, tau: float) -> int:
-        """Number of recorded values <= tau, in one pass over the tiers.
-
-        Unlike `eval_g` it builds no sorted list, which every later insert
-        would then keep sorted.
-        """
+        """Number of recorded values <= tau: at top the low tier's size, 0
+        before the first finite answer, and else one pass over the tiers."""
+        if tau == self._top:
+            return len(self._pile) + self._ties
         return (sum(1 for v in self._pile if v <= tau)
                 + (self._ties if self._top <= tau else 0)
                 + sum(1 for v in self._high if v <= tau)

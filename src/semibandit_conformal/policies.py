@@ -32,9 +32,10 @@ that can raise tau or reach the ECDF's heap, and record each stretch
 between raises as a count of the rounds that record tau, one `extend`
 and one numpy slice, so each asks one cutoff query per raise, not one
 per round.  Both play each raise round through `update`, and so the
-first round of a block that holds no count for its tau.  ETC and Con-ETC
-record their exploration rounds with one `extend`.  DLR, and ACI between
-its stretches, play the block as a Python list in a local-variable loop.
+first round of a fresh policy and of a block whose tau, set from
+outside, is not the ECDF's top.  ETC and Con-ETC record their
+exploration rounds with one `extend`.  DLR, and ACI between its
+stretches, play the block as a Python list in a local-variable loop.
 ACI plays each stretch where its budget is clamped at 0 as numpy
 columns, which is exact because tau stays the smallest observed score
 until the budget is back above 0, and inserts a covered score into a
@@ -107,8 +108,8 @@ class PolicySpec:
         if self.horizon < 2:
             raise PolicyConfigError(f"horizon must be >= 2, got {self.horizon}")
         if self.kind == "aci":
-            if self.gamma is None or self.gamma <= 0:
-                raise PolicyConfigError("aci requires gamma > 0")
+            if self.gamma is None or not 0.0 < self.gamma < math.inf:
+                raise PolicyConfigError(f"aci requires a finite gamma > 0, got {self.gamma}")
         if self.kind == "dlr":
             if self.tau_init is None or not math.isfinite(self.tau_init):
                 raise PolicyConfigError("dlr requires a finite tau_init")
@@ -192,12 +193,14 @@ class SpsPolicy(Policy):
     copies of the ECDF's `top` (`extend_top`), which tau is after a
     raise.  The round itself is played through `update`, which inserts,
     asks the cutoff and takes the max (with no band, the cutoff as it
-    is), and c is counted again with `cutoff_rank`.
-    c is carried from block to block with the tau it counts.  A block
-    that holds no count (on a fresh policy, after tau was set from
-    outside, or after rounds played by `update`) plays its first round
-    through `update` and counts c over the sample.  `update` keeps its
-    per-round body, so a per-round caller sees the ECDF each round.
+    is), and c is counted again with `count_at_most`.  Played by its own
+    `update` and `play`, tau is the ECDF's top (-inf until a cutoff is
+    finite) after every round, and c at top is the low tier's size.  A
+    block on an empty ECDF, or whose tau was set from outside and is not
+    top, plays its first round through `update`.  A fresh policy's block
+    needs no such round, but it puts an insert in the run's first tenth,
+    which the benchmark's tracer times.  `update` keeps its per-round
+    body, so a per-round caller sees the ECDF each round.
     """
 
     epsilon: float | None = None
@@ -205,8 +208,6 @@ class SpsPolicy(Policy):
     def __init__(self, spec: PolicySpec):
         super().__init__(spec)
         self.ecdf = TruncatedEcdf(spec.horizon)
-        # (tau, recorded count, values <= tau) as the last `play` left them
-        self._held: tuple[float, int, int] | None = None
 
     def update(self, observed: float | None) -> None:
         tau = self.tau
@@ -244,19 +245,17 @@ class SpsPolicy(Policy):
             self.play(scores[:infinite.argmax()])
             update(POS_INF)
         start = 0
-        held = self._held
-        # `is`: a tau assigned from outside is another float object
-        if held is not None and held[0] is tau and held[1] == ecdf.count:
-            below = held[2]
-        elif end:
+        # by repr: greedy's `update` turns a -0.0 set from outside into
+        # top's 0.0, so that -0.0 is not top here
+        if not (ecdf.count and repr(tau) == repr(ecdf.top)):
+            if not end:
+                return taus
             score = scores[0].item()
             taus[0] = tau
             update(score if score >= tau else None)
             tau = self.tau
-            below = ecdf.count_at_most(tau)
             start = 1
-        else:
-            return taus
+        below = ecdf.count_at_most(tau)
         # need[j]: the values <= tau that round j needs for tau to hold
         n = ecdf.count - start
         need = self.need_column(np.arange(n + 1, n + end + 1))
@@ -309,19 +308,17 @@ class SpsPolicy(Policy):
                     ecdf.extend([tau] * misses)
                 taus[start + seg:start + i + 1] = tau
                 if i == len(rest):
-                    below = off + c
                     start = end
                     break
                 update(score if score >= tau else None)
                 tau = self.tau
-                below = ecdf.cutoff_rank()
+                below = ecdf.count_at_most(tau)
                 seg, observed = i + 1, []
                 if ecdf.fence != fence:
                     start += seg
                     break
                 off = below - c
         self.t = t + end
-        self._held = (tau, ecdf.count, below)
         return taus
 
 

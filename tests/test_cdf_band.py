@@ -166,6 +166,17 @@ class TestEvalG:
         assert e.eval_g(2.0) == e.eval_g(2.0 + 1e-12)
         assert e.eval_g(2.0) > e.eval_g(2.0 - 1e-12)
 
+    def test_nan_is_above_no_value(self):
+        # no value is <= NaN, with top -inf, finite, or after a rank query
+        e = ecdf_with_cutoff([1.0, 2.0, 3.0], horizon=10000)
+        for _ in range(2):
+            assert e.count_at_most(math.nan) == 0
+            assert e.eval_g(math.nan) == 0.0
+            assert e.eval_upper(math.nan) == e.epsilon()
+            e.samples
+            e.conformal_cutoff(0.5, epsilon=0.0)
+        assert e.top == 2.0
+
 
 class TestEvalUpper:
     def test_definitional_identity(self):
@@ -210,8 +221,9 @@ class TestConformalCutoff:
         for alpha in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 e.conformal_cutoff(alpha)
-        with pytest.raises(ValueError):
-            e.conformal_cutoff(0.9, epsilon=-0.01)
+        for eps in (-0.01, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be >= 0"):
+                e.conformal_cutoff(0.9, epsilon=eps)
         with pytest.raises(ValueError, match="rounds to 1"):
             e.conformal_cutoff(1e-17, epsilon=0.0)  # level 1 - 1e-17 == 1.0
 
@@ -442,8 +454,9 @@ class TestExtend:
            st.lists(st.tuples(ALPHAS, EPSILONS), min_size=1, max_size=3),
            st.booleans())
     def test_matches_repeated_insert(self, before, batches, queries, ranked):
-        # a sample split by cutoff queries, with or without the sorted list
-        # a rank query builds, then batches with cutoffs between them
+        # a sample split by cutoff queries, with or without a rank query,
+        # which joins the far tier into one array, then batches with
+        # cutoffs between them
         bulk, single = TruncatedEcdf(10000), TruncatedEcdf(10000)
         for e in (bulk, single):
             insert_each(e, before)
@@ -510,6 +523,20 @@ class TestExtend:
             e.extend([0.5, -0.0, POS_INF, math.nan, 0.25])
         assert [repr(v) for v in e.samples] == ["0.0", "0.5"]
 
+    def test_samples_is_a_new_list(self):
+        # the tiers are the only copy: a list `samples` returned is the
+        # caller's, and changing it changes nothing recorded
+        e = TruncatedEcdf(100)
+        e.extend([3.0, 1.0, 2.0])
+        e.conformal_cutoff(0.5, epsilon=0.0)
+        first = e.samples
+        assert e.samples is not first
+        first.clear()
+        first += [0.0] * 5
+        assert e.count == 3 and e.samples == [1.0, 2.0, 3.0]
+        assert e.conformal_cutoff(0.1, epsilon=0.0) == 3.0
+        assert e.samples == [1.0, 2.0, 3.0]
+
     def test_finite_values_whose_sum_overflows(self):
         e = TruncatedEcdf(100)
         e.extend([1e308, 1e308, -1.0])
@@ -539,15 +566,15 @@ class TestCutoffRank:
                 if math.isfinite(cut):
                     answer = cut
             if answer is not None:
-                assert e.cutoff_rank() == sum(1 for v in values if v <= answer)
+                assert e.count_at_most(e.top) == sum(1 for v in values if v <= answer)
 
     def test_no_finite_cutoff_yet(self):
+        # top is -inf, and no recorded value is at or below it, before any
+        # finite answer and after a -inf one
         e = ecdf_with_cutoff([1.0, 2.0])
-        with pytest.raises(ValueError):
-            e.cutoff_rank()
+        assert e.top == NEG_INF and e.count_at_most(e.top) == 0
         assert e.conformal_cutoff(0.9, epsilon=0.5) == NEG_INF
-        with pytest.raises(ValueError):
-            e.cutoff_rank()
+        assert e.top == NEG_INF and e.count_at_most(e.top) == 0
 
 
 def assert_tiers(e):
@@ -615,7 +642,7 @@ class TestFarTierMatchesSortedList:
                         answer = cut
                 elif op == "rank":
                     if answer is not None:
-                        assert e.cutoff_rank() == sum(1 for v in values if v <= answer)
+                        assert e.count_at_most(e.top) == sum(1 for v in values if v <= answer)
                 elif op == "count_at_most":
                     assert e.count_at_most(arg) == sum(1 for v in values if v <= arg)
                 elif op == "eval_g":
@@ -633,10 +660,10 @@ class TestFarTierMatchesSortedList:
         e.extend_far(np.array([1.0] * 40 + [2.0] * 60 + [3.0] * 100))
         assert e.conformal_cutoff(0.99, epsilon=0.0) == 1.0
         assert e.fence == 2.0 and len(e._pile) + e._ties + len(e._high) == 100
-        assert e.cutoff_rank() == 40
+        assert e.count_at_most(e.top) == 40
         e.insert(2.0)
         assert e.conformal_cutoff(0.5, epsilon=0.0) == 2.0
-        assert e.cutoff_rank() == 101
+        assert e.count_at_most(e.top) == 101
         assert e.conformal_cutoff(0.01, epsilon=0.0) == 3.0
         assert e.fence == 3.0 and e.count_at_most(2.5) == 101
         assert_tiers(e)
@@ -679,9 +706,8 @@ class TestLowTierMatchesSortedList:
     down into the low pile as well as up through the heap; inserts land
     below, at and above top, `extend_top` adds copies of top, and a small
     refill floor and share make refills frequent.  After every op the
-    answer, `cutoff_rank`, `count_at_most` at and around top, `count` and
-    the tier invariants are checked, and with `ranked` the sorted sample
-    too, which every later insert then keeps sorted.
+    answer, `count_at_most` at and around top, `count` and the tier
+    invariants are checked, and with `ranked` the sorted sample too.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -731,7 +757,7 @@ class TestLowTierMatchesSortedList:
                 assert_tiers(e)
                 if answer is not None:
                     assert e.top == answer
-                    assert e.cutoff_rank() == sum(1 for v in values if v <= answer)
+                    assert e.count_at_most(e.top) == sum(1 for v in values if v <= answer)
                     for tau in (answer - 0.25, answer, answer + 0.25):
                         assert e.count_at_most(tau) == sum(1 for v in values if v <= tau)
                 if ranked and values:
@@ -751,9 +777,9 @@ class TestLowTierMatchesSortedList:
         pile = list(e._pile)
         # 9 values: the 6th to the 9th are top's copies; k = 7, then 3
         assert e.conformal_cutoff(1 / 3, epsilon=0.0) == 5.0
-        assert e._pile == pile and e.cutoff_rank() == 9
+        assert e._pile == pile and e.count_at_most(e.top) == 9
         assert e.conformal_cutoff(7 / 9, epsilon=0.0) == 2.0
-        assert e._pile == [0.5, 1.0] and e._ties == 1 and e.cutoff_rank() == 3
+        assert e._pile == [0.5, 1.0] and e._ties == 1 and e.count_at_most(e.top) == 3
         assert sorted(e._high) == [3.0, 4.0, 5.0, 5.0, 5.0, 5.0]
         assert_tiers(e)
 

@@ -87,6 +87,9 @@ class TestPolicySpec:
             spec("aci")
         with pytest.raises(PolicyConfigError):
             spec("aci", gamma=-0.1)
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(PolicyConfigError):
+                spec("aci", gamma=gamma)
 
     def test_dlr_requires_finite_tau_init(self):
         with pytest.raises(PolicyConfigError):
@@ -642,6 +645,10 @@ class TestPlayMatchesReference:
 
     @settings(max_examples=100, deadline=None)
     @given(greedy_cases())
+    # a -0.0 set from outside when top is 0.0: equal, but greedy's
+    # `update` turns it into top's 0.0 after one round
+    @example((PolicySpec(kind="greedy", alpha=0.5, horizon=100),
+              [0.0, -0.0, 0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0], [4, 5], {4: -0.0}))
     def test_greedy_raise_scan(self, case):
         # long streams with long stretches between raises and runs of
         # raises close together; a tau set from outside between chunks is
@@ -677,11 +684,12 @@ class TestPlayMatchesReference:
            st.lists(st.booleans(), min_size=7, max_size=7))
     def test_sps_updates_only_raise_and_entry_rounds(self, case, stepped):
         # chunks played by `play`, or round by round by `update` where
-        # `stepped` says so.  A `play` that holds a count for tau calls
-        # `update` only for the rounds that raise it; one that does not,
-        # on a fresh policy, after a new tau from outside or after rounds
-        # played by `update`, also for its first round.  Greedy, SPS with
-        # no band, plays its rounds through the same `update`
+        # `stepped` says so.  A `play` on a non-empty ECDF whose top is
+        # tau, the sign of zero included, calls `update` only for the
+        # rounds that raise it; any other, on a fresh policy or after a
+        # tau from outside that is not top, also for its first round.
+        # Greedy, SPS with no band, plays its rounds through the same
+        # `update`
         spec, scores, sizes, set_tau = case
         ref = spec.build()
         expected = []
@@ -690,26 +698,24 @@ class TestPlayMatchesReference:
                 ref.tau = set_tau[i]
             expected.append(reference_round(ref, s))
 
-        p, taus, start, calls, entry = spec.build(), [], 0, 0, True
+        p, taus, start, calls = spec.build(), [], 0, 0
         with mock.patch.object(SpsPolicy, "update", autospec=True,
                                side_effect=SpsPolicy.update) as update:
             for size, by_update in zip(sizes, stepped):
-                if start in set_tau and set_tau[start] is not p.tau:
+                if start in set_tau:
                     p.tau = set_tau[start]
-                    entry = True
                 chunk = scores[start:start + size]
                 if by_update:
                     for s in chunk:
                         taus.append(p.tau)
                         p.update(s if s >= p.tau else None)
                     calls += len(chunk)
-                    entry = True
                 elif chunk:
+                    entry = not (p.ecdf.count and repr(p.tau) == repr(p.ecdf.top))
                     played = p.play(np.array(chunk)).tolist()
                     raises = [a < b for a, b in zip(played, played[1:] + [p.tau])]
                     calls += entry + sum(raises[entry:])
                     taus += played
-                    entry = False
                 start += size
         assert repr(taus) == repr(expected)
         assert state(p) == state(ref)
