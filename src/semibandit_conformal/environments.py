@@ -444,7 +444,13 @@ class AuctionEnv(SyntheticEnv):
 
     def draw(self, rng, n: int) -> tuple[np.ndarray, None]:
         """The top bid of each of n rounds; auctions carry no candidates."""
-        return self.dist.sample(rng, (n, self.bidders)).max(axis=1), None
+        bids = self.dist.sample(rng, (n, self.bidders))
+        # `bids.max(axis=1)`, bit for bit, as a chained maximum over the
+        # columns, which is much faster for a few bidders
+        top = np.maximum(bids[:, 0], bids[:, 1])
+        for column in range(2, self.bidders):
+            np.maximum(top, bids[:, column], out=top)
+        return top, None
 
     def oracle_cdf(self):
         value_cdf, n = self.dist.cdf, self.bidders

@@ -35,11 +35,11 @@ per round.  Both play each raise round through `update`, and so the
 first round of a fresh policy and of a block whose tau, set from
 outside, is not the ECDF's top.  ETC and Con-ETC record their
 exploration rounds with one `extend`.  DLR, and ACI between its
-stretches, play the block as a Python list in a local-variable loop.
+stretches, play the block in a local-variable loop over Python floats.
 ACI plays each stretch where its budget is clamped at 0 as numpy
 columns, which is exact because tau stays the smallest observed score
-until the budget is back above 0, and inserts a covered score into a
-sorted list only when it lands near tau.
+until the budget is back above 0, and keeps sorted only the observed
+scores below a pivot, across blocks, until `observed_scores` is read.
 """
 
 from __future__ import annotations
@@ -47,12 +47,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain
 
 import numpy as np
 
-from .cdf_band import (LEVEL_TOL, NEG_INF, POS_INF, TruncatedEcdf, order_index,
-                       order_index_column)
+from .cdf_band import LEVEL_TOL, NEG_INF, POS_INF, TruncatedEcdf, order_index_column
 
 POLICY_KINDS = ("sps", "greedy", "aci", "dlr", "etc", "con_etc")
 
@@ -62,7 +61,7 @@ ETC_M_GRID = (100, 250, 500, 1000)
 
 DLR_EXPONENT_OFFSET = 0.1  # step size eta_t = t^(-1/2 - offset)
 
-# The fewest rounds ACI plays as one clamped stretch (see `AciPolicy`).
+# ACI's fewest rounds in a clamped stretch, and single inserts before a split.
 MIN_STRETCH = 32
 
 # The score `update` plays for a miss: no threshold admits NaN.
@@ -356,77 +355,56 @@ class AciPolicy(Policy):
     stays the smallest observed score throughout, because covered scores
     never go below it, so the stretch is exact.
 
-    Once a block has inserted MIN_STRETCH scores one by one, `play`
-    holds the observed scores in two lists split at a pivot (see
-    `_split`): the sorted scores below it, which hold tau's index, and
-    the rest unsorted.  A covered score at or above the pivot is
-    appended, and only one below it is inserted into a sorted list, the
-    short one.  The block ends with one stable sort, which puts ties
-    where `insort` would.
+    The observed scores are two lists split at a pivot (see `_split`),
+    kept from block to block: the sorted scores below it, which hold
+    tau's index, and the rest unsorted.  A covered score is appended or,
+    below the pivot, inserted into the short sorted list; a stretch
+    splits an unsplit list first and sorts in only its scores below the
+    pivot.  Reading `observed_scores` merges the two by one stable sort,
+    which puts ties where `insort` would, and starts over unsplit.
     """
 
     def __init__(self, spec: PolicySpec):
         super().__init__(spec)
         self.beta = 1.0 - spec.alpha
-        self.observed_scores: list[float] = []
+        self.observed_scores = []
+
+    @property
+    def observed_scores(self) -> list[float]:
+        """The observed scores as `insort` builds them, one live list."""
+        self._high.sort()
+        self._low += self._high
+        self.observed_scores = self._low
+        return self._low
+
+    @observed_scores.setter
+    def observed_scores(self, scores: list[float]) -> None:
+        # unsplit until MIN_STRETCH single inserts: a split costs a pass
+        # over the list, and so do about as many inserts into all of it
+        self._low, self._high = scores, []
+        self._pivot, self._cap = POS_INF, len(scores) + MIN_STRETCH
 
     def play(self, scores: np.ndarray) -> np.ndarray:
-        block = scores
-        scores = block.tolist()
         gamma = self.spec.gamma
         covered_step = gamma * ((1.0 - self.alpha) - 0.0)
         missed_step = gamma * ((1.0 - self.alpha) - 1.0)
         floor = -MIN_STRETCH * covered_step
-        # observed_scores is held as `low`, the sorted scores below `pivot`
-        # (the list itself), and `high`, the rest; a score goes into the
-        # one it belongs to.  low + sorted(high), a stable sort, is the list
-        # insort would build, and tau's index stays in low.
-        low = self.observed_scores
-        high: list[float] = []
-        n = len(low)
+        # the observed scores: `low`, sorted, below `pivot` and holding
+        # tau's index, and `high`, the rest; a score joins the one it fits
+        low, high, pivot, cap = self._low, self._high, self._pivot, self._cap
+        n = len(low) + len(high)
         # tau's index in the last round
         m = 0
-        # one list until MIN_STRETCH scores have been inserted one by one:
-        # a split costs a pass over the list, and so do about as many
-        # inserts into the whole of it
-        pivot, cap = POS_INF, n + MIN_STRETCH
         beta = self.beta
         tau = self.tau
-        taus = []
-        append = taus.append
-        rounds = iter(scores)
-        try:
-            for score in rounds:
-                if beta <= floor and low and len(scores) - len(taus) >= MIN_STRETCH:
-                    # Clamped: at beta <= 0, tau is low[0], since
-                    # order_index(n, 0.0) is 0 for n < 1/LEVEL_TOL, and every
-                    # covered score is >= tau and goes after it.  So tau holds
-                    # until beta > 0; play those rounds as columns.
-                    seg = block[len(taus):]
-                    covered = seg >= tau
-                    # a left fold: the loop's own additions, in its order
-                    betas = np.add.accumulate(np.concatenate(
-                        ([beta], np.where(covered, covered_step, missed_step))))
-                    # the stretch stops before the round that lifts beta above
-                    # 0; that round, when the block holds it, is played below
-                    rising = betas[1:] > 0.0
-                    span = int(rising.argmax()) if rising.any() else len(seg)
-                    taus += repeat(tau, span)
-                    new = seg[:span][covered[:span]]
-                    below = new < pivot
-                    if below.any():
-                        # a stable sort leaves ties where insort_right puts them
-                        added = new[below].tolist()
-                        low += added
-                        low.sort()
-                        # only single inserts count towards a split
-                        cap += len(added)
-                    high += new[~below].tolist()
-                    n += new.size
-                    beta = betas[span].item()
-                    score = next(islice(rounds, span - 1, span), None)
-                    if score is None:
-                        break
+        pos, end = 0, len(scores)
+        taus = np.empty(end)
+        while pos < end:
+            played = []
+            append = played.append
+            for score in scores[pos:].tolist():
+                if beta <= floor and n and end - pos - len(played) >= MIN_STRETCH:
+                    break
                 append(tau)
                 if score >= tau:
                     beta += covered_step
@@ -444,20 +422,57 @@ class AciPolicy(Policy):
                 elif beta >= 1.0:
                     tau = POS_INF
                 else:
-                    # order_index(n, max(beta, 0.0)), which is 0 at beta <= 0
-                    m = order_index(n, beta) if beta > 0.0 else 0
+                    # order_index(n, max(beta, 0.0)), inlined: truncate,
+                    # clamp, then the LEVEL_TOL walk.  It is 0 at beta <= 0,
+                    # since order_index(n, 0.0) is 0 for n < 1/LEVEL_TOL
+                    m = int(n * beta) if beta > 0.0 else 0
+                    if m >= n:
+                        m = n - 1
+                    while m + 1 < n and (m + 1) / n <= beta + LEVEL_TOL:
+                        m += 1
                     try:
                         tau = low[m]
                     except IndexError:
                         pivot, cap = _split(low, high, m)
                         tau = low[m]
-        finally:
-            high.sort()
-            low += high
-        self.t += len(scores)
+            taus[pos:pos + len(played)] = played
+            pos += len(played)
+            if pos == end:
+                break
+            # Clamped: at beta <= 0, tau is low[0], and every covered
+            # score is >= tau and goes after it.  So tau holds until
+            # beta > 0; play those rounds as columns, with the split made
+            # first so that only the scores below the pivot are sorted
+            if pivot == POS_INF:
+                pivot, cap = _split(low, high, 0)
+            seg = scores[pos:]
+            covered = seg >= tau
+            # a left fold: the loop's own additions, in its order
+            betas = np.add.accumulate(np.concatenate(
+                ([beta], np.where(covered, covered_step, missed_step))))
+            # the stretch stops before the round that lifts beta above 0;
+            # that round, when the block holds it, is played by the loop
+            rising = betas[1:] > 0.0
+            span = int(rising.argmax()) if rising.any() else len(seg)
+            taus[pos:pos + span] = tau
+            new = seg[:span][covered[:span]]
+            below = new < pivot
+            if below.any():
+                # a stable sort leaves ties where insort_right puts them
+                added = new[below].tolist()
+                low += added
+                low.sort()
+                # only single inserts count towards a split
+                cap += len(added)
+            high += new[~below].tolist()
+            n += new.size
+            beta = betas[span].item()
+            pos += span
+        self._pivot, self._cap = pivot, cap
+        self.t += end
         self.beta = beta
         self.tau = tau
-        return np.array(taus, dtype=np.float64)
+        return taus
 
 
 def _split(low: list[float], high: list[float], m: int) -> tuple[float, int]:
@@ -467,9 +482,9 @@ def _split(low: list[float], high: list[float], m: int) -> tuple[float, int]:
     last of them: an eighth of the scores past m, so that the index,
     which moves with beta and n, stays in low for a while.  Returns the
     new pivot, which every score in low is below and every score in high
-    is at or above (a pivot of +inf may have +inf in low, all of it
-    observed before any +inf in high), and the length of low at which to
-    split again.
+    is at or above (+inf, which `play` takes as no split, may have +inf
+    in low, all of it observed before any +inf in high), and the length
+    of low at which to split again.
     """
     high.sort()
     n = len(low) + len(high)

@@ -307,6 +307,18 @@ class TestAuctionEnv:
         with pytest.raises(EnvironmentConfigError):
             AuctionEnv(EmpiricalDist([1.0, 2.0]), bidders=1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(pool=st.lists(st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 1.0])
+                         | st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8),
+           bidders=st.integers(2, 5), seed=st.integers(0, 2**63), n=st.integers(1, 200))
+    def test_top_bid_is_the_row_max_bit_for_bit(self, pool, bidders, seed, n):
+        # ties of -0.0 and 0.0, NaN and +-inf among the bids: the draw's
+        # column-by-column maximum keeps the same bits as the row max
+        dist = EmpiricalDist(pool)
+        scores, _ = AuctionEnv(dist, bidders).draw(np.random.default_rng(seed), n)
+        bids = dist.sample(np.random.default_rng(seed), (n, bidders))
+        assert scores.tobytes() == bids.max(axis=1).tobytes()
+
 
 def bundled(name):
     return resources.files("semibandit_conformal.data") / name

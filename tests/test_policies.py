@@ -13,7 +13,7 @@ from semibandit_conformal.cdf_band import (LEVEL_TOL, NEG_INF, TruncatedEcdf, ba
                                           order_index, sup_quantile)
 from semibandit_conformal.environments import EnvironmentSpec, SyntheticEnv, apply_feedback
 from semibandit_conformal.harness import (BLOCK_ROUNDS, ExperimentConfig, PolicyEntry,
-                                          run_single)
+                                          derive_seed, run_single)
 from semibandit_conformal.policies import (
     ACI_GAMMA_GRID,
     DLR_EXPONENT_OFFSET,
@@ -878,6 +878,72 @@ class TestPlayMatchesReference:
         assert repr(played.play(np.array(scores)).tolist()) == repr(expected)
         assert state(played) == state(ref)
 
+    @settings(max_examples=100, deadline=None)
+    @given(aci_stretch_cases(),
+           st.lists(st.sampled_from(["none", "read", "assign"]), min_size=9, max_size=9))
+    def test_aci_split_kept_across_reads_and_assignments(self, case, actions):
+        # the split of the observed scores is kept from block to block.
+        # Before a chunk, `observed_scores` is left alone, read (which
+        # merges the split into the list insort builds) or assigned a copy
+        # of itself: tau and the final state are those of the run that
+        # never reads it, and of the reference
+        spec, scores, sizes = case
+        ref, quiet, touched = spec.build(), spec.build(), spec.build()
+        expected, quiet_taus, taus, start = [], [], [], 0
+        for size, action in zip(sizes, actions):
+            chunk = scores[start:start + size]
+            if action == "read":
+                assert repr(touched.observed_scores) == repr(ref.observed_scores)
+            elif action == "assign":
+                touched.observed_scores = list(touched.observed_scores)
+            expected += [reference_round(ref, s) for s in chunk]
+            quiet_taus += quiet.play(np.array(chunk, dtype=np.float64)).tolist()
+            taus += touched.play(np.array(chunk, dtype=np.float64)).tolist()
+            start += size
+        assert repr(taus) == repr(quiet_taus) == repr(expected)
+        assert state(touched) == state(quiet) == state(ref)
+
+    def test_aci_clamped_stretch_sorts_only_scores_below_the_pivot(self):
+        # a stretch that finds the observed scores unsplit splits them
+        # first, keeping the least eighth sorted, so of the stretch's
+        # covered scores only those below the pivot are sorted in and the
+        # rest wait unsorted in the high part.  beta stays below 0 for the
+        # whole block, one stretch
+        spec = PolicySpec(kind="aci", alpha=ALPHA, horizon=T, gamma=0.001)
+        rng = np.random.default_rng(5)
+        observed = sorted(rng.random(800).tolist())
+        scores = rng.random(BLOCK_ROUNDS)
+
+        def start():
+            p = spec.build()
+            p.observed_scores = list(observed)
+            p.beta, p.tau = -1.0, observed[0]
+            return p
+
+        ref, played = start(), start()
+        expected = [reference_round(ref, s) for s in scores.tolist()]
+        assert repr(played.play(scores).tolist()) == repr(expected)
+        assert len(played._high) > 4 * len(played._low)
+        assert state(played) == state(ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3000), st.data())
+    def test_aci_index_is_order_index(self, n, data):
+        # `play` inlines order_index: a miss moves beta and leaves n, and
+        # tau is then the order statistic at order_index(n, max(beta, 0)),
+        # here with beta near some k/n, within a few LEVEL_TOL of it, where
+        # the walk decides the index
+        k = data.draw(st.integers(0, n - 1))
+        offset = data.draw(st.sampled_from([-LEVEL_TOL, 0.0, LEVEL_TOL])
+                           | st.floats(-3 * LEVEL_TOL, 3 * LEVEL_TOL))
+        p = PolicySpec(kind="aci", alpha=ALPHA, horizon=T, gamma=2.0**-30).build()
+        missed_step = p.spec.gamma * ((1.0 - ALPHA) - 1.0)
+        p.observed_scores = [float(i) for i in range(n)]
+        p.beta = k / n + offset - missed_step
+        p.play(np.array([math.nan]))
+        assert abs(p.beta - k / n) <= 4 * LEVEL_TOL
+        assert p.tau == order_index(n, max(p.beta, 0.0))
+
 
 def large_horizon_scores(kind: str, horizon: int) -> np.ndarray:
     """U(0, 1) scores; the top of three Gaussian bids as the shipped
@@ -922,6 +988,25 @@ def assert_play_matches_update(kind: str, scores: np.ndarray) -> None:
             == np.array(stepped.ecdf.samples).tobytes())
 
 
+def aci_demo_scores(gamma: float, horizon: int) -> np.ndarray:
+    """The U(0, 1) scores of run 0 of ACI's grid point `gamma` in
+    configs/uniform_demo.ini, as `run_batch` seeds it, at any horizon."""
+    seed = derive_seed(0, "aci", f"gamma={gamma:g}", 0)
+    return np.random.default_rng(seed).uniform(0.0, 1.0, horizon)
+
+
+def assert_aci_play_matches_reference(gamma: float, scores: np.ndarray) -> None:
+    """ACI's `play` over BLOCK_ROUNDS-round blocks and the per-round
+    reference (`insort` and `sup_quantile`) propose the same thresholds,
+    bytes for bytes, and leave the same observed scores, by repr."""
+    spec = PolicySpec(kind="aci", alpha=ALPHA, horizon=len(scores), gamma=gamma)
+    played, ref = spec.build(), spec.build()
+    taus = play_in_blocks(played, scores)
+    expected = [reference_round(ref, s) for s in scores.tolist()]
+    assert taus.tobytes() == np.array(expected).tobytes()
+    assert repr(played.observed_scores) == repr(ref.observed_scores)
+
+
 class TestLargeHorizon:
     @pytest.mark.parametrize("scores", ["uniform", "auction", "rising", "tied"])
     @pytest.mark.parametrize("kind", ["sps", "greedy"])
@@ -932,6 +1017,14 @@ class TestLargeHorizon:
         # stationary scores, and rises on the rising ones); the tied
         # scores put ties of -0.0 and 0.0 and misses on the fence and tau
         assert_play_matches_update(kind, large_horizon_scores(scores, 2 * 10**5))
+
+    @pytest.mark.parametrize("gamma", [0.001, 0.002])
+    def test_aci_play_matches_reference(self, gamma):
+        # uniform_demo's streams over five blocks: at gamma = 0.001 the
+        # budget is clamped below 0 in most rounds, and at 0.002 it hovers
+        # above 0, so the split of the observed scores is carried across
+        # block edges both by stretches and by single inserts
+        assert_aci_play_matches_reference(gamma, aci_demo_scores(gamma, 5 * BLOCK_ROUNDS))
 
 
 def truncation_identity_taus(kind: str, scores: list[float], alpha: float = ALPHA) -> list[float]:
