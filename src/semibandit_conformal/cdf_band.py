@@ -9,7 +9,8 @@ step-function CDF it answers the banded cutoff query
 
 which is the quantity the threshold policies need each round.  The answer
 is an order statistic whose index `order_index` fixes (`order_index_column`
-gives the index for a column of sample sizes at once).  `TruncatedEcdf`
+gives the index for a column of sample sizes at once, and
+`TruncatedEcdf.cutoff_ranks` the ranks of the answers).  `TruncatedEcdf`
 keeps the sample in three tiers: at or below the last answer an
 unordered pile, the answer's own copies only counted; above it a heap up
 to a fence, so a round that moves the index by at most one costs
@@ -127,13 +128,15 @@ class TruncatedEcdf:
     the list `_pile`, and the number of copies of top in `_ties`.  `_high`
     is a min-heap of the values in (top, fence], and the far tier holds
     every value above the fence, unordered: numpy slices in `_far` and
-    single floats in `_far_values`.  `insert` puts a value in the tier it
-    belongs to; a value equal to top is only counted.
+    single floats in `_far_values`.  `extend` puts each value in the
+    tier it belongs to, a value equal to top only counted, and `insert`
+    is a one-value `extend`.
 
     A cutoff query answers the k-th smallest value, k = m + 1 for its
-    `order_index` m.  When k is above the low tier's size it pops heap
-    tops into the pile until k values are at or below the last one, which
-    becomes top, and counts the heap's ties of it: O(log t) per value
+    `order_index` m; `cutoff_ranks` gives k for a column of sample
+    sizes, 0 where the answer is -inf.  When k is above the low tier's
+    size it pops heap tops into the pile until k values are at or below
+    the last one, which becomes top, and counts the heap's ties of it: O(log t) per value
     moved, and the banded and greedy policies move k by at most one per
     round.  When k lands among top's copies nothing moves.  Below them
     (which neither policy asks in play) the low tier goes back onto the
@@ -146,9 +149,8 @@ class TruncatedEcdf:
     the query needs, go onto `_high`, and the fence rises to the largest
     of them, so that every tie of it comes too.  The rest stays far.  A
     refill is O(far) numpy work, and the cutoff must climb through the
-    values it moved before the next one.  `extend` inserts a batch of
-    values in order, and `extend_far` records a numpy slice of values
-    above the fence as it is.
+    values it moved before the next one.  `extend_far` records a numpy
+    slice of values above the fence as it is.
 
     The tiers are the only copy of the sample.  `count_at_most(tau)`
     counts the values <= tau in one pass over them, except at top, where
@@ -203,26 +205,15 @@ class TruncatedEcdf:
                       + self._far_array().tolist())
 
     def insert(self, value: float) -> None:
-        value = float(value) + 0.0
-        if not math.isfinite(value):
-            raise ValueError(f"recorded score must be finite, got {value}")
-        top = self._top
-        if value > self._fence:
-            self._far_values.append(value)
-        elif value > top:
-            heappush(self._high, value)
-        elif value < top:
-            self._pile.append(value)
-        else:
-            self._ties += 1
-        self._count += 1
+        """Record one value: a one-value `extend`."""
+        self.extend([float(value)])
 
     def extend(self, values: list[float]) -> None:
-        """`insert` each of `values` in order, as one operation.
+        """Record each of a list of floats, in order, in its tier.
 
-        A non-finite value raises the ValueError `insert` raises, with the
-        values before it recorded.  No insert moves top or the fence, so
-        each value goes to the tier `insert` would put it in.
+        A non-finite value raises ValueError, with the values before it
+        recorded.  No value moves top or the fence, so the tier of each
+        is fixed by the two as they stand.
         """
         # a sum is finite only if every term is; one that overflows is
         # checked term by term
@@ -250,7 +241,7 @@ class TruncatedEcdf:
     def extend_top(self, k: int) -> None:
         """Record k copies of `top`, as a count.
 
-        Before the first finite answer top is -inf, which `insert` refuses,
+        Before the first finite answer top is -inf, which `extend` refuses,
         and so does this when k > 0.
         """
         if not k:
@@ -271,12 +262,6 @@ class TruncatedEcdf:
         values = values + 0.0
         self._far.append(values)
         self._count += len(values)
-
-    def band_level_column(self, alpha: float, n) -> np.ndarray:
-        """The level `conformal_cutoff(alpha)` queries at each sample size in
-        the array `n`, 1 - alpha - epsilon(), bit for bit: numpy's division
-        and square root round as Python's do."""
-        return 1.0 - alpha - np.sqrt(self._half_log / np.asarray(n, dtype=np.int64))
 
     def epsilon(self) -> float:
         """Band half-width at the current count: `band_epsilon(2/T^2, t)` bit
@@ -302,13 +287,10 @@ class TruncatedEcdf:
         remaining budget; the sentinels never enter the sample multiset.
         The value is `sup_quantile(self.samples, 1 - alpha - eps)`.
         """
-        n = self._count
-        if not n:
-            raise ValueError("CDF query on an empty sample")
+        self._require_samples()
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {alpha}")
-        # the width epsilon() gives, without its second emptiness check
-        eps = math.sqrt(self._half_log / n) if epsilon is None else float(epsilon)
+        eps = self.epsilon() if epsilon is None else float(epsilon)
         # `not >=` so that a NaN width fails too
         if not eps >= 0.0:
             raise ValueError(f"epsilon must be >= 0, got {eps}")
@@ -317,7 +299,7 @@ class TruncatedEcdf:
             return NEG_INF
         if level >= 1.0:
             raise ValueError(f"alpha = {alpha!r} is too small: 1 - alpha rounds to 1")
-        k = order_index(n, level) + 1
+        k = order_index(self._count, level) + 1
         pile = self._pile
         if k <= len(pile):
             # below top's copies: the low tier goes back to the heap, and
@@ -329,6 +311,21 @@ class TruncatedEcdf:
         if k > len(pile) + self._ties:
             self._raise_top(k - len(pile) - self._ties)
         return self._top
+
+    def cutoff_ranks(self, alpha: float, epsilon: float | None, sizes) -> np.ndarray:
+        """The rank k whose value `conformal_cutoff(alpha, epsilon)` answers
+        at each sample size in the array `sizes`: order_index(n, level) + 1,
+        and 0 where the level is below -LEVEL_TOL and the cutoff is -inf.
+
+        The arguments are not checked.  With `epsilon` None the level is
+        1 - alpha - sqrt(log(2/delta) / 2 / n), which is the query's level
+        bit for bit: numpy's division and square root round as Python's
+        do.  The rank never decreases in the size.
+        """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        eps = np.sqrt(self._half_log / sizes) if epsilon is None else epsilon
+        level = 1.0 - alpha - eps
+        return np.where(level < -LEVEL_TOL, 0, order_index_column(sizes, level) + 1)
 
     def _raise_top(self, moves: int) -> None:
         """Pop `moves` heap tops into the low tier; the last is the new top,

@@ -51,7 +51,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cdf_band import LEVEL_TOL, NEG_INF, POS_INF, TruncatedEcdf, order_index_column
+from .cdf_band import LEVEL_TOL, NEG_INF, POS_INF, TruncatedEcdf
 
 POLICY_KINDS = ("sps", "greedy", "aci", "dlr", "etc", "con_etc")
 
@@ -174,7 +174,8 @@ class SpsPolicy(Policy):
     that are not > tau, NaN included) >= k_t, where a -inf cutoff needs
     k_t = 0.
 
-    `play` builds the k_t column for the block, `need_column`.  It never
+    `play` builds need, the k_t column for the block, with the ECDF's
+    `cutoff_ranks`, the ranks `conformal_cutoff` answers.  It never
     decreases and c never falls, so tau can first fall short at a round
     where need rises.  The rest of the block is split once per fence
     epoch (from the block's start, and again after a raise whose refill
@@ -190,16 +191,17 @@ class SpsPolicy(Policy):
     (`extend_far`), the kept near scores with one `extend`, which pushes
     each onto the heap, and the rest, which record tau, as a count of
     copies of the ECDF's `top` (`extend_top`), which tau is after a
-    raise.  The round itself is played through `update`, which inserts,
-    asks the cutoff and takes the max (with no band, the cutoff as it
-    is), and c is counted again with `count_at_most`.  Played by its own
-    `update` and `play`, tau is the ECDF's top (-inf until a cutoff is
-    finite) after every round, and c at top is the low tier's size.  A
-    block on an empty ECDF, or whose tau was set from outside and is not
-    top, plays its first round through `update`.  A fresh policy's block
-    needs no such round, but it puts an insert in the run's first tenth,
-    which the benchmark's tracer times.  `update` keeps its per-round
-    body, so a per-round caller sees the ECDF each round.
+    raise.  The round itself is played through `update`, which inserts
+    (a one-value `extend`), asks the cutoff and takes the max (with no
+    band, the cutoff as it is), and c is counted again with
+    `count_at_most`.  Played by its own `update` and `play`, tau is the
+    ECDF's top (-inf until a cutoff is finite) after every round, and c
+    at top is the low tier's size.  A block on an empty ECDF, or whose
+    tau was set from outside and is not top, plays its first round
+    through `update`.  A fresh policy's block needs no such round, but it
+    puts an insert in the run's first tenth, which the benchmark's tracer
+    times.  `update` keeps its per-round body, so a per-round caller sees
+    the ECDF each round.
     """
 
     epsilon: float | None = None
@@ -220,15 +222,6 @@ class SpsPolicy(Policy):
         # with no band the cutoff is taken as it is, never max-ed
         if cutoff > tau or epsilon == 0.0:
             self.tau = cutoff
-
-    def need_column(self, sizes: np.ndarray) -> np.ndarray:
-        """k_t at each sample size in the array `sizes`: the values <= tau
-        that the round whose value is the sizes-th recorded needs for tau
-        to hold, 0 where the cutoff is -inf.  It never decreases in the
-        size, which `play` relies on."""
-        level = (self.ecdf.band_level_column(self.alpha, sizes) if self.epsilon is None
-                 else 1.0 - self.alpha - self.epsilon)
-        return np.where(level < -LEVEL_TOL, 0, order_index_column(sizes, level) + 1)
 
     def play(self, scores: np.ndarray) -> np.ndarray:
         ecdf = self.ecdf
@@ -257,7 +250,7 @@ class SpsPolicy(Policy):
         below = ecdf.count_at_most(tau)
         # need[j]: the values <= tau that round j needs for tau to hold
         n = ecdf.count - start
-        need = self.need_column(np.arange(n + 1, n + end + 1))
+        need = ecdf.cutoff_ranks(self.alpha, self.epsilon, np.arange(n + 1, n + end + 1))
         # below never falls and need never decreases, so tau can first
         # fall short where need rises (or at the block's first round)
         rises = np.empty(end, dtype=bool)

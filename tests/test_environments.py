@@ -128,6 +128,8 @@ class TestDistributions:
             make_distribution("beta", {"p": -1.0, "q": 2.0})
         with pytest.raises(EnvironmentConfigError):
             make_distribution("pointmix", {"atoms": (1.0,), "weights": (0.5,)})
+        with pytest.raises(EnvironmentConfigError, match="matching nonempty atoms/weights"):
+            make_distribution("pointmix", {"atoms": (0.2, 0.5), "weights": (1.0,)})
         with pytest.raises(EnvironmentConfigError):
             make_distribution("cauchy", {})
         with pytest.raises(EnvironmentConfigError):
@@ -210,6 +212,24 @@ class TestScoreLog:
         path.write_bytes(b"\xef\xbb\xbfround_id,gt_score,cand_0\n0,0.5,0.5\n")
         scores, candidates = load_score_log(path)
         assert scores.tolist() == [0.5] and candidates.tolist() == [[0.5]]
+
+    def test_blank_row_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("round_id,gt_score\n0,0.5\n\n2,0.7\n")
+        assert load_score_log(path)[0].tolist() == [0.5, 0.7]
+
+    @pytest.mark.parametrize("row, error", [
+        ("2,high,0.7", "could not convert string to float: 'high'"),
+        ("2,0.7,high", "could not convert string to float: 'high'"),
+        ("2,inf,inf", "non-finite gt_score"),
+        ("2,nan", "non-finite gt_score"),
+    ], ids=["gt_score-text", "candidate-text", "gt_score-inf", "gt_score-nan"])
+    def test_bad_field_rejected_at_its_line(self, tmp_path, row, error):
+        # the blank line 3 is skipped, and still counted
+        path = tmp_path / "bad.csv"
+        path.write_text(f"round_id,gt_score,cand_0\n0,0.5,0.5\n\n{row}\n")
+        with pytest.raises(EnvironmentConfigError, match=rf"bad\.csv:4: {error}"):
+            load_score_log(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -485,3 +505,29 @@ class TestBundledData:
         scores, candidates = load_score_log(path)
         assert len(scores) == 500
         assert candidates.shape == (500, 10) and not np.isnan(candidates).any()
+
+
+class TestBidPool:
+    def test_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("1.5\n\n  \n2.5\n")
+        assert load_bid_pool(path) == [1.5, 2.5]
+
+    @pytest.mark.parametrize("line, error", [
+        ("high", "could not convert string to float: 'high'"),
+        ("inf", "non-finite bid"),
+        ("nan", "non-finite bid"),
+    ], ids=["text", "inf", "nan"])
+    def test_bad_bid_rejected_at_its_line(self, tmp_path, line, error):
+        # the blank line 2 is skipped, and still counted
+        path = tmp_path / "pool.csv"
+        path.write_text(f"1.5\n\n{line}\n2.5\n")
+        with pytest.raises(EnvironmentConfigError, match=rf"pool\.csv:3: {error}"):
+            load_bid_pool(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["no-lines", "blank-lines"])
+    def test_empty_pool_rejected(self, tmp_path, text):
+        path = tmp_path / "pool.csv"
+        path.write_text(text)
+        with pytest.raises(EnvironmentConfigError, match=r"pool\.csv: bid pool is empty"):
+            load_bid_pool(path)

@@ -347,9 +347,20 @@ class TestLoadConfig:
          r"\[environment\] unknown key 'path'"),
         ("kind = synthetic\n", "kind = auction\npool = bids.csv\n",
          r"\[environment\] sets both pool and distribution"),
+        ("[policy:sps]\nkind = sps\n", "", r"at least one \[policy:\*\] section is required"),
+        ("kind = synthetic\n", "", r"\[environment\] requires a 'kind' key"),
+        ("kind = synthetic\n", "kind = synthetc\n", r"\[environment\] unknown kind 'synthetc'"),
+        ("distribution = uniform\n", "distribution = unifrom\n",
+         r"\[environment\] unknown distribution 'unifrom'"),
+        ("kind = synthetic\ndistribution = uniform\na = 0.0\nb = 1.0\n",
+         "kind = score_log\npath = scores.csv\nsampling = shuffled\n",
+         r"\[environment\] unknown sampling mode 'shuffled'"),
+        ("kind = sps\n", "kind = spss\n", r"\[policy:sps\] unknown policy kind 'spss'"),
     ], ids=["misspelt-grid", "sps-gamma", "etc-tau_init", "experiment", "environment",
             "section", "default", "synthetic-pool", "synthetic-bidders", "synthetic-sampling",
-            "uniform-mu", "auction-path", "auction-pool-and-distribution"])
+            "uniform-mu", "auction-path", "auction-pool-and-distribution", "no-policy",
+            "no-environment-kind", "environment-kind", "distribution", "sampling-mode",
+            "policy-kind"])
     def test_key_or_section_nothing_reads_rejected(self, tmp_path, old, new, error):
         body = BASE_CONFIG.format(out="res", trace="false").replace(old, new)
         with pytest.raises(ConfigError, match=error):
@@ -366,8 +377,20 @@ class TestLoadConfig:
          "distribution = gaussian\nmu = nan\nsigma = 1.0\n",
          r"\[environment\] mu = 'nan': not a finite"),
         ("alpha = 0.9\n", "alpha = inf\n", r"\[experiment\] alpha = 'inf': not a finite"),
-    ], ids=["gamma", "tau_init", "weights", "mu", "alpha"])
+        ("alpha = 0.9\n", "alpha = high\n", r"\[experiment\] alpha = 'high': not a number"),
+        ("trace = false\n", "trace = maybe\n",
+         r"\[experiment\] trace = 'maybe': not a boolean"),
+        ("runs = 3\n", "runs = 0\n", r"runs must be >= 1, got 0"),
+        ("horizon = 200\n", "horizon = 1\n", r"horizon must be >= 2, got 1"),
+        ("distribution = uniform\na = 0.0\nb = 1.0\n\n[policy:sps]\nkind = sps\n",
+         "distribution = gaussian\nmu = 0.0\nsigma = 1.0\n\n[policy:sps]\nkind = dlr\n",
+         r"\[policy:sps\] dlr needs tau_init: environment score range is unbounded below"),
+    ], ids=["gamma", "tau_init", "weights", "mu", "alpha", "alpha-not-a-number",
+            "trace-not-a-boolean", "runs", "horizon", "dlr-unbounded-below"])
     def test_non_finite_number_rejected(self, tmp_path, old, new, error):
+        # and the other values the config cannot use: a number or boolean
+        # that does not parse, a size out of range, a DLR start the
+        # environment cannot supply
         body = BASE_CONFIG.format(out="res", trace="false").replace(old, new)
         with pytest.raises(ConfigError, match=error):
             load_config(write_config(tmp_path, body))

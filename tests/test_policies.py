@@ -211,15 +211,23 @@ class TestSpsLevelColumn:
     @pytest.mark.parametrize("horizon", [1200, 10**4, 10**5])
     @pytest.mark.parametrize("alpha", [ALPHA, 0.5, 1 / 3])
     def test_every_n_matches_epsilon(self, horizon, alpha):
-        # the level `play` builds its need column from is the level the
-        # per-round cutoff queries, bit for bit
+        # the need column `play` builds is the ranks the per-round cutoff
+        # answers: the level numpy computes is the level it queries, bit
+        # for bit, and each rank is order_index of that level plus one
         e = TruncatedEcdf(horizon)
-        expected = []
-        for _ in range(self.N):
+        levels, ranks = [], []
+        for n in range(1, self.N + 1):
             e.insert(0.0)
-            expected.append(1 - alpha - e.epsilon())
-        column = e.band_level_column(alpha, np.arange(1, self.N + 1))
-        assert column.tobytes() == np.array(expected).tobytes()
+            level = 1 - alpha - e.epsilon()
+            levels.append(level)
+            ranks.append(0 if level < -LEVEL_TOL else order_index(n, level) + 1)
+        column = []
+        index = cdf_band.order_index_column
+        with mock.patch.object(cdf_band, "order_index_column",
+                               lambda n, level: column.append(level) or index(n, level)):
+            need = e.cutoff_ranks(alpha, None, np.arange(1, self.N + 1))
+        assert column[0].tobytes() == np.array(levels).tobytes()
+        assert need.tolist() == ranks
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["sps", "greedy"]),
@@ -232,7 +240,8 @@ class TestSpsLevelColumn:
         # sample, where SPS's level crosses 0, and from a size far on
         policy = PolicySpec(kind=kind, alpha=alpha, horizon=horizon).build()
         for sizes in (np.arange(1, 5001), np.arange(first, first + 5000)):
-            assert (np.diff(policy.need_column(sizes)) >= 0).all()
+            need = policy.ecdf.cutoff_ranks(policy.alpha, policy.epsilon, sizes)
+            assert (np.diff(need) >= 0).all()
 
 
 class TestGreedy:
@@ -746,8 +755,14 @@ class TestPlayMatchesReference:
         # at t = 16 the level is -5e-10: inside LEVEL_TOL, so the cutoff
         # is the least value, not -inf, and tau rises from -inf there
         spec = PolicySpec(kind="sps", alpha=0.4635084939276632, horizon=100)
-        level = spec.build().ecdf.band_level_column(spec.alpha, [15, 16, 17])
-        assert level[0] < -LEVEL_TOL <= level[1] < 0.0 < level[2]
+        e = spec.build().ecdf
+        level = []
+        for _ in range(17):
+            e.insert(0.0)
+            level.append(1 - spec.alpha - e.epsilon())
+        assert level[14] < -LEVEL_TOL <= level[15] < 0.0 < level[16]
+        ranks = e.cutoff_ranks(spec.alpha, None, [15, 16])
+        assert ranks[0] == 0 and ranks[1] >= 1
         scores = np.random.default_rng(12).random(40).tolist()
         assert_play_matches_reference(spec, scores, [40])
         taus = spec.build().play(np.array(scores))
