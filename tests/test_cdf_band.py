@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from heapq import heappush
 from unittest import mock
 
 import numpy as np
@@ -431,9 +432,21 @@ class TestOrderIndexColumn:
 
 
 def insert_each(e, values):
-    """The reference for `extend`: `insert` one value at a time."""
+    """The reference for `extend`: record one value at a time, written out
+    apart from it, so a fault in `extend`'s tier rules shows here."""
     for v in values:
-        e.insert(v)
+        value = float(v) + 0.0
+        if not math.isfinite(value):
+            raise ValueError(f"recorded score must be finite, got {value}")
+        if value > e._fence:
+            e._far_values.append(value)
+        elif value > e._top:
+            heappush(e._high, value)
+        elif value < e._top:
+            e._pile.append(value)
+        else:
+            e._ties += 1
+        e._count += 1
 
 
 def far_tier(e):
