@@ -446,10 +446,14 @@ class AuctionEnv(SyntheticEnv):
         """The top bid of each of n rounds; auctions carry no candidates."""
         bids = self.dist.sample(rng, (n, self.bidders))
         # `bids.max(axis=1)`, bit for bit, as a chained maximum over the
-        # columns, which is much faster for a few bidders
+        # columns, which is much faster for a few bidders.  A row with a
+        # NaN is NaN either way, but which NaN's bits the row max keeps
+        # depends on where it sits, so such a draw takes the row max.
         top = np.maximum(bids[:, 0], bids[:, 1])
         for column in range(2, self.bidders):
             np.maximum(top, bids[:, column], out=top)
+        if np.isnan(top).any():
+            return bids.max(axis=1), None
         return top, None
 
     def oracle_cdf(self):

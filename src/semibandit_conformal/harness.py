@@ -3,8 +3,13 @@
 `run_single` draws a run's scores as one column, plays the policy over
 it, and returns the run as `metrics.RunColumns`: numpy columns tau,
 covered and set_size, plus inst_regret, cum_regret and undercover
-derived from them.  Outputs (floats at 12 significant digits,
--inf spelled ``-inf``, +inf ``inf``; each written to a temp file first):
+derived from them.  `run_batch` reduces each run at once to a
+`RunSample`, what summary.csv and sweep.csv read of it at the logging
+checkpoints, and keeps its per-round columns only when the trace is on,
+so a trace-off batch holds O(runs x checkpoints) numbers, not O(runs x T).
+
+Outputs (floats at 12 significant digits, -inf spelled ``-inf``, +inf
+``inf``; each written to a temp file first):
 
     summary.csv  policy,t,metric,mean,ci_lo,ci_hi
     sweep.csv    policy,param,value,mean_final_regret,selected
@@ -37,7 +42,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, PolicyEntry, load_config  # noqa: F401
 from .environments import set_size
-from .metrics import _POWERS_OF_TEN, RunColumns, coverage_rate, undercoverage_count
+from .metrics import _POWERS_OF_TEN, RunColumns
 from .policies import PolicySpec
 
 
@@ -89,33 +94,63 @@ def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int) -> RunColumns
     for start in range(0, cfg.horizon, BLOCK_ROUNDS):
         block = slice(start, start + BLOCK_ROUNDS)
         taus[block] = play(scores[block])
-    return RunColumns.derive(taus, scores >= taus, set_size(candidates, taus),
+    covered, sizes = scores >= taus, set_size(candidates, taus)
+    # the regret columns are derived without the scores, candidates and policy
+    del scores, candidates, play
+    return RunColumns.derive(taus, covered, sizes,
                              env.oracle_tau_star(cfg.alpha), env.oracle_cdf(), cfg.loss)
+
+
+def _running_count(flags: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """`np.cumsum(flags)[at]` for increasing indices `at`, as exact int64
+    counts: one sum per stretch between checkpoints, then their running
+    sum, without a running column as long as the run."""
+    starts = np.concatenate(([0], at[:-1] + 1))
+    return np.cumsum(np.add.reduceat(flags[:at[-1] + 1], starts, dtype=np.int64))
+
+
+@dataclass(frozen=True, eq=False)
+class RunSample:
+    """What summary.csv and sweep.csv read of one run: entry i holds round
+    t = checkpoints[i], and the last checkpoint is the horizon."""
+
+    cum_regret: np.ndarray  # float64 cum_regret at t
+    covered: np.ndarray     # int64 covered rounds in 1..t
+    undercover: np.ndarray  # int64 undercovering rounds in 1..t
+
+    @classmethod
+    def of(cls, run: RunColumns, at: np.ndarray) -> "RunSample":
+        """The run at the checkpoint indices `at` (checkpoints minus one)."""
+        return cls(run.cum_regret[at], _running_count(run.covered, at),
+                   _running_count(run.undercover, at))
 
 
 @dataclass
 class BatchResult:
     summary_rows: list[tuple]   # (policy, t, metric, mean, ci_lo, ci_hi)
     sweep_rows: list[tuple]     # (policy, param, value, mean_final_regret, selected)
-    traces: list[tuple[int, str, RunColumns]]  # (run_id, policy, run) per selected run
+    # (run_id, policy, run) per selected run; run holds the per-round
+    # columns when the trace is on, else None
+    traces: list[tuple[int, str, RunColumns | None]]
     selected: dict[str, str]    # policy_id -> winning grid_key
 
 
-def _aggregate(policy_id: str, runs: list[RunColumns],
+def _aggregate(policy_id: str, samples: list[RunSample],
                checkpoints: list[int]) -> list[tuple]:
     """Summary rows: mean and 95% CI of each metric at each checkpoint.
 
     Each metric is one C-contiguous (checkpoint x run) matrix, so every
     row reduces as one contiguous 1-D sum, the same pairwise sum that
     `np.mean` gives one checkpoint's values; a strided reduction over the
-    transpose would sum in another order.
+    transpose would sum in another order.  A covered count over t is
+    `metrics.coverage_rate` at t bit for bit: both divide exact integers.
     """
-    at = np.asarray(checkpoints) - 1
-    n = len(runs)
+    t = np.asarray(checkpoints)
+    n = len(samples)
     columns = {
-        "cum_regret": [run.cum_regret[at] for run in runs],
-        "coverage_rate": [coverage_rate(run.covered)[at] for run in runs],
-        "undercoverage_count": [undercoverage_count(run.undercover)[at] for run in runs],
+        "cum_regret": [sample.cum_regret for sample in samples],
+        "coverage_rate": [sample.covered / t for sample in samples],
+        "undercoverage_count": [sample.undercover for sample in samples],
     }
     per_metric = []
     for metric, cols in columns.items():
@@ -136,13 +171,16 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
 
     Swept parameters are selected by lowest mean final cumulative regret;
     summary checkpoints and traces come from the selected grid point.
+    Each run is reduced to its `RunSample` as soon as it returns; its
+    per-round columns are kept only when the trace is on, for trace.csv.
     """
     if cfg.runs == 1:
         warnings.warn("runs = 1: confidence intervals degenerate to zero width")
     checkpoints = checkpoint_grid(cfg.horizon)
+    at = np.asarray(checkpoints) - 1
     summary_rows: list[tuple] = []
     sweep_rows: list[tuple] = []
-    traces: list[tuple[int, str, RunColumns]] = []
+    traces: list[tuple[int, str, RunColumns | None]] = []
     selected: dict[str, str] = {}
 
     for entry in cfg.policies:
@@ -151,20 +189,25 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
         best_final = math.inf
         for grid_key, overrides in points:
             spec = cfg.policy_spec(entry, overrides)
-            runs = []
+            samples, runs = [], []
             for run_idx in range(cfg.runs):
                 seed = derive_seed(cfg.seed, entry.policy_id, grid_key, run_idx)
                 try:
-                    runs.append(run_single(cfg, spec, seed))
+                    run = run_single(cfg, spec, seed)
                 except Exception as exc:
                     raise RunError(
                         f"run failed: policy={entry.policy_id} grid={grid_key!r} "
                         f"run={run_idx} seed={seed}: {exc}"
                     ) from exc
-            final = float(np.mean([run.cum_regret[-1] for run in runs]))
+                samples.append(RunSample.of(run, at))
+                runs.append(run if cfg.trace else None)
+                # not held through the next run
+                del run
+            final = float(np.mean([sample.cum_regret[-1] for sample in samples]))
             # strict: ties keep the earlier grid point
             if final < best_final:
-                best_key, best_final, best_runs = grid_key, final, runs
+                best_key, best_final = grid_key, final
+                best_samples, best_runs = samples, runs
             finals.append(final)
         selected[entry.policy_id] = best_key
         if len(points) > 1:
@@ -174,7 +217,7 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
                     entry.policy_id, param, grid_key.split("=", 1)[1], final,
                     int(grid_key == best_key),
                 ))
-        summary_rows.extend(_aggregate(entry.policy_id, best_runs, checkpoints))
+        summary_rows.extend(_aggregate(entry.policy_id, best_samples, checkpoints))
         traces.extend((run_idx, entry.policy_id, run)
                       for run_idx, run in enumerate(best_runs))
     return BatchResult(summary_rows, sweep_rows, traces, selected)

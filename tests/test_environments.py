@@ -4,7 +4,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semibandit_conformal.cdf_band import NEG_INF, POS_INF
@@ -331,6 +331,9 @@ class TestAuctionEnv:
     @given(pool=st.lists(st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 1.0])
                          | st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8),
            bidders=st.integers(2, 5), seed=st.integers(0, 2**63), n=st.integers(1, 200))
+    # a NaN whose payload the row max drops but a maximum of two keeps
+    @example(pool=np.array([0x7FF8000000000001], dtype=np.uint64).view(float).tolist(),
+             bidders=2, seed=0, n=1)
     def test_top_bid_is_the_row_max_bit_for_bit(self, pool, bidders, seed, n):
         # ties of -0.0 and 0.0, NaN and +-inf among the bids: the draw's
         # column-by-column maximum keeps the same bits as the row max

@@ -3,6 +3,8 @@ import errno
 import json
 import math
 import os
+import tracemalloc
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -579,7 +581,8 @@ class TestRunBatch:
             run_batch(small_cfg(runs=1, horizon=50))
 
     def test_aggregation_against_direct_recompute(self):
-        cfg = small_cfg(horizon=150, runs=3)
+        # the trace keeps the selected runs' per-round columns
+        cfg = small_cfg(horizon=150, runs=3, trace=True)
         result = run_batch(cfg)
         per_run = [run for _, _, run in result.traces]
         assert len(per_run) == 3
@@ -989,8 +992,52 @@ class TestAggregate:
                            undercover=rng.random(horizon) < 0.1)
                 for _ in range(n_runs)]
         checkpoints = checkpoint_grid(horizon)
-        assert (harness._aggregate("sps", runs, checkpoints)
+        at = np.asarray(checkpoints) - 1
+        samples = [harness.RunSample.of(run, at) for run in runs]
+        assert (harness._aggregate("sps", samples, checkpoints)
                 == reference_aggregate("sps", runs, checkpoints))
+
+
+class TestTraceOffBatch:
+    """A trace-off batch keeps a checkpoint sample per run, not its columns."""
+
+    @staticmethod
+    def peak_bytes(runs):
+        cfg = small_cfg(horizon=20000, runs=runs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tracemalloc.start()
+            try:
+                result = run_batch(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(result.traces) == runs
+        assert all(run is None for _, _, run in result.traces)
+        return peak
+
+    def test_memory_does_not_grow_with_runs(self):
+        # each run's columns are about 0.5 MB at T = 20000; runs = 1 goes
+        # first and takes any one-time allocation
+        one = self.peak_bytes(1)
+        assert self.peak_bytes(8) - one < 2**20
+
+    def test_trace_on_and_off_write_the_same_outputs(self, tmp_path):
+        policies = [PolicyEntry(policy_id="sps", kind="sps"),
+                    PolicyEntry(policy_id="etc", kind="etc", grid=("m", (10, 50, 100)))]
+        results = {}
+        for trace in (False, True):
+            cfg = small_cfg(policies=policies, horizon=400, runs=3, trace=trace,
+                            out=str(tmp_path / f"trace-{trace}"))
+            result = run_batch(cfg)
+            written = emit_csv(result, cfg)
+            assert ("trace.csv" in written) == trace
+            assert all((run is not None) == trace for _, _, run in result.traces)
+            results[trace] = (len(result.traces),
+                              Path(written["summary.csv"]).read_bytes(),
+                              Path(written["sweep.csv"]).read_bytes())
+        assert results[False][0] == 6
+        assert results[False] == results[True]
 
 
 class TestCli:

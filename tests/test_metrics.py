@@ -298,6 +298,9 @@ class TestCumRegret:
         [0.0999999] + [1e-9] * 300,         # crosses 0.1 after 100 steps
         [1.0] + [5e-12] * 50,               # every step is a half-unit tie
         [1.0] + [1.5e-11] * 50,
+        # 621.5 units of 1e-11: the scalar fold adds 621 units 364 times
+        # and 622 units 1636 times, so a tie's rounding is not one per decade
+        [1.0] + [6.215e-09] * 2000,
         [0.1 + 0.2] + [0.3] * 50,           # first element not 12-digit rounded
         [1e-13] + [1e-13] * 300,            # sums below 1e-11 take scalar steps
         [0.0] * 40 + [2.0] * 40 + [0.0] * 40,
