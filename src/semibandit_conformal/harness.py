@@ -385,10 +385,13 @@ def emit_csv(result: BatchResult, cfg: ExperimentConfig) -> dict[str, str]:
     result files whole, never a truncated one, and removes the temporary
     files.  Once all are in place, result files this run did not write
     (an earlier run's trace.csv or sweep.csv) are removed, so every
-    result file in the directory comes from this run.
+    result file in the directory comes from this run.  A trace asked of
+    a batch that ran with the trace off is refused before any write.
     """
     if not result.summary_rows:
         raise ValueError("nothing to emit: empty batch result")
+    if cfg.trace and any(run is None for _, _, run in result.traces):
+        raise ValueError("nothing to trace: the batch ran with the trace off")
     bodies = {"summary.csv": [_render_rows("policy,t,metric,mean,ci_lo,ci_hi",
                                             result.summary_rows).encode()]}
     if result.sweep_rows:

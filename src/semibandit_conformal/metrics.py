@@ -8,8 +8,8 @@ K-Lipschitz in G* with K = max(lambda1, lambda2).
 
 Regret is computed as columns and rounded at 12 significant digits, the
 CSV precision: `inst_regret` per round (rounded by `round12`), and
-`cum_regret` as the running sum rounded at every step.  Each column is
-bit for bit what the per-value f-string rule gives.
+`cum_regret` as the running sum rounded at every step, in integer grid
+sums.  Each column is bit for bit what the per-value f-string rule gives.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def _grid_run(out, inst, k: int, end: int, c: float) -> int:
     10**12 units.  0 means the rule is unproven here and scalar steps
     must be taken: that first x is at k, the first step is a half-unit
     tie, c has no grid (see `_grid`), or the first step leaves the
-    decade.  A window of one repeated x goes to `_constant_run`.
+    decade.  A window of one valid, untied repeated x is one `np.arange`.
     """
     grid = _grid(c)
     if grid is None:
@@ -187,8 +187,12 @@ def _grid_run(out, inst, k: int, end: int, c: float) -> int:
     n, scale = grid
     x = inst[k:end]
     if x[0] == x[-1] and (x == x[0]).all():
-        m = _constant_run(out, inst, k, end, c)
-        if m:
+        q = float(x[0]) * scale
+        if 0.0 <= q < 10.0**12 and abs(q - math.floor(q) - 0.5) > HALF_UNIT_MARGIN:
+            r = math.floor(q + 0.5)
+            m = len(x) if not r else min(len(x), (10**12 - 1 - n) // r)
+            np.divide(n + r * np.arange(1, m + 1, dtype=np.int64), scale,
+                      out=out[k:k + m])
             return m
     q = x * scale
     with np.errstate(invalid="ignore"):
@@ -222,36 +226,6 @@ def _grid_run(out, inst, k: int, end: int, c: float) -> int:
     return m
 
 
-def _constant_run(out, inst, k: int, end: int, c: float) -> int:
-    """Steps over inst[k:end], all equal to x = inst[k], in closed form:
-    one `np.arange` of r-unit steps per decade, and one `_step` into the
-    next decade.  Writes out[k:end] and returns how many steps were
-    written: to end, or to where x is a half-unit tie on c's grid, is
-    negative or not finite, or c has no grid."""
-    x = float(inst[k])
-    start = k
-    while k < end:
-        grid = _grid(c)
-        if grid is None:
-            break
-        n, scale = grid
-        q = x * scale
-        if not (0.0 <= q < 10.0**12 and abs(q - math.floor(q) - 0.5) > HALF_UNIT_MARGIN):
-            break
-        r = math.floor(q + 0.5)
-        steps = end - k if not r else min(end - k, (10**12 - 1 - n) // r)
-        if steps:
-            np.divide(n + r * np.arange(1, steps + 1, dtype=np.int64), scale,
-                      out=out[k:k + steps])
-            k += steps
-            c = float(out[k - 1])
-        if k < end:
-            # the step that leaves the decade
-            c = out[k] = _step(c, x)
-            k += 1
-    return k - start
-
-
 def cum_regret(inst) -> np.ndarray:
     """Running sum of a per-round regret column, folded in round order.
 
@@ -262,12 +236,13 @@ def cum_regret(inst) -> np.ndarray:
     GRID_WINDOW_MAX rounds: while c stays in the decade [10**e, 10**(e+1))
     of the grid u = 10**(e-11), each step adds r_t = round(x_t/u) grid
     units, so the sums are integer prefix sums, and a window of one
-    repeated x adds r units a step in closed form (`_constant_run`).
-    Where that is unproven the scalar step is taken: on the first round,
-    at a half-unit tie, at the step that leaves a decade, and wherever x
-    or c rules the grid out.  A leading stretch of zeros, where c has no
-    grid, is one IEEE running sum: each step adds two zeros, which gives
-    -0.0 only while every term is -0.0, and the 12-digit rounding keeps it.
+    repeated x adds r units a step in closed form.  Where that is
+    unproven this loop takes the scalar step: on the first round, at a
+    half-unit tie, at the step that leaves a decade (every grid run ends
+    at its decade edge, closed form or not), and wherever x or c rules
+    the grid out.  A leading stretch of zeros, where c has no grid, is one
+    IEEE running sum: each step adds two zeros, which gives -0.0 only
+    while every term is -0.0, and the 12-digit rounding keeps it.
     """
     inst = np.asarray(inst, dtype=float)
     out = np.empty(len(inst))

@@ -712,6 +712,20 @@ class TestEmitCsv:
         assert set(written) == {"summary.csv", "meta.json"}
         assert {p.name for p in out.iterdir()} == {"summary.csv", "meta.json", "notes.txt"}
 
+    def test_trace_of_a_trace_off_batch_is_refused(self, tmp_path):
+        # the batch kept no per-round columns, so there is no trace to write;
+        # the refusal comes before any temporary file
+        out = tmp_path / "res"
+        cfg = small_cfg(horizon=100, runs=2, trace=True, out=str(out))
+        emit_csv(run_batch(cfg), cfg)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        rerun = dataclasses.replace(cfg, seed=8, trace=False)
+        result = run_batch(rerun)
+        rerun = dataclasses.replace(rerun, trace=True)
+        with pytest.raises(ValueError, match="trace off"):
+            emit_csv(result, rerun)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_set_size_empty_on_rounds_without_candidates(self, tmp_path):
         (tmp_path / "scores.csv").write_text(
             "round_id,gt_score,cand_0,cand_1\n0,0.5,0.5,0.9\n1,0.7\n")

@@ -305,6 +305,10 @@ class TestCumRegret:
         [1e-13] + [1e-13] * 300,            # sums below 1e-11 take scalar steps
         [0.0] * 40 + [2.0] * 40 + [0.0] * 40,
         [], [0.7], [math.nan] * 20, [math.inf] + [1.0] * 20,
+        # c on the last unit of its decade: a constant window writes no
+        # step in closed form, and the step out of the decade is scalar
+        [9.99999999999] + [1e-11] * 100,
+        [0.999999999999] + [1e-12] * 50,
     ])
     def test_edge_cases_match_scalar_fold(self, inst):
         assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
@@ -339,33 +343,33 @@ class TestCumRegret:
 
     @staticmethod
     def _count_runs(monkeypatch):
-        # (grid runs taken, steps `_constant_run` wrote)
-        runs, closed = [], []
-        grid_run, constant_run = metrics._grid_run, metrics._constant_run
+        # (grid runs taken, scalar steps taken)
+        runs, steps = [], []
+        grid_run, step = metrics._grid_run, metrics._step
         monkeypatch.setattr(metrics, "_grid_run",
                             lambda *a: runs.append(1) or grid_run(*a))
-        monkeypatch.setattr(metrics, "_constant_run",
-                            lambda *a: closed.append(constant_run(*a)) or closed[-1])
-        return runs, closed
+        monkeypatch.setattr(metrics, "_step",
+                            lambda c, x: steps.append(1) or step(c, x))
+        return runs, steps
 
     @pytest.mark.parametrize("x", [0.0123, 0.000456, 7.0, 3e-9, 0.5])
     def test_constant_column_takes_the_closed_form(self, monkeypatch, x):
-        # every step after the first is `_constant_run`'s, through every
-        # decade; a fall back to the windowed runs would write none
-        runs, closed = self._count_runs(monkeypatch)
+        # the only scalar steps are those that leave a decade, and each
+        # decade takes a grid run or two as the windows grow
+        runs, steps = self._count_runs(monkeypatch)
         inst = np.full(10_000, x)
         assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
-        assert sum(closed) == len(inst) - 1
         decades = math.floor(math.log10(x * len(inst))) - math.floor(math.log10(x)) + 1
+        assert len(steps) == decades - 1
         assert len(runs) <= 2 * decades
 
     def test_constant_stretches_take_the_closed_form(self, monkeypatch):
-        runs, closed = self._count_runs(monkeypatch)
+        runs, steps = self._count_runs(monkeypatch)
         inst = np.repeat([0.0123, 0.000456, 0.0, 2.0], [10_000, 3000, 500, 20_000])
         assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
         # the windows that straddle a change of value take the general run
-        assert sum(closed) >= 0.8 * len(inst)
         assert len(runs) <= 16
+        assert len(steps) <= 6
 
     def test_varying_column_skips_scalar_steps(self, monkeypatch):
         # the steps left to `_step` are the first round's, those that leave
