@@ -179,21 +179,13 @@ def _grid_run(out, inst, k: int, end: int, c: float) -> int:
     10**12 units.  0 means the rule is unproven here and scalar steps
     must be taken: that first x is at k, the first step is a half-unit
     tie, c has no grid (see `_grid`), or the first step leaves the
-    decade.  A window of one valid, untied repeated x is one `np.arange`.
+    decade.
     """
     grid = _grid(c)
     if grid is None:
         return 0
     n, scale = grid
     x = inst[k:end]
-    if x[0] == x[-1] and (x == x[0]).all():
-        q = float(x[0]) * scale
-        if 0.0 <= q < 10.0**12 and abs(q - math.floor(q) - 0.5) > HALF_UNIT_MARGIN:
-            r = math.floor(q + 0.5)
-            m = len(x) if not r else min(len(x), (10**12 - 1 - n) // r)
-            np.divide(n + r * np.arange(1, m + 1, dtype=np.int64), scale,
-                      out=out[k:k + m])
-            return m
     q = x * scale
     with np.errstate(invalid="ignore"):
         # NaN fails both comparisons, +inf the second (its inf - inf warns)
@@ -235,11 +227,10 @@ def cum_regret(inst) -> np.ndarray:
     fold bit for bit, taken as grid runs (`_grid_run`) of up to
     GRID_WINDOW_MAX rounds: while c stays in the decade [10**e, 10**(e+1))
     of the grid u = 10**(e-11), each step adds r_t = round(x_t/u) grid
-    units, so the sums are integer prefix sums, and a window of one
-    repeated x adds r units a step in closed form.  Where that is
-    unproven this loop takes the scalar step: on the first round, at a
-    half-unit tie, at the step that leaves a decade (every grid run ends
-    at its decade edge, closed form or not), and wherever x or c rules
+    units, so the sums are integer prefix sums, whether x varies or
+    repeats.  Where that is unproven this loop takes the scalar step: on
+    the first round, at a half-unit tie, at the step that leaves a decade
+    (every grid run ends at its decade edge), and wherever x or c rules
     the grid out.  A leading stretch of zeros, where c has no grid, is one
     IEEE running sum: each step adds two zeros, which gives -0.0 only
     while every term is -0.0, and the 12-digit rounding keeps it.

@@ -305,8 +305,8 @@ class TestCumRegret:
         [1e-13] + [1e-13] * 300,            # sums below 1e-11 take scalar steps
         [0.0] * 40 + [2.0] * 40 + [0.0] * 40,
         [], [0.7], [math.nan] * 20, [math.inf] + [1.0] * 20,
-        # c on the last unit of its decade: a constant window writes no
-        # step in closed form, and the step out of the decade is scalar
+        # c on the last unit of its decade: the grid run writes no step,
+        # and the step out of the decade is scalar
         [9.99999999999] + [1e-11] * 100,
         [0.999999999999] + [1e-12] * 50,
     ])
@@ -354,8 +354,9 @@ class TestCumRegret:
 
     @pytest.mark.parametrize("x", [0.0123, 0.000456, 7.0, 3e-9, 0.5])
     def test_constant_column_takes_the_closed_form(self, monkeypatch, x):
-        # the only scalar steps are those that leave a decade, and each
-        # decade takes a grid run or two as the windows grow
+        # the closed form is the grid run's integer prefix sum: the only
+        # scalar steps are those that leave a decade, and each decade
+        # takes a grid run or two as the windows grow
         runs, steps = self._count_runs(monkeypatch)
         inst = np.full(10_000, x)
         assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
@@ -367,7 +368,7 @@ class TestCumRegret:
         runs, steps = self._count_runs(monkeypatch)
         inst = np.repeat([0.0123, 0.000456, 0.0, 2.0], [10_000, 3000, 500, 20_000])
         assert cum_regret(inst).tobytes() == scalar_cum_regret(inst).tobytes()
-        # the windows that straddle a change of value take the general run
+        # a change of value inside a window costs no scalar step
         assert len(runs) <= 16
         assert len(steps) <= 6
 
