@@ -3,10 +3,12 @@
 `run_single` draws a run's scores as one column, plays the policy over
 it, and returns the run as `metrics.RunColumns`: numpy columns tau,
 covered and set_size, plus inst_regret, cum_regret and undercover
-derived from them.  `run_batch` reduces each run at once to a
-`RunSample`, what summary.csv and sweep.csv read of it at the logging
-checkpoints, and keeps its per-round columns only when the trace is on,
-so a trace-off batch holds O(runs x checkpoints) numbers, not O(runs x T).
+derived from them.  `run_batch` keeps a run's per-round columns only
+when the trace is on; with the trace off it asks `run_single` for the
+run's `RunSample`, what summary.csv and sweep.csv read of it at the
+logging checkpoints, played and reduced CHUNK_ROUNDS rounds at a time.
+A trace-off batch so holds O(runs x checkpoints) numbers, and its run
+the scores plus one chunk's columns, not O(T) columns.
 
 Outputs (floats at 12 significant digits, -inf spelled ``-inf``, +inf
 ``inf``; each written to a temp file first):
@@ -77,28 +79,65 @@ def checkpoint_grid(horizon: int) -> list[int]:
 # floats and ints some policies make of a block (ACI's and DLR's loops,
 # SPS's need column) are made one block at a time, never T at once.
 BLOCK_ROUNDS = 4096
+# Rounds played and reduced at a time by a trace-off run: a whole number
+# of blocks, so the block boundaries are those of a run played whole.
+CHUNK_ROUNDS = 4 * BLOCK_ROUNDS
 
 
-def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int) -> RunColumns:
+def _play(play, scores: np.ndarray) -> np.ndarray:
+    """The thresholds `play` gives over `scores`, fed BLOCK_ROUNDS at a time."""
+    taus = np.empty(len(scores))
+    for start in range(0, len(scores), BLOCK_ROUNDS):
+        block = slice(start, start + BLOCK_ROUNDS)
+        taus[block] = play(scores[block])
+    return taus
+
+
+def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int,
+               at: np.ndarray | None = None) -> RunColumns | RunSample:
     """One (environment, policy, seed) trajectory of exactly T rounds.
 
     The environment draws all T scores up front; the policy then plays
     them block by block with semi-bandit feedback (`Policy.play`: a
     score that clears tau is observed, any other is a miss).  Coverage
     and set sizes follow from the columns.
+
+    Without `at` the run is returned whole, as `RunColumns`.  With `at`,
+    increasing checkpoint indices ending at T - 1, it is returned as its
+    `RunSample` at them, played and reduced CHUNK_ROUNDS rounds at a time:
+    each chunk's columns are derived, sampled and dropped, and its last
+    cum_regret and its flag counts carry into the next, so no per-round
+    column but the scores outlives its chunk.  The sample is that of the
+    run played whole, bit for bit.
     """
     env = cfg.environment.build()
     scores, candidates = env.draw(np.random.default_rng(seed), cfg.horizon)
     play = spec.build().play
-    taus = np.empty(cfg.horizon)
-    for start in range(0, cfg.horizon, BLOCK_ROUNDS):
-        block = slice(start, start + BLOCK_ROUNDS)
-        taus[block] = play(scores[block])
-    covered, sizes = scores >= taus, set_size(candidates, taus)
-    # the regret columns are derived without the scores, candidates and policy
-    del scores, candidates, play
-    return RunColumns.derive(taus, covered, sizes,
-                             env.oracle_tau_star(cfg.alpha), env.oracle_cdf(), cfg.loss)
+    oracle = env.oracle_tau_star(cfg.alpha), env.oracle_cdf(), cfg.loss
+    if at is None:
+        taus = _play(play, scores)
+        covered, sizes = scores >= taus, set_size(candidates, taus)
+        # the regret columns are derived without the scores, candidates and policy
+        del scores, candidates, play
+        return RunColumns.derive(taus, covered, sizes, *oracle)
+    # only trace.csv reads set sizes
+    del candidates
+    # (cum_regret, covered, undercover) at each chunk's checkpoints
+    pieces = []
+    before, covered, undercover = None, 0, 0
+    for start in range(0, cfg.horizon, CHUNK_ROUNDS):
+        chunk = scores[start:start + CHUNK_ROUNDS]
+        taus = _play(play, chunk)
+        part = RunColumns.derive(taus, chunk >= taus, None, *oracle, before)
+        lo, hi = np.searchsorted(at, (start, start + len(chunk)))
+        if lo < hi:
+            piece = RunSample.of(part, at[lo:hi] - start)
+            pieces.append((piece.cum_regret, covered + piece.covered,
+                           undercover + piece.undercover))
+        before = float(part.cum_regret[-1])
+        covered += int(np.count_nonzero(part.covered))
+        undercover += int(np.count_nonzero(part.undercover))
+    return RunSample(*map(np.concatenate, zip(*pieces)))
 
 
 def _running_count(flags: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -171,8 +210,9 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
 
     Swept parameters are selected by lowest mean final cumulative regret;
     summary checkpoints and traces come from the selected grid point.
-    Each run is reduced to its `RunSample` as soon as it returns; its
-    per-round columns are kept only when the trace is on, for trace.csv.
+    Each run is reduced to its `RunSample`: from its per-round columns,
+    kept for trace.csv, when the trace is on, else chunk by chunk inside
+    `run_single`.
     """
     if cfg.runs == 1:
         warnings.warn("runs = 1: confidence intervals degenerate to zero width")
@@ -193,16 +233,18 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
             for run_idx in range(cfg.runs):
                 seed = derive_seed(cfg.seed, entry.policy_id, grid_key, run_idx)
                 try:
-                    run = run_single(cfg, spec, seed)
+                    if cfg.trace:
+                        run = run_single(cfg, spec, seed)
+                        sample = RunSample.of(run, at)
+                    else:
+                        run, sample = None, run_single(cfg, spec, seed, at)
                 except Exception as exc:
                     raise RunError(
                         f"run failed: policy={entry.policy_id} grid={grid_key!r} "
                         f"run={run_idx} seed={seed}: {exc}"
                     ) from exc
-                samples.append(RunSample.of(run, at))
-                runs.append(run if cfg.trace else None)
-                # not held through the next run
-                del run
+                samples.append(sample)
+                runs.append(run)
             final = float(np.mean([sample.cum_regret[-1] for sample in samples]))
             # strict: ties keep the earlier grid point
             if final < best_final:

@@ -100,7 +100,8 @@ def inst_regret(tau, tau_star: float, gstar, params: LossParams) -> np.ndarray:
 
 # Rounds one grid run looks at: 16 times as many as the last run wrote,
 # within these bounds.  A run ends at its decade edge, and the next decade
-# takes about 10 times as many rounds.
+# takes about 10 times as many rounds.  A fold that goes on from an earlier
+# sum starts at the largest window, as that sum has been growing already.
 GRID_WINDOW_MIN = 64
 GRID_WINDOW_MAX = 4096
 
@@ -218,34 +219,45 @@ def _grid_run(out, inst, k: int, end: int, c: float) -> int:
     return m
 
 
-def cum_regret(inst) -> np.ndarray:
+def cum_regret(inst, before: float | None = None) -> np.ndarray:
     """Running sum of a per-round regret column, folded in round order.
 
     Each step rounds the sum at 12 significant digits, the CSV precision,
     so a reader re-summing the emitted trace reproduces cum_regret exactly:
-    c_1 = x_1 and c_t = float(f"{c_{t-1} + x_t:.12g}").  The result is that
-    fold bit for bit, taken as grid runs (`_grid_run`) of up to
-    GRID_WINDOW_MAX rounds: while c stays in the decade [10**e, 10**(e+1))
-    of the grid u = 10**(e-11), each step adds r_t = round(x_t/u) grid
-    units, so the sums are integer prefix sums, whether x varies or
-    repeats.  Where that is unproven this loop takes the scalar step: on
-    the first round, at a half-unit tie, at the step that leaves a decade
-    (every grid run ends at its decade edge), and wherever x or c rules
-    the grid out.  A leading stretch of zeros, where c has no grid, is one
-    IEEE running sum: each step adds two zeros, which gives -0.0 only
-    while every term is -0.0, and the 12-digit rounding keeps it.
+    c_1 = x_1 and c_t = float(f"{c_{t-1} + x_t:.12g}").  With `before`, the
+    running sum of the rounds ahead of inst[0], the fold goes on from it,
+    c_1 = float(f"{before + x_1:.12g}"), so a column folded piece by piece,
+    each piece from the last sum of the one before, is the column folded
+    whole.  The result is that fold bit for bit, taken as grid runs
+    (`_grid_run`) of up to GRID_WINDOW_MAX rounds: while c stays in the
+    decade [10**e, 10**(e+1)) of the grid u = 10**(e-11), each step adds
+    r_t = round(x_t/u) grid units, so the sums are integer prefix sums,
+    whether x varies or repeats.  Where that is unproven this loop takes
+    the scalar step: on the first round, at a half-unit tie, at the step
+    that leaves a decade (every grid run ends at its decade edge), and
+    wherever x or c rules the grid out.  A stretch of zeros from a zero c,
+    where c has no grid, is one IEEE running sum: each step adds two
+    zeros, which gives -0.0 only while every term is -0.0, and the
+    12-digit rounding keeps it.
     """
     inst = np.asarray(inst, dtype=float)
     out = np.empty(len(inst))
     if not len(inst):
         return out
-    k = 1
-    if inst[0] == 0.0:
-        nonzero = inst != 0.0
-        k = int(nonzero.argmax()) if nonzero.any() else len(inst)
-    np.add.accumulate(inst[:k], out=out[:k])
-    c = float(out[k - 1])
-    window = GRID_WINDOW_MIN
+    if before is None:
+        k = 1
+        out[0] = c = float(inst[0])
+    else:
+        k, c = 0, float(before)
+    if c == 0.0:
+        nonzero = inst[k:] != 0.0
+        zeros = int(nonzero.argmax()) if nonzero.any() else len(nonzero)
+        if zeros:
+            np.add.accumulate(inst[k:k + zeros], out=out[k:k + zeros])
+            out[k:k + zeros] += c
+            k += zeros
+            c = float(out[k - 1])
+    window = GRID_WINDOW_MIN if before is None else GRID_WINDOW_MAX
     # scalar steps after a grid run that stopped short: one, or twice as
     # many as last time when the run could not start
     scalar = 1
@@ -302,10 +314,12 @@ class RunColumns:
 
     @classmethod
     def derive(cls, tau, covered, set_size, tau_star: float, gstar,
-               params: LossParams) -> "RunColumns":
-        """Fill in the regret and undercoverage columns of a played run."""
+               params: LossParams, before: float | None = None) -> "RunColumns":
+        """Fill in the regret and undercoverage columns of a played run, or
+        of a stretch of one whose earlier rounds summed to cum_regret
+        `before` (see `cum_regret`)."""
         inst = inst_regret(tau, tau_star, gstar, params)
-        return cls(tau, covered, set_size, inst, cum_regret(inst), tau > tau_star)
+        return cls(tau, covered, set_size, inst, cum_regret(inst, before), tau > tau_star)
 
 
 def regret_bound(horizon: int, k: float, phi_max: float) -> float:

@@ -218,6 +218,45 @@ class TestRunMatchesLibraryLoop:
         assert (None if run.set_size is None else run.set_size.tolist()) == (sizes or None)
 
 
+AUCTION_ENV = EnvironmentSpec(kind="auction", distribution="gaussian",
+                              dist_params={"mu": 25.0, "sigma": 8.0}, bidders=3)
+
+
+class TestChunkedRun:
+    """A trace-off run, played and reduced CHUNK_ROUNDS rounds at a time,
+    against `RunSample.of` the same run played whole."""
+
+    @pytest.mark.parametrize("entry", LOOP_POLICIES, ids=lambda e: e.policy_id)
+    @pytest.mark.parametrize("env_spec", [UNIFORM_ENV, AUCTION_ENV, SCORE_LOG_ENV],
+                             ids=["uniform", "auction", "score_log"])
+    def test_sample_matches_the_whole_run(self, entry, env_spec):
+        if entry.kind == "dlr" and env_spec is AUCTION_ENV:
+            # top bids are unbounded below
+            entry = dataclasses.replace(entry, params={"tau_init": 0.0})
+        chunk = harness.CHUNK_ROUNDS
+        for horizon in (chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+            cfg = ExperimentConfig(environment=env_spec, policies=[entry], alpha=0.9,
+                                   horizon=horizon, runs=1)
+            cfg.validate()
+            spec = cfg.policy_spec(entry, {})
+            seed = derive_seed(0, entry.policy_id, "", horizon)
+            whole = run_single(cfg, spec, seed)
+            if env_spec is SCORE_LOG_ENV:
+                assert whole.set_size is not None
+            # the logging checkpoints and every round around a chunk edge;
+            # then the last round alone, so that some chunks hold no checkpoint
+            edges = {edge + d for edge in range(chunk, horizon, chunk) for d in (-2, -1, 0, 1)
+                     if edge + d < horizon}
+            grid = set(np.asarray(checkpoint_grid(horizon)) - 1)
+            for at in (np.array(sorted(grid | edges)), np.array([horizon - 1])):
+                chunked = run_single(cfg, spec, seed, at)
+                want = harness.RunSample.of(whole, at)
+                for name in ("cum_regret", "covered", "undercover"):
+                    got, expected = getattr(chunked, name), getattr(want, name)
+                    assert got.dtype == expected.dtype, (horizon, name)
+                    assert got.tobytes() == expected.tobytes(), (horizon, name)
+
+
 class TestLoadConfig:
     def test_basic_parse(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG.format(out="res", trace="true"))
@@ -605,7 +644,9 @@ class TestRunBatch:
             PolicyEntry(policy_id="etc", kind="etc", grid=("m", (50, 10, 100))),
         ], horizon=200, runs=2)
         tied = run_single(cfg, cfg.policy_spec(cfg.policies[0], {"explore_rounds": 10}), 0)
-        monkeypatch.setattr(harness, "run_single", lambda *args: tied)
+        # every grid point plays the same run; a trace-off batch asks for its sample
+        monkeypatch.setattr(harness, "run_single", lambda cfg, spec, seed, at=None:
+                            tied if at is None else harness.RunSample.of(tied, at))
         result = run_batch(cfg)
         assert result.selected == {"etc": "m=50"}
         assert [row[4] for row in result.sweep_rows] == [1, 0, 0]

@@ -276,6 +276,47 @@ FIRST_VALUES = st.one_of(
     st.sampled_from([9.9, 9.99999999999, 0.0999999, 99.9999999]),
 )
 
+# kinds of `varying_column`
+VARYING_KINDS = ["digits12", "digits3", "unrounded", "few", "specials", "ties", "zeros"]
+
+
+def varying_column(seed: int, n: int, kind: str, exponent: int) -> np.ndarray:
+    """A regret column with a new value nearly every round, as DLR's and
+    ACI's have, of values about 10**exponent; 3-digit values are exact
+    half units in many decades."""
+    rng = np.random.default_rng(seed)
+    values = rng.random(n) * 10.0**exponent
+    if kind in ("digits12", "specials", "zeros"):
+        values = np.array([float(f"{v:.12g}") for v in values])
+    elif kind == "digits3":
+        values = np.array([float(f"{v:.3g}") for v in values])
+    elif kind == "few":
+        values = rng.choice([float(f"{v:.12g}") for v in values[:4]] + [0.0], n)
+    elif kind == "ties":
+        # from 10**exponent every step is a half unit of its decade's grid
+        values = (rng.integers(0, 1000, n) + 0.5) * 10.0**(exponent - 11)
+        values[0] = 10.0**exponent
+    if kind == "specials":
+        values[rng.integers(0, n, 3)] = rng.choice(
+            [math.nan, math.inf, -math.inf, -0.0, -1e-3, 1e13], 3)
+    elif kind == "zeros":
+        # a leading run of zeros of either sign, and zeros strewn after it
+        values[:rng.integers(1, n + 1)] = 0.0
+        values[rng.integers(0, n, n // 4)] = rng.choice([0.0, -0.0], n // 4)
+    return values
+
+
+def fold_in_pieces(inst, cuts) -> np.ndarray:
+    """`cum_regret` of inst split before each index of `cuts` (sorted, empty
+    pieces allowed), each piece folded from the last sum of those before."""
+    inst = np.asarray(inst, dtype=float)
+    pieces, before = [], None
+    for lo, hi in zip([0, *cuts], [*cuts, len(inst)]):
+        pieces.append(cum_regret(inst[lo:hi], before))
+        if hi > lo:
+            before = float(pieces[-1][-1])
+    return np.concatenate(pieces)
+
 
 class TestCumRegret:
     def test_sequential_fold_at_12_digits(self):
@@ -322,24 +363,54 @@ class TestCumRegret:
         assert len(calls) < 20
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000),
-           st.sampled_from(["digits12", "digits3", "unrounded", "few", "specials"]),
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.sampled_from(VARYING_KINDS),
            st.integers(-14, 3))
     def test_varying_column_matches_scalar_fold(self, seed, n, kind, exponent):
-        # a new value nearly every round, as DLR's and ACI's regret columns
-        # have; 3-digit values are exact half units in many decades
-        rng = np.random.default_rng(seed)
-        values = rng.random(n) * 10.0**exponent
-        if kind == "digits12" or kind == "specials":
-            values = np.array([float(f"{v:.12g}") for v in values])
-        elif kind == "digits3":
-            values = np.array([float(f"{v:.3g}") for v in values])
-        elif kind == "few":
-            values = rng.choice([float(f"{v:.12g}") for v in values[:4]] + [0.0], n)
-        if kind == "specials":
-            values[rng.integers(0, n, 3)] = rng.choice(
-                [math.nan, math.inf, -0.0, -1e-3, 1e13], 3)
+        values = varying_column(seed, n, kind, exponent)
         assert cum_regret(values).tobytes() == scalar_cum_regret(values).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.sampled_from(VARYING_KINDS),
+           st.integers(-14, 3), st.lists(st.integers(0, 3000), max_size=6))
+    def test_fold_in_pieces_matches_whole_fold(self, seed, n, kind, exponent, cuts):
+        values = varying_column(seed, n, kind, exponent)
+        whole = cum_regret(values)
+        # forced: a step inside the leading run of zeros and its end, and
+        # every step that leaves a decade; in "ties" the steps are half
+        # units wherever c has a grid
+        nonzero = values != 0.0
+        zeros = int(nonzero.argmax()) if nonzero.any() else n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            decade = np.floor(np.log10(np.abs(whole)))
+        edges = np.flatnonzero(np.isfinite(decade[1:]) & np.isfinite(decade[:-1])
+                               & (decade[1:] != decade[:-1])) + 1
+        cuts = sorted({min(cut, n) for cut in cuts} | {zeros // 2, zeros} | set(edges.tolist()))
+        assert fold_in_pieces(values, cuts).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("inst, cuts", [
+        # inside a leading run of zeros of either sign, and at its end
+        ([0.0] * 10 + [-0.0] * 5 + [0.0123] * 50, [3, 10, 12, 15, 16]),
+        ([-0.0] * 10 + [0.0] * 5 + [1e-13] * 50, [1, 5, 10, 11, 15]),
+        ([-0.0] * 20, [1, 7, 19]),
+        ([-0.0] * 5 + [math.nan, 1.0], [2, 5, 6]),
+        # on half-unit ties: from 1.0, 6.215e-09 adds 621 or 622 units by
+        # the running sum, and 5e-12 is a tie at every step
+        ([1.0] + [6.215e-09] * 2000, [1, 2, 3, 365, 366, 1000, 1999]),
+        ([1.0] + [5e-12] * 50, [1, 2, 25]),
+        # at a decade edge: both sums reach the next decade at step 100
+        ([9.99] + [1e-4] * 500, [99, 100, 101]),
+        ([0.0999999] + [1e-9] * 300, [100, 101, 102]),
+        # c on the last unit of its decade
+        ([9.99999999999] + [1e-11] * 100, [1, 2]),
+        # sums that rule the grid out
+        ([math.inf] + [1.0] * 20, [1, 10]),
+        ([1.0, math.nan, 2.0, -math.inf], [1, 2, 3]),
+    ])
+    def test_forced_splits_match_whole_fold(self, inst, cuts):
+        inst = np.array(inst)
+        whole = cum_regret(inst)
+        assert whole.tobytes() == scalar_cum_regret(inst).tobytes()
+        assert fold_in_pieces(inst, cuts).tobytes() == whole.tobytes()
 
     @staticmethod
     def _count_runs(monkeypatch):
