@@ -1,14 +1,15 @@
 """Experiment orchestration: run grids, aggregation, CSV output.
 
-`run_single` draws a run's scores as one column, plays the policy over
-it, and returns the run as `metrics.RunColumns`: numpy columns tau,
-covered and set_size, plus inst_regret, cum_regret and undercover
-derived from them.  `run_batch` keeps a run's per-round columns only
-when the trace is on; with the trace off it asks `run_single` for the
-run's `RunSample`, what summary.csv and sweep.csv read of it at the
-logging checkpoints, played and reduced CHUNK_ROUNDS rounds at a time.
-A trace-off batch so holds O(runs x checkpoints) numbers, and its run
-the scores plus one chunk's columns, not O(T) columns.
+`run_single` draws a run's scores as one column and plays the policy
+over it CHUNK_ROUNDS rounds at a time.  Each chunk becomes a
+`metrics.RunColumns`: numpy columns tau, covered and set_size, plus
+inst_regret, cum_regret and undercover derived from them, its regret
+carried on from the chunk before.  The run is returned as its
+`RunSample`, what summary.csv and sweep.csv read of it at the logging
+checkpoints; with the trace on the sample also keeps the run's chunks,
+and `run_batch` hands the selected runs' chunks to trace.csv.  A
+trace-off batch so holds O(runs x checkpoints) numbers, and its run the
+scores plus one chunk's columns, not O(T) columns.
 
 Outputs (floats at 12 significant digits, -inf spelled ``-inf``, +inf
 ``inf``; each written to a temp file first):
@@ -20,13 +21,14 @@ Outputs (floats at 12 significant digits, -inf spelled ``-inf``, +inf
 
 Output is rendered from columns, not from per-round objects.  Summary
 rows reduce one (checkpoint x run) matrix per metric.  trace.csv is
-rendered as bytes and written one run at a time: each field of a run is
-an S column of NUL-padded strings, the fields are the members of one
-record per round, and the run's bytes are the records' bytes with the
-NULs deleted by one `bytes.translate`.  A column that repeats (tau,
-inst_regret, the flags, set_size) is formatted once per distinct bit
-pattern, so -0.0 still prints ``-0``; cum_regret, on its 12-digit grid,
-is put together from its digits.
+rendered as bytes and written one chunk at a time, so its buffers hold
+CHUNK_ROUNDS rounds, not a run: each field of a chunk is an S column of
+NUL-padded strings, the fields are the members of one record per round,
+and the chunk's bytes are the records' bytes with the NULs deleted by
+one `bytes.translate`.  A column that repeats (tau, inst_regret, the
+flags, set_size) is formatted once per distinct bit pattern, so -0.0
+still prints ``-0``; cum_regret, on its 12-digit grid, is put together
+from its digits.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ def checkpoint_grid(horizon: int) -> list[int]:
 # floats and ints some policies make of a block (ACI's and DLR's loops,
 # SPS's need column) are made one block at a time, never T at once.
 BLOCK_ROUNDS = 4096
-# Rounds played and reduced at a time by a trace-off run: a whole number
-# of blocks, so the block boundaries are those of a run played whole.
+# Rounds played, derived and rendered at a time: a whole number of
+# blocks, so the block boundaries are those of a run played whole.
 CHUNK_ROUNDS = 4 * BLOCK_ROUNDS
 
 
@@ -94,56 +96,50 @@ def _play(play, scores: np.ndarray) -> np.ndarray:
 
 
 def run_single(cfg: ExperimentConfig, spec: PolicySpec, seed: int,
-               at: np.ndarray | None = None) -> RunColumns | RunSample:
-    """One (environment, policy, seed) trajectory of exactly T rounds.
+               at: np.ndarray) -> RunSample:
+    """One (environment, policy, seed) trajectory of exactly T rounds, as
+    its `RunSample` at the increasing checkpoint indices `at`, which end
+    at T - 1.
 
     The environment draws all T scores up front; the policy then plays
-    them block by block with semi-bandit feedback (`Policy.play`: a
-    score that clears tau is observed, any other is a miss).  Coverage
-    and set sizes follow from the columns.
-
-    Without `at` the run is returned whole, as `RunColumns`.  With `at`,
-    increasing checkpoint indices ending at T - 1, it is returned as its
-    `RunSample` at them, played and reduced CHUNK_ROUNDS rounds at a time:
-    each chunk's columns are derived, sampled and dropped, and its last
-    cum_regret and its flag counts carry into the next, so no per-round
-    column but the scores outlives its chunk.  The sample is that of the
-    run played whole, bit for bit.
+    them CHUNK_ROUNDS rounds at a time, each chunk block by block with
+    semi-bandit feedback (`Policy.play`: a score that clears tau is
+    observed, any other is a miss).  Each chunk's columns are derived,
+    sampled at its checkpoints, and kept only when the trace is on; its
+    last cum_regret and its flag counts carry into the next chunk.  Set
+    sizes, which only trace.csv reads, are counted only with the trace on.
     """
     env = cfg.environment.build()
     scores, candidates = env.draw(np.random.default_rng(seed), cfg.horizon)
+    if not cfg.trace:
+        candidates = None
     play = spec.build().play
     oracle = env.oracle_tau_star(cfg.alpha), env.oracle_cdf(), cfg.loss
-    if at is None:
-        taus = _play(play, scores)
-        covered, sizes = scores >= taus, set_size(candidates, taus)
-        # the regret columns are derived without the scores, candidates and policy
-        del scores, candidates, play
-        return RunColumns.derive(taus, covered, sizes, *oracle)
-    # only trace.csv reads set sizes
-    del candidates
     # (cum_regret, covered, undercover) at each chunk's checkpoints
-    pieces = []
+    pieces, chunks = [], []
     before, covered, undercover = None, 0, 0
     for start in range(0, cfg.horizon, CHUNK_ROUNDS):
-        chunk = scores[start:start + CHUNK_ROUNDS]
-        taus = _play(play, chunk)
-        part = RunColumns.derive(taus, chunk >= taus, None, *oracle, before)
-        lo, hi = np.searchsorted(at, (start, start + len(chunk)))
+        rounds = slice(start, start + CHUNK_ROUNDS)
+        taus = _play(play, scores[rounds])
+        sizes = None if candidates is None else set_size(candidates[rounds], taus)
+        part = RunColumns.derive(taus, scores[rounds] >= taus, sizes, *oracle, before)
+        lo, hi = np.searchsorted(at, (start, start + len(taus)))
         if lo < hi:
-            piece = RunSample.of(part, at[lo:hi] - start)
-            pieces.append((piece.cum_regret, covered + piece.covered,
-                           undercover + piece.undercover))
+            here = at[lo:hi] - start
+            pieces.append((part.cum_regret[here], covered + _running_count(part.covered, here),
+                           undercover + _running_count(part.undercover, here)))
         before = float(part.cum_regret[-1])
         covered += int(np.count_nonzero(part.covered))
         undercover += int(np.count_nonzero(part.undercover))
-    return RunSample(*map(np.concatenate, zip(*pieces)))
+        if cfg.trace:
+            chunks.append(part)
+    return RunSample(*map(np.concatenate, zip(*pieces)), tuple(chunks))
 
 
 def _running_count(flags: np.ndarray, at: np.ndarray) -> np.ndarray:
     """`np.cumsum(flags)[at]` for increasing indices `at`, as exact int64
     counts: one sum per stretch between checkpoints, then their running
-    sum, without a running column as long as the run."""
+    sum, which is faster than the running column of a chunk."""
     starts = np.concatenate(([0], at[:-1] + 1))
     return np.cumsum(np.add.reduceat(flags[:at[-1] + 1], starts, dtype=np.int64))
 
@@ -151,26 +147,23 @@ def _running_count(flags: np.ndarray, at: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RunSample:
     """What summary.csv and sweep.csv read of one run: entry i holds round
-    t = checkpoints[i], and the last checkpoint is the horizon."""
+    t = checkpoints[i], and the last checkpoint is the horizon.  With the
+    trace on it also keeps the run's per-round columns, one `RunColumns`
+    per CHUNK_ROUNDS rounds, in order."""
 
     cum_regret: np.ndarray  # float64 cum_regret at t
     covered: np.ndarray     # int64 covered rounds in 1..t
     undercover: np.ndarray  # int64 undercovering rounds in 1..t
-
-    @classmethod
-    def of(cls, run: RunColumns, at: np.ndarray) -> "RunSample":
-        """The run at the checkpoint indices `at` (checkpoints minus one)."""
-        return cls(run.cum_regret[at], _running_count(run.covered, at),
-                   _running_count(run.undercover, at))
+    chunks: tuple[RunColumns, ...] = ()
 
 
 @dataclass
 class BatchResult:
     summary_rows: list[tuple]   # (policy, t, metric, mean, ci_lo, ci_hi)
     sweep_rows: list[tuple]     # (policy, param, value, mean_final_regret, selected)
-    # (run_id, policy, run) per selected run; run holds the per-round
-    # columns when the trace is on, else None
-    traces: list[tuple[int, str, RunColumns | None]]
+    # (run_id, policy, chunks) per selected run: its `RunSample.chunks`,
+    # empty when the trace is off
+    traces: list[tuple[int, str, tuple[RunColumns, ...]]]
     selected: dict[str, str]    # policy_id -> winning grid_key
 
 
@@ -210,9 +203,7 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
 
     Swept parameters are selected by lowest mean final cumulative regret;
     summary checkpoints and traces come from the selected grid point.
-    Each run is reduced to its `RunSample`: from its per-round columns,
-    kept for trace.csv, when the trace is on, else chunk by chunk inside
-    `run_single`.
+    Each run is reduced to its `RunSample` by `run_single`.
     """
     if cfg.runs == 1:
         warnings.warn("runs = 1: confidence intervals degenerate to zero width")
@@ -220,7 +211,7 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
     at = np.asarray(checkpoints) - 1
     summary_rows: list[tuple] = []
     sweep_rows: list[tuple] = []
-    traces: list[tuple[int, str, RunColumns | None]] = []
+    traces: list[tuple[int, str, tuple[RunColumns, ...]]] = []
     selected: dict[str, str] = {}
 
     for entry in cfg.policies:
@@ -229,27 +220,21 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
         best_final = math.inf
         for grid_key, overrides in points:
             spec = cfg.policy_spec(entry, overrides)
-            samples, runs = [], []
+            samples = []
             for run_idx in range(cfg.runs):
                 seed = derive_seed(cfg.seed, entry.policy_id, grid_key, run_idx)
                 try:
-                    if cfg.trace:
-                        run = run_single(cfg, spec, seed)
-                        sample = RunSample.of(run, at)
-                    else:
-                        run, sample = None, run_single(cfg, spec, seed, at)
+                    samples.append(run_single(cfg, spec, seed, at))
                 except Exception as exc:
                     raise RunError(
                         f"run failed: policy={entry.policy_id} grid={grid_key!r} "
                         f"run={run_idx} seed={seed}: {exc}"
                     ) from exc
-                samples.append(sample)
-                runs.append(run)
             final = float(np.mean([sample.cum_regret[-1] for sample in samples]))
             # strict: ties keep the earlier grid point
             if final < best_final:
                 best_key, best_final = grid_key, final
-                best_samples, best_runs = samples, runs
+                best_samples = samples
             finals.append(final)
         selected[entry.policy_id] = best_key
         if len(points) > 1:
@@ -260,8 +245,8 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
                     int(grid_key == best_key),
                 ))
         summary_rows.extend(_aggregate(entry.policy_id, best_samples, checkpoints))
-        traces.extend((run_idx, entry.policy_id, run)
-                      for run_idx, run in enumerate(best_runs))
+        traces.extend((run_idx, entry.policy_id, sample.chunks)
+                      for run_idx, sample in enumerate(best_samples))
     return BatchResult(summary_rows, sweep_rows, traces, selected)
 
 
@@ -386,32 +371,36 @@ def _cum_field(c: np.ndarray) -> np.ndarray:
 
 
 def _render_trace(traces):
-    """trace.csv as bytes: the header, then one bytes object per run (see
-    the module doc).  A run's t strings are made once for all runs of its
-    length.  CSV text holds no NUL, so a policy id with one is refused.
+    """trace.csv as bytes: the header, then one bytes object per chunk of
+    a run (see the module doc).  The t strings are sliced from one
+    `_t_field` of the longest run.  CSV text holds no NUL, so a policy id
+    with one is refused.
     """
     yield b"run_id,policy,t,tau,covered,inst_regret,cum_regret,undercover,set_size\n"
-    rounds: dict[int, np.ndarray] = {}
-    for run_id, policy, run in traces:
+    rounds = _t_field(max((sum(len(run.tau) for run in chunks) for _, _, chunks in traces),
+                          default=0))
+    for run_id, policy, chunks in traces:
         if "\0" in policy:
             raise ValueError(f"policy id {policy!r} holds a NUL character")
-        n = len(run.tau)
-        if n not in rounds:
-            rounds[n] = _t_field(n)
-        fields = [
-            np.asarray(f"{run_id},{policy},".encode()),
-            rounds[n],
-            _field(run.tau, FLOAT_FIELD.__mod__),
-            _field(run.covered, INT_FIELD.__mod__),
-            _field(run.inst_regret, FLOAT_FIELD.__mod__),
-            _cum_field(run.cum_regret),
-            _field(run.undercover, INT_FIELD.__mod__),
-            np.asarray(b"\n") if run.set_size is None else _field(run.set_size, _size_field),
-        ]
-        records = np.empty(n, ",".join(field.dtype.str for field in fields))
-        for name, field in zip(records.dtype.names, fields):
-            records[name] = field
-        yield records.tobytes().translate(None, b"\0")
+        prefix = np.asarray(f"{run_id},{policy},".encode())
+        start = 0
+        for run in chunks:
+            n = len(run.tau)
+            fields = [
+                prefix,
+                rounds[start:start + n],
+                _field(run.tau, FLOAT_FIELD.__mod__),
+                _field(run.covered, INT_FIELD.__mod__),
+                _field(run.inst_regret, FLOAT_FIELD.__mod__),
+                _cum_field(run.cum_regret),
+                _field(run.undercover, INT_FIELD.__mod__),
+                np.asarray(b"\n") if run.set_size is None else _field(run.set_size, _size_field),
+            ]
+            start += n
+            records = np.empty(n, ",".join(field.dtype.str for field in fields))
+            for name, field in zip(records.dtype.names, fields):
+                records[name] = field
+            yield records.tobytes().translate(None, b"\0")
 
 
 # every file `emit_csv` may write
@@ -422,7 +411,7 @@ def emit_csv(result: BatchResult, cfg: ExperimentConfig) -> dict[str, str]:
     """Write summary/sweep/trace CSVs plus the timestamp sidecar.
 
     Every body is written as bytes to a temporary file in the output
-    directory, trace.csv run by run as it is rendered, before any is
+    directory, trace.csv chunk by chunk as it is rendered, before any is
     moved into place with `os.replace`, so a failure leaves the earlier
     result files whole, never a truncated one, and removes the temporary
     files.  Once all are in place, result files this run did not write
@@ -432,7 +421,7 @@ def emit_csv(result: BatchResult, cfg: ExperimentConfig) -> dict[str, str]:
     """
     if not result.summary_rows:
         raise ValueError("nothing to emit: empty batch result")
-    if cfg.trace and any(run is None for _, _, run in result.traces):
+    if cfg.trace and not all(chunks for _, _, chunks in result.traces):
         raise ValueError("nothing to trace: the batch ran with the trace off")
     bodies = {"summary.csv": [_render_rows("policy,t,metric,mean,ci_lo,ci_hi",
                                             result.summary_rows).encode()]}

@@ -22,6 +22,7 @@ from semibandit_conformal.environments import (
     RunExhaustedError,
     ScoreLogEnv,
     apply_feedback,
+    set_size,
 )
 from semibandit_conformal.harness import (
     ConfigError,
@@ -84,6 +85,42 @@ def small_cfg(policies=None, horizon=200, runs=2, trace=False, out="results"):
     return cfg
 
 
+def join_chunks(chunks) -> RunColumns:
+    """A run's per-round columns from its `RunSample.chunks`, in order.  A
+    chunk without set sizes (no round of it had candidates) counts -1 on
+    each of its rounds, as trace.csv prints it."""
+    sizes = None
+    if any(chunk.set_size is not None for chunk in chunks):
+        sizes = np.concatenate([np.full(len(chunk.tau), -1) if chunk.set_size is None
+                                else chunk.set_size for chunk in chunks])
+    columns = {field.name: np.concatenate([getattr(chunk, field.name) for chunk in chunks])
+               for field in dataclasses.fields(RunColumns) if field.name != "set_size"}
+    return RunColumns(set_size=sizes, **columns)
+
+
+def whole_run(cfg, spec, seed) -> RunColumns:
+    """One run's per-round columns: `run_single` with the trace on, its
+    chunks joined."""
+    cfg = dataclasses.replace(cfg, trace=True)
+    return join_chunks(run_single(cfg, spec, seed, np.array([cfg.horizon - 1])).chunks)
+
+
+def played_whole(cfg, spec, seed) -> RunColumns:
+    """One run played over its whole score column at once, its set sizes
+    counted and its columns derived in one piece, without `before`."""
+    env = cfg.environment.build()
+    scores, candidates = env.draw(np.random.default_rng(seed), cfg.horizon)
+    taus = harness._play(spec.build().play, scores)
+    return RunColumns.derive(taus, scores >= taus, set_size(candidates, taus),
+                             env.oracle_tau_star(cfg.alpha), env.oracle_cdf(), cfg.loss)
+
+
+def sample_of(run: RunColumns, at) -> harness.RunSample:
+    """A whole run's `RunSample` at the indices `at`."""
+    return harness.RunSample(run.cum_regret[at], np.cumsum(run.covered, dtype=np.int64)[at],
+                             np.cumsum(run.undercover, dtype=np.int64)[at])
+
+
 def warns_single_run():
     """run_batch at runs = 1 warns that the confidence intervals are empty."""
     return pytest.warns(UserWarning, match="runs = 1")
@@ -135,22 +172,22 @@ class TestRunSingle:
     def test_deterministic_replay(self):
         cfg = small_cfg()
         spec = cfg.policy_spec(cfg.policies[0], {})
-        a = run_single(cfg, spec, seed=42)
-        b = run_single(cfg, spec, seed=42)
+        a = whole_run(cfg, spec, seed=42)
+        b = whole_run(cfg, spec, seed=42)
         for name in ("tau", "covered", "inst_regret", "cum_regret", "undercover"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_distinct_seeds_differ(self):
         cfg = small_cfg(policies=[PolicyEntry(policy_id="g", kind="greedy")])
         spec = cfg.policy_spec(cfg.policies[0], {})
-        a = run_single(cfg, spec, seed=1)
-        b = run_single(cfg, spec, seed=2)
+        a = whole_run(cfg, spec, seed=1)
+        b = whole_run(cfg, spec, seed=2)
         assert not np.array_equal(a.tau, b.tau)
 
     def test_round_indices_and_accumulation(self):
         cfg = small_cfg(horizon=100, runs=1)
         spec = cfg.policy_spec(cfg.policies[0], {})
-        run = run_single(cfg, spec, seed=5)
+        run = whole_run(cfg, spec, seed=5)
         assert len(run.tau) == len(run.cum_regret) == 100
         assert run.tau.dtype == np.float64 and run.covered.dtype == bool
         assert run.set_size is None  # synthetic scores carry no candidates
@@ -164,7 +201,7 @@ class TestRunSingle:
         cfg = small_cfg(horizon=100, runs=1)
         tau_star = cfg.environment.build().oracle_tau_star(cfg.alpha)
         spec = cfg.policy_spec(PolicyEntry(policy_id="g", kind="greedy"), {})
-        run = run_single(cfg, spec, seed=5)
+        run = whole_run(cfg, spec, seed=5)
         assert np.array_equal(run.undercover, run.tau > tau_star)
 
 
@@ -200,7 +237,7 @@ class TestRunMatchesLibraryLoop:
                                horizon=600, runs=1)
         cfg.validate()
         spec = cfg.policy_spec(entry, {})
-        run = run_single(cfg, spec, seed)
+        run = whole_run(cfg, spec, seed)
 
         policy = spec.build()
         scores, candidates = env_spec.build().draw(np.random.default_rng(seed), cfg.horizon)
@@ -223,8 +260,9 @@ AUCTION_ENV = EnvironmentSpec(kind="auction", distribution="gaussian",
 
 
 class TestChunkedRun:
-    """A trace-off run, played and reduced CHUNK_ROUNDS rounds at a time,
-    against `RunSample.of` the same run played whole."""
+    """A run, played and reduced CHUNK_ROUNDS rounds at a time, against the
+    same run played over its whole score column at once: its sample with
+    the trace off, and its joined chunks with the trace on."""
 
     @pytest.mark.parametrize("entry", LOOP_POLICIES, ids=lambda e: e.policy_id)
     @pytest.mark.parametrize("env_spec", [UNIFORM_ENV, AUCTION_ENV, SCORE_LOG_ENV],
@@ -240,9 +278,20 @@ class TestChunkedRun:
             cfg.validate()
             spec = cfg.policy_spec(entry, {})
             seed = derive_seed(0, entry.policy_id, "", horizon)
-            whole = run_single(cfg, spec, seed)
+            whole = played_whole(cfg, spec, seed)
             if env_spec is SCORE_LOG_ENV:
                 assert whole.set_size is not None
+            traced = run_single(dataclasses.replace(cfg, trace=True), spec, seed,
+                                np.array([horizon - 1]))
+            assert len(traced.chunks) == -(-horizon // chunk)
+            joined = join_chunks(traced.chunks)
+            for field in dataclasses.fields(RunColumns):
+                got, expected = getattr(joined, field.name), getattr(whole, field.name)
+                if expected is None:
+                    assert got is None, (horizon, field.name)
+                    continue
+                assert got.dtype == expected.dtype, (horizon, field.name)
+                assert got.tobytes() == expected.tobytes(), (horizon, field.name)
             # the logging checkpoints and every round around a chunk edge;
             # then the last round alone, so that some chunks hold no checkpoint
             edges = {edge + d for edge in range(chunk, horizon, chunk) for d in (-2, -1, 0, 1)
@@ -250,7 +299,8 @@ class TestChunkedRun:
             grid = set(np.asarray(checkpoint_grid(horizon)) - 1)
             for at in (np.array(sorted(grid | edges)), np.array([horizon - 1])):
                 chunked = run_single(cfg, spec, seed, at)
-                want = harness.RunSample.of(whole, at)
+                assert chunked.chunks == ()
+                want = sample_of(whole, at)
                 for name in ("cum_regret", "covered", "undercover"):
                     got, expected = getattr(chunked, name), getattr(want, name)
                     assert got.dtype == expected.dtype, (horizon, name)
@@ -623,7 +673,7 @@ class TestRunBatch:
         # the trace keeps the selected runs' per-round columns
         cfg = small_cfg(horizon=150, runs=3, trace=True)
         result = run_batch(cfg)
-        per_run = [run for _, _, run in result.traces]
+        per_run = [join_chunks(chunks) for _, _, chunks in result.traces]
         assert len(per_run) == 3
         for policy, t, metric, mean, lo, hi in result.summary_rows:
             if metric == "cum_regret":
@@ -643,10 +693,10 @@ class TestRunBatch:
         cfg = small_cfg(policies=[
             PolicyEntry(policy_id="etc", kind="etc", grid=("m", (50, 10, 100))),
         ], horizon=200, runs=2)
-        tied = run_single(cfg, cfg.policy_spec(cfg.policies[0], {"explore_rounds": 10}), 0)
-        # every grid point plays the same run; a trace-off batch asks for its sample
-        monkeypatch.setattr(harness, "run_single", lambda cfg, spec, seed, at=None:
-                            tied if at is None else harness.RunSample.of(tied, at))
+        at = np.asarray(checkpoint_grid(cfg.horizon)) - 1
+        tied = run_single(cfg, cfg.policy_spec(cfg.policies[0], {"explore_rounds": 10}), 0, at)
+        # every grid point plays the same run
+        monkeypatch.setattr(harness, "run_single", lambda cfg, spec, seed, at: tied)
         result = run_batch(cfg)
         assert result.selected == {"etc": "m=50"}
         assert [row[4] for row in result.sweep_rows] == [1, 0, 0]
@@ -901,6 +951,12 @@ def render_trace(traces) -> bytes:
     return b"".join(harness._render_trace(traces))
 
 
+def joined(traces):
+    """`BatchResult.traces` with each run's chunks joined, as
+    `reference_render_trace` reads them."""
+    return [(run_id, policy, join_chunks(chunks)) for run_id, policy, chunks in traces]
+
+
 def leading_zeros_run(n=5000):
     """A cum_regret column of n - 3 zeros, then three grid values."""
     cum = np.zeros(n)
@@ -921,12 +977,40 @@ def wide_fallback_run():
 
 class TestTraceRender:
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 200), POLICY_ID, trace_run()), max_size=3))
-    @example([(0, "dlr", zero_signs_run()), (1, "a.b-c_d", zero_signs_run())])
-    @example([(0, "sps", leading_zeros_run()), (1, "sps", leading_zeros_run())])
-    @example([(3, "etc", wide_fallback_run())])
+    @given(st.lists(st.tuples(st.integers(0, 200), POLICY_ID,
+                              st.lists(trace_run(), min_size=1, max_size=3).map(tuple)),
+                    max_size=3))
+    @example([(0, "dlr", (zero_signs_run(),)), (1, "a.b-c_d", (zero_signs_run(),))])
+    @example([(0, "sps", (leading_zeros_run(),)), (1, "sps", (leading_zeros_run(),))])
+    @example([(3, "etc", (wide_fallback_run(), zero_signs_run()))])
     def test_matches_row_by_row_renderer(self, traces):
-        assert render_trace(traces) == reference_render_trace(traces).encode()
+        # a run of several chunks, their set sizes present in some and not others
+        assert render_trace(traces) == reference_render_trace(joined(traces)).encode()
+
+    def test_trace_spanning_chunks(self):
+        # three chunks of a score-log run, the last partial and the middle
+        # one without set sizes, then a shorter run whose t strings are
+        # sliced from the longer run's
+        chunk = harness.CHUNK_ROUNDS
+        entry = PolicyEntry(policy_id="sps", kind="sps")
+        cfg = ExperimentConfig(environment=SCORE_LOG_ENV, policies=[entry], alpha=0.9,
+                               horizon=2 * chunk + 5, runs=1, trace=True)
+        cfg.validate()
+        spec = cfg.policy_spec(entry, {})
+        chunks = list(run_single(cfg, spec, 0, np.array([cfg.horizon - 1])).chunks)
+        assert [len(part.tau) for part in chunks] == [chunk, chunk, 5]
+        assert all(part.set_size is not None for part in chunks)
+        chunks[1] = dataclasses.replace(chunks[1], set_size=None)
+        short = dataclasses.replace(cfg, environment=UNIFORM_ENV, horizon=chunk + 1)
+        traces = [(0, "sps", tuple(chunks)),
+                  (1, "sps", run_single(short, spec, 1, np.array([chunk])).chunks)]
+        text = render_trace(traces)
+        assert text == reference_render_trace(joined(traces)).encode()
+        # t runs on across each chunk edge
+        t = [line.split(b",")[2] for line in text.splitlines()[1:]]
+        assert t[chunk - 1:chunk + 1] == [b"16384", b"16385"]
+        assert t[2 * chunk - 1:2 * chunk + 1] == [b"32768", b"32769"]
+        assert t[2 * chunk + 4:] == [b"%d" % n for n in (32773, *range(1, chunk + 2))]
 
     @pytest.mark.parametrize("kind", ["auction", "uniform"])
     def test_batch_traces_match_row_by_row_renderer(self, kind):
@@ -939,7 +1023,7 @@ class TestTraceRender:
             cfg = small_cfg(policies=LOOP_POLICIES, horizon=2000, runs=2, trace=True)
         cfg.validate()
         traces = run_batch(cfg).traces
-        assert render_trace(traces) == reference_render_trace(traces).encode()
+        assert render_trace(traces) == reference_render_trace(joined(traces)).encode()
 
     def test_leading_zeros_are_formatted_once(self, monkeypatch):
         formatted = []
@@ -951,7 +1035,7 @@ class TestTraceRender:
 
         monkeypatch.setattr(harness, "FLOAT_FIELD", CountingFormat(harness.FLOAT_FIELD))
         run = leading_zeros_run(10**4)
-        assert render_trace([(0, "sps", run)]) == reference_render_trace(
+        assert render_trace([(0, "sps", (run,))]) == reference_render_trace(
             [(0, "sps", run)]).encode()
         # one tau, three inst_regret values (0, 0.25, 12) and cum_regret's
         # zero, each once
@@ -959,7 +1043,7 @@ class TestTraceRender:
 
     def test_nul_in_policy_id_is_refused(self, tmp_path):
         with pytest.raises(ValueError, match="NUL"):
-            render_trace([(0, "sps", zero_signs_run()), (1, "s\x00ps", zero_signs_run())])
+            render_trace([(0, "sps", (zero_signs_run(),)), (1, "s\x00ps", (zero_signs_run(),))])
         # a hand-built config skips validate; emit_csv leaves nothing behind
         cfg = ExperimentConfig(environment=UNIFORM_ENV, policies=[
             PolicyEntry(policy_id="a\x00b", kind="sps")], alpha=0.9, horizon=50, runs=2,
@@ -970,8 +1054,8 @@ class TestTraceRender:
 
     def test_non_ascii_policy_id_is_utf8(self, tmp_path):
         policy = "s\u00e9ries-\u03c4-\U0001f600"
-        traces = [(0, policy, zero_signs_run())]
-        assert render_trace(traces) == reference_render_trace(traces).encode("utf-8")
+        traces = [(0, policy, (zero_signs_run(),))]
+        assert render_trace(traces) == reference_render_trace(joined(traces)).encode("utf-8")
         # `validate` would refuse this id; a hand-built config is written as is
         cfg = ExperimentConfig(environment=UNIFORM_ENV, policies=[
             PolicyEntry(policy_id=policy, kind="sps")], alpha=0.9, horizon=40, runs=2,
@@ -979,7 +1063,7 @@ class TestTraceRender:
         result = run_batch(cfg)
         written = emit_csv(result, cfg)
         assert (Path(written["trace.csv"]).read_bytes()
-                == reference_render_trace(result.traces).encode("utf-8"))
+                == reference_render_trace(joined(result.traces)).encode("utf-8"))
 
 
 def cum_field_strings(values) -> list[bytes]:
@@ -1048,7 +1132,7 @@ class TestAggregate:
                 for _ in range(n_runs)]
         checkpoints = checkpoint_grid(horizon)
         at = np.asarray(checkpoints) - 1
-        samples = [harness.RunSample.of(run, at) for run in runs]
+        samples = [sample_of(run, at) for run in runs]
         assert (harness._aggregate("sps", samples, checkpoints)
                 == reference_aggregate("sps", runs, checkpoints))
 
@@ -1068,7 +1152,7 @@ class TestTraceOffBatch:
             finally:
                 tracemalloc.stop()
         assert len(result.traces) == runs
-        assert all(run is None for _, _, run in result.traces)
+        assert all(chunks == () for _, _, chunks in result.traces)
         return peak
 
     def test_memory_does_not_grow_with_runs(self):
@@ -1087,7 +1171,7 @@ class TestTraceOffBatch:
             result = run_batch(cfg)
             written = emit_csv(result, cfg)
             assert ("trace.csv" in written) == trace
-            assert all((run is not None) == trace for _, _, run in result.traces)
+            assert all(bool(chunks) == trace for _, _, chunks in result.traces)
             results[trace] = (len(result.traces),
                               Path(written["summary.csv"]).read_bytes(),
                               Path(written["sweep.csv"]).read_bytes())

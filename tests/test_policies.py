@@ -13,7 +13,7 @@ from semibandit_conformal.cdf_band import (LEVEL_TOL, NEG_INF, TruncatedEcdf, ba
                                           order_index, sup_quantile)
 from semibandit_conformal.environments import EnvironmentSpec, SyntheticEnv, apply_feedback
 from semibandit_conformal.harness import (BLOCK_ROUNDS, ExperimentConfig, PolicyEntry,
-                                          derive_seed, run_single)
+                                          derive_seed)
 from semibandit_conformal.policies import (
     ACI_GAMMA_GRID,
     DLR_EXPONENT_OFFSET,
@@ -30,6 +30,8 @@ from semibandit_conformal.policies import (
     PolicySpec,
     SpsPolicy,
 )
+
+from test_harness import whole_run
 
 ALPHA = 0.9
 T = 10000
@@ -786,7 +788,7 @@ class TestPlayMatchesReference:
             policies=[entry], alpha=ALPHA, horizon=T, runs=1)
         cfg.validate()
         spec = cfg.policy_spec(entry, {})
-        run = run_single(cfg, spec, seed=4)
+        run = whole_run(cfg, spec, seed=4)
 
         scores, _ = cfg.environment.build().draw(np.random.default_rng(4), T)
         ref = spec.build()
@@ -805,7 +807,7 @@ class TestPlayMatchesReference:
             policies=[entry], alpha=ALPHA, horizon=T, runs=1)
         cfg.validate()
         spec = cfg.policy_spec(entry, {})
-        run = run_single(cfg, spec, seed=3)
+        run = whole_run(cfg, spec, seed=3)
 
         scores, _ = cfg.environment.build().draw(np.random.default_rng(3), T)
         ref = spec.build()
@@ -840,7 +842,7 @@ class TestPlayMatchesReference:
             policies=[entry], alpha=ALPHA, horizon=T, runs=1)
         cfg.validate()
         spec = cfg.policy_spec(entry, {})
-        run = run_single(cfg, spec, seed=34)
+        run = whole_run(cfg, spec, seed=34)
 
         scores, _ = cfg.environment.build().draw(np.random.default_rng(34), T)
         ref = spec.build()
@@ -1125,9 +1127,9 @@ class TestTruncationIdentity:
                 expected = truncation_identity_taus(kind, scores, alpha)
             except ValueError:
                 with pytest.raises(ValueError, match="finite"):
-                    run_single(cfg, cfg.policy_spec(entry, {}), seed=0)
+                    whole_run(cfg, cfg.policy_spec(entry, {}), seed=0)
                 return
-            run = run_single(cfg, cfg.policy_spec(entry, {}), seed=0)
+            run = whole_run(cfg, cfg.policy_spec(entry, {}), seed=0)
         assert run.tau.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("kind", ["sps", "greedy"])
